@@ -24,6 +24,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import IO, Mapping
@@ -43,14 +44,17 @@ from .problems import (
     save_instance,
 )
 from .reconstruct import (
+    LateralOperator,
     Regularization,
-    lateral_reconstruct,
+    _sweep_errors,
+    lateral_reconstruct,  # unused here; perfbench/traced_cli.py hooks this name
     stability_region,
     stability_sweep,
+    sweep_levels,
     write_sweep_csv,
 )
 from .verifier import lemma1_residual, smooth_corpus, verify_carleman
-from .weight import DMode, build_d, plan_parameters, plan_report, region_family
+from .weight import DMode, WeightPlan, build_d, plan_parameters, plan_report, region_family
 
 __all__ = [
     "ExperimentConfig",
@@ -188,7 +192,7 @@ class ExperimentConfig:
         ib = self._block("instance")
         if "noise_levels" not in ib:
             raise ValidationError("this command needs 'noise_levels' in the instance block")
-        return [float(v) for v in ib["noise_levels"]]
+        return sweep_levels(ib["noise_levels"])
 
     def seed(self) -> int:
         return int(self._block("instance")["seed"])
@@ -294,10 +298,43 @@ def _stamp(cfg: ExperimentConfig) -> dict:
     return {"config_hash": cfg.config_hash, "version": __version__}
 
 
-def _cmd_plan(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
-    plan = cfg.weight_plan(cfg.geometry())
+class _Pipeline:
+    """The domain objects the commands of one run share, each built on first use.
+
+    The lateral matrix never reads the data, so one factored operator serves
+    both the reconstruct and the sweep command.  Nothing is built before a
+    command asks for it: ``plan`` and ``verify`` run on configs that carry no
+    instance or solver block.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def geometry(self) -> CylinderGeometry:
+        return self.cfg.geometry()
+
+    @cached_property
+    def plan(self) -> WeightPlan:
+        return self.cfg.weight_plan(self.geometry)
+
+    @cached_property
+    def instance(self) -> ProblemInstance:
+        inst = make_instance(self.geometry, self.cfg.recipe())
+        return replace(inst, provenance={**inst.provenance, **_stamp(self.cfg)})
+
+    @cached_property
+    def operator(self) -> LateralOperator:
+        inst = self.instance
+        return LateralOperator(
+            self.geometry, self.plan, inst.p0, inst.R, self.cfg.regularization()
+        )
+
+
+def _cmd_plan(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
+    plan = pipe.plan
     text = plan_report(plan)
-    for key, value in _stamp(cfg).items():
+    for key, value in _stamp(pipe.cfg).items():
         text += f"{key} = {value}\n"
     path = out_dir / "plan.txt"
     with path.open("w", newline="") as fh:
@@ -310,9 +347,9 @@ def _cmd_plan(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
     return [path]
 
 
-def _cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
-    geometry = cfg.geometry()
-    plan = cfg.weight_plan(geometry)
+def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
+    cfg = pipe.cfg
+    plan = pipe.plan
     vs = cfg.verify_settings()
 
     corpus = smooth_corpus(int(vs["corpus_size"]), int(vs["corpus_seed"]))
@@ -337,7 +374,7 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]
     ident_corpus = smooth_corpus(
         int(vs["lemma1_members"]), int(vs["lemma1_seed"]), kind=FieldKind.SPACE_ONLY
     )
-    coarse = geometry.extend()
+    coarse = pipe.geometry.extend()
     fine = coarse.refine()
     ident_rows = []
     in_window = 0
@@ -367,13 +404,8 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]
     return [carleman_path, lemma1_path]
 
 
-def _stamped_instance(cfg: ExperimentConfig) -> ProblemInstance:
-    inst = make_instance(cfg.geometry(), cfg.recipe())
-    return replace(inst, provenance={**inst.provenance, **_stamp(cfg)})
-
-
-def _cmd_make_instance(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
-    inst = _stamped_instance(cfg)
+def _cmd_make_instance(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
+    inst = pipe.instance
     path = out_dir / "instance.npz"
     save_instance(inst, path)
     _say(
@@ -384,25 +416,18 @@ def _cmd_make_instance(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> lis
     return [path]
 
 
-def _cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
-    geometry = cfg.geometry()
-    plan = cfg.weight_plan(geometry)
-    inst = _stamped_instance(cfg)
-    reg = cfg.regularization()
-    solution = lateral_reconstruct(inst.data, geometry, plan, inst.p0, inst.R, reg)
-
-    diff = inst.f.with_values(solution.f_hat.values - inst.f.values)
-    region = stability_region(plan)
-    err_region = discrete_norm(diff, region=region)
-    err_global = discrete_norm(diff)
-    scale_region = discrete_norm(inst.f, region=region)
+def _cmd_reconstruct(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
+    solution = pipe.operator.solve(pipe.instance.data)
+    inst, plan = pipe.instance, pipe.plan
+    err_region, err_global = _sweep_errors(solution.f_hat, inst.f, plan)
+    scale_region = discrete_norm(inst.f, region=stability_region(plan))
     meta = {
         "err_region": err_region,
         "err_global": err_global,
         "err_region_rel": err_region / scale_region,
         "iterations": solution.iterations,
-        "geometry": geometry.fingerprint(),
-        **_stamp(cfg),
+        "geometry": pipe.geometry.fingerprint(),
+        **_stamp(pipe.cfg),
     }
     path = out_dir / "reconstruction.npz"
     _save_reconstruction(path, solution.f_hat.values, solution.u_hat.values, meta)
@@ -414,13 +439,12 @@ def _cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[
     return [path]
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
-    geometry = cfg.geometry()
-    plan = cfg.weight_plan(geometry)
-    inst = _stamped_instance(cfg)
-    reg = cfg.regularization()
+def _cmd_sweep(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
+    cfg = pipe.cfg
     seed = cfg.seed()
-    report = stability_sweep(inst, cfg.noise_levels(), plan, reg, seed=seed)
+    # the levels are checked before the operator is factored
+    levels = cfg.noise_levels()
+    report = stability_sweep(pipe.instance, levels, pipe.operator, seed=seed)
     footer = {"seed": str(seed), **_stamp(cfg)}
     path = out_dir / "sweep.csv"
     with path.open("w", newline="") as fh:
@@ -443,9 +467,10 @@ def run(command: str, cfg: ExperimentConfig, out_dir: Path, quiet: bool = False)
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}; choose from {COMMANDS}")
     names = list(_RUNNERS) if command == "all" else [command]
+    pipe = _Pipeline(cfg)
     written: list[Path] = []
     for name in names:
-        written.extend(_RUNNERS[name](cfg, out_dir, quiet))
+        written.extend(_RUNNERS[name](pipe, out_dir, quiet))
     return written
 
 

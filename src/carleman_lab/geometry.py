@@ -27,8 +27,6 @@ __all__ = [
     "GammaSide",
     "FieldKind",
     "CylinderGeometry",
-    "Grid",
-    "build_grid",
     "ScalarField",
     "Face",
     "NormKind",
@@ -191,34 +189,6 @@ class CylinderGeometry:
             )
         )
         return hashlib.sha256(key.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Node coordinates and spacings of a geometry, materialized as arrays."""
-
-    xp: np.ndarray
-    xn: np.ndarray
-    t: np.ndarray
-    h_xp: float
-    h_xn: float
-    h_t: float
-
-
-def build_grid(geometry: CylinderGeometry) -> Grid:
-    """Materialize the node coordinates of ``geometry``.
-
-    Node counts and extents were validated by the geometry constructor, so
-    this cannot produce degenerate axes.
-    """
-    return Grid(
-        xp=geometry.axis_nodes("xp"),
-        xn=geometry.axis_nodes("xn"),
-        t=geometry.axis_nodes("t"),
-        h_xp=geometry.spacing("xp"),
-        h_xn=geometry.spacing("xn"),
-        h_t=geometry.spacing("t"),
-    )
 
 
 class ScalarField:

@@ -59,6 +59,7 @@ __all__ = [
     "lateral_reconstruct",
     "SweepRow",
     "SweepReport",
+    "sweep_levels",
     "stability_sweep",
     "CorollaryReport",
     "corollary_check",
@@ -165,22 +166,6 @@ def _unit_row(n: int, idx: int) -> sp.csr_matrix:
     return row.tocsr()
 
 
-def _check_lateral_inputs(
-    bundle: BoundaryBundle,
-    geometry: CylinderGeometry,
-    p0: ScalarField,
-    R: ScalarField,
-):
-    if geometry.extended:
-        raise ValidationError("lateral reconstruction runs on the physical half-cylinder")
-    if bundle.y.geometry != geometry:
-        raise ValidationError("bundle grid does not match the reconstruction grid")
-    if p0.kind is not FieldKind.CROSS_SECTION_TIME or p0.geometry != geometry:
-        raise ValidationError("p0 must be a CROSS_SECTION_TIME field on the same grid")
-    if R.kind is not FieldKind.SPACE_TIME or R.geometry != geometry:
-        raise ValidationError("R must be a SPACE_TIME field on the same grid")
-
-
 def _lateral_matrix(
     geometry: CylinderGeometry,
     plan: WeightPlan,
@@ -200,6 +185,12 @@ def _lateral_matrix(
 
     Nothing here reads the data bundle; it only fixes the rhs layout.
     """
+    if geometry.extended:
+        raise ValidationError("lateral reconstruction runs on the physical half-cylinder")
+    if p0.kind is not FieldKind.CROSS_SECTION_TIME or p0.geometry != geometry:
+        raise ValidationError("p0 must be a CROSS_SECTION_TIME field on the same grid")
+    if R.kind is not FieldKind.SPACE_TIME or R.geometry != geometry:
+        raise ValidationError("R must be a SPACE_TIME field on the same grid")
     g = geometry
     nxp, nxn, nt = g.nx_prime, g.nx_n, g.nt
     nq = nxp * nxn * nt
@@ -273,6 +264,8 @@ def _lateral_rhs(
     bundle: BoundaryBundle, geometry: CylinderGeometry, reg: Regularization
 ) -> np.ndarray:
     """Right-hand side matching the row layout of ``_lateral_matrix``."""
+    if bundle.y.geometry != geometry:
+        raise ValidationError("bundle grid does not match the reconstruction grid")
     g = geometry
     nq = g.nx_prime * g.nx_n * g.nt
     nf = g.nx_prime * g.nt
@@ -295,7 +288,6 @@ def assemble_lateral_system(
     reg: Regularization,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Build the least-squares system min ||A z - b|| over z = (u, f)."""
-    _check_lateral_inputs(bundle, geometry, p0, R)
     a = _lateral_matrix(geometry, plan, p0, R, reg)
     b = _lateral_rhs(bundle, geometry, reg)
     return a, b
@@ -335,15 +327,10 @@ class LateralOperator:
         R: ScalarField,
         reg: Regularization,
     ):
-        if geometry.extended:
-            raise ValidationError(
-                "lateral reconstruction runs on the physical half-cylinder"
-            )
-        if p0.kind is not FieldKind.CROSS_SECTION_TIME or p0.geometry != geometry:
-            raise ValidationError("p0 must be a CROSS_SECTION_TIME field on the same grid")
-        if R.kind is not FieldKind.SPACE_TIME or R.geometry != geometry:
-            raise ValidationError("R must be a SPACE_TIME field on the same grid")
         self.geometry = geometry
+        self.plan = plan
+        self.p0 = p0
+        self.R = R
         self.reg = reg
         a = _lateral_matrix(geometry, plan, p0, R, reg)
         col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
@@ -391,8 +378,6 @@ class LateralOperator:
 
     def solve(self, bundle: BoundaryBundle) -> LateralSolution:
         """Solve the joint least-squares problem for one data bundle."""
-        if bundle.y.geometry != self.geometry:
-            raise ValidationError("bundle grid does not match the reconstruction grid")
         b = _lateral_rhs(bundle, self.geometry, self.reg)
         y, iters, history = self._pcg(self._a_scaled.T @ b)
         z = y / self._col_norms
@@ -441,7 +426,6 @@ class SweepRow:
 class SweepReport:
     rows: tuple
     theta_emp: float
-    theta_formula_inputs: tuple
     plan: WeightPlan
     noiseless_f_hat: ScalarField | None
 
@@ -460,22 +444,8 @@ def _sweep_errors(
     return err_region, err_global
 
 
-def stability_sweep(
-    instance: ProblemInstance,
-    noise_levels,
-    plan: WeightPlan,
-    reg: Regularization,
-    seed: int = 0,
-) -> SweepReport:
-    """Rerun the lateral solver across noise levels and fit the error slope.
-
-    Levels are processed in decreasing order (a single 0.0 level is allowed
-    and lands last).  The empirical exponent is the least-squares slope of
-    log err_region against log D(u) over the rows where err_region dropped
-    relative to the previous row; fewer than three such rows leave the fit
-    degenerate and raise.  Noise draws derive from ``seed`` plus the row
-    index, so a sweep is reproducible end to end.
-    """
+def sweep_levels(noise_levels) -> list[float]:
+    """Check the noise levels of a sweep and return them in decreasing order."""
     levels = [float(x) for x in noise_levels]
     if len(levels) < 4:
         raise ValidationError(f"need at least 4 noise levels, got {len(levels)}")
@@ -486,9 +456,35 @@ def stability_sweep(
     positive = [x for x in levels if x > 0]
     if len(positive) < 2 or max(positive) / min(positive) < 99.99:
         raise ValidationError("positive noise levels must span at least two decades")
-    levels.sort(reverse=True)
+    return sorted(levels, reverse=True)
 
-    operator = LateralOperator(instance.geometry, plan, instance.p0, instance.R, reg)
+
+def stability_sweep(
+    instance: ProblemInstance,
+    noise_levels,
+    operator: LateralOperator,
+    seed: int = 0,
+) -> SweepReport:
+    """Rerun the lateral solver across noise levels and fit the error slope.
+
+    Every level is solved against ``operator``, so one factorization serves
+    the whole sweep; the operator must be built from the instance's ``p0``
+    and ``R``, and its plan fixes the stability region of the error rows.
+    Levels are processed in decreasing order (a single 0.0 level is allowed
+    and lands last).  The empirical exponent is the least-squares slope of
+    log err_region against log D(u) over the rows where err_region dropped
+    relative to the previous row; fewer than three such rows leave the fit
+    degenerate and raise.  Noise draws derive from ``seed`` plus the row
+    index, so a sweep is reproducible end to end.
+    """
+    levels = sweep_levels(noise_levels)
+    if not (
+        np.array_equal(operator.p0.values, instance.p0.values)
+        and np.array_equal(operator.R.values, instance.R.values)
+    ):
+        raise ValidationError("the operator was built from another instance's p0 or R")
+
+    plan = operator.plan
     rows = []
     noiseless_f_hat = None
     for i, level in enumerate(levels):
@@ -524,7 +520,6 @@ def stability_sweep(
     return SweepReport(
         rows=tuple(rows),
         theta_emp=theta_emp,
-        theta_formula_inputs=(plan.sigma0, plan.sigma1),
         plan=plan,
         noiseless_f_hat=noiseless_f_hat,
     )

@@ -28,6 +28,7 @@ from carleman_lab.problems import (
     make_instance,
 )
 from carleman_lab.reconstruct import (
+    LateralOperator,
     Regularization,
     corollary_check,
     lateral_reconstruct,
@@ -74,10 +75,19 @@ def sweep_reg():
     return Regularization(tikhonov_weight=SWEEP_MU)
 
 
+def sweep_operator(instance, plan, reg):
+    return LateralOperator(instance.geometry, plan, instance.p0, instance.R, reg)
+
+
 @pytest.fixture(scope="module")
-def acceptance_sweep(quartic_instance, worked_plan, sweep_reg):
+def acceptance_operator(quartic_instance, worked_plan, sweep_reg):
+    return sweep_operator(quartic_instance, worked_plan, sweep_reg)
+
+
+@pytest.fixture(scope="module")
+def acceptance_sweep(quartic_instance, acceptance_operator):
     return stability_sweep(
-        quartic_instance, NOISE_LEVELS, worked_plan, sweep_reg, seed=SWEEP_SEED
+        quartic_instance, NOISE_LEVELS, acceptance_operator, seed=SWEEP_SEED
     )
 
 
@@ -268,9 +278,9 @@ def test_criterion_7_stability_sweep(acceptance_sweep, capsys):
     verdict(capsys, 7, "stability sweep", failures)
 
 
-def test_criterion_8_slice_recovery(quartic_instance, worked_plan, sweep_reg, capsys):
+def test_criterion_8_slice_recovery(quartic_instance, acceptance_operator, capsys):
     sweep = stability_sweep(
-        quartic_instance, NOISE_LEVELS + (0.0,), worked_plan, sweep_reg, seed=SWEEP_SEED
+        quartic_instance, NOISE_LEVELS + (0.0,), acceptance_operator, seed=SWEEP_SEED
     )
     report = corollary_check(sweep, quartic_instance)
     failures = []
@@ -283,8 +293,12 @@ def test_criterion_8_slice_recovery(quartic_instance, worked_plan, sweep_reg, ca
 def test_criterion_9_sweep_determinism(
     acceptance_sweep, quartic_instance, worked_plan, sweep_reg, capsys
 ):
+    # a fresh operator, so the check also covers assembly and factorization
     repeat = stability_sweep(
-        quartic_instance, NOISE_LEVELS, worked_plan, sweep_reg, seed=SWEEP_SEED
+        quartic_instance,
+        NOISE_LEVELS,
+        sweep_operator(quartic_instance, worked_plan, sweep_reg),
+        seed=SWEEP_SEED,
     )
     first, second = io.StringIO(), io.StringIO()
     write_sweep_csv(acceptance_sweep, first)

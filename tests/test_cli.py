@@ -6,11 +6,12 @@ frozen parameter values hold exactly.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from carleman_lab import __version__
+from carleman_lab import __version__, cli as cli_module, reconstruct
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
     LEMMA1_CSV_HEADER,
@@ -266,6 +267,35 @@ def test_all_pipeline_emits_every_artifact(tmp_path):
     }
 
 
+def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
+    calls = Counter()
+    for module, name in (
+        (reconstruct, "splu"),
+        (cli_module, "plan_parameters"),
+        (cli_module, "make_instance"),
+    ):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", "all", "--quiet") == 0
+    assert calls == {"splu": 1, "plan_parameters": 1, "make_instance": 1}
+
+
+def test_all_matches_the_commands_run_one_at_a_time(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path / "all"))
+    assert cli("--config", path, "--command", "all", "--quiet") == 0
+    single = tmp_path / "single"
+    for command in ("plan", "verify", "make-instance", "reconstruct", "sweep"):
+        assert cli("--config", path, "--command", command, "--out", single, "--quiet") == 0
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert names == sorted(p.name for p in single.iterdir())
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (single / name).read_bytes(), name
+
+
 def test_out_flag_overrides_config_directory(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "configured"))
     nested = tmp_path / "somewhere" / "deep"
@@ -310,6 +340,18 @@ def test_exit_2_on_solver_stall(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "reconstruct") == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored before the levels were checked")
+
+    monkeypatch.setattr(reconstruct, "splu", refuse)
+    cfg = base_config(tmp_path / "out")
+    cfg["instance"]["noise_levels"] = [0.1, 0.01, 0.001]
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "sweep") == 1
+    assert "at least 4 noise levels" in capsys.readouterr().err
 
 
 def test_exit_3_on_missing_config(tmp_path, capsys):

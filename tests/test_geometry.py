@@ -10,7 +10,6 @@ from carleman_lab.geometry import (
     NormKind,
     Region,
     ScalarField,
-    build_grid,
     diff,
     discrete_norm,
     dt,
@@ -40,12 +39,12 @@ def small_geometry(nx_prime=11, nx_n=9, nt=11, **kw):
 
 def test_grid_is_uniform_partition_with_exact_endpoints():
     g = small_geometry()
-    grid = build_grid(g)
-    assert grid.xp[0] == 0.0 and grid.xp[-1] == 1.0
-    assert grid.xn[0] == 0.0 and grid.xn[-1] == 1.0
-    assert grid.t[0] == -1.0 and grid.t[-1] == 1.0
-    assert np.allclose(np.diff(grid.xp), grid.h_xp, rtol=0, atol=1e-15)
-    assert grid.h_xn == pytest.approx(1.0 / 8.0, abs=0)
+    xp, xn, t = (g.axis_nodes(axis) for axis in ("xp", "xn", "t"))
+    assert xp[0] == 0.0 and xp[-1] == 1.0
+    assert xn[0] == 0.0 and xn[-1] == 1.0
+    assert t[0] == -1.0 and t[-1] == 1.0
+    assert np.allclose(np.diff(xp), g.spacing("xp"), rtol=0, atol=1e-15)
+    assert g.spacing("xn") == pytest.approx(1.0 / 8.0, abs=0)
 
 
 def test_geometry_rejects_degenerate_extents():
@@ -101,8 +100,8 @@ def test_field_values_are_read_only():
 def test_from_function_samples_tensor_grid():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp + 10 * xn + 100 * t)
-    grid = build_grid(g)
-    assert u.values[3, 2, 1] == pytest.approx(grid.xp[3] + 10 * grid.xn[2] + 100 * grid.t[1], rel=1e-15)
+    xp, xn, t = (g.axis_nodes(axis) for axis in ("xp", "xn", "t"))
+    assert u.values[3, 2, 1] == pytest.approx(xp[3] + 10 * xn[2] + 100 * t[1], rel=1e-15)
 
 
 # ---- finite differences ------------------------------------------------------
@@ -152,8 +151,8 @@ def test_grad_xt_returns_one_field_per_axis():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp * xp + xn - t)
     gx, gn, gt = grad_xt(u)
-    grid = build_grid(g)
-    assert np.max(np.abs(gx.values - 2 * grid.xp[:, None, None])) < 1e-13
+    xp = g.axis_nodes("xp")
+    assert np.max(np.abs(gx.values - 2 * xp[:, None, None])) < 1e-13
     assert np.max(np.abs(gn.values - 1.0)) < 1e-13
     assert np.max(np.abs(gt.values + 1.0)) < 1e-13
 

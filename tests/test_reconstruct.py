@@ -79,22 +79,31 @@ def sweep_reg():
 
 
 @pytest.fixture(scope="module")
-def noiseless_solution(quartic_instance, worked_plan, sweep_reg):
+def small_operator(small_instance, small_plan, sweep_reg):
+    inst = small_instance
+    return LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
+
+
+@pytest.fixture(scope="module")
+def worked_operator(quartic_instance, worked_plan, sweep_reg):
     inst = quartic_instance
-    return lateral_reconstruct(
-        inst.data, inst.geometry, worked_plan, inst.p0, inst.R, sweep_reg
-    )
+    return LateralOperator(inst.geometry, worked_plan, inst.p0, inst.R, sweep_reg)
 
 
 @pytest.fixture(scope="module")
-def worked_sweep(quartic_instance, worked_plan, sweep_reg):
-    return stability_sweep(quartic_instance, SWEEP_LEVELS, worked_plan, sweep_reg, seed=0)
+def noiseless_solution(quartic_instance, worked_operator):
+    return worked_operator.solve(quartic_instance.data)
 
 
 @pytest.fixture(scope="module")
-def worked_sweep_with_floor(quartic_instance, worked_plan, sweep_reg):
+def worked_sweep(quartic_instance, worked_operator):
+    return stability_sweep(quartic_instance, SWEEP_LEVELS, worked_operator, seed=0)
+
+
+@pytest.fixture(scope="module")
+def worked_sweep_with_floor(quartic_instance, worked_operator):
     levels = SWEEP_LEVELS + (0.0,)
-    return stability_sweep(quartic_instance, levels, worked_plan, sweep_reg, seed=0)
+    return stability_sweep(quartic_instance, levels, worked_operator, seed=0)
 
 
 def region_error(f_hat, instance, plan):
@@ -349,7 +358,7 @@ def test_sweep_rows_are_sorted_and_localized(worked_sweep):
 
 def test_sweep_exponent_is_holder_like(worked_sweep, worked_plan):
     assert 0.0 < worked_sweep.theta_emp <= 1.5
-    assert worked_sweep.theta_formula_inputs == (worked_plan.sigma0, worked_plan.sigma1)
+    assert worked_sweep.plan is worked_plan
 
 
 def test_sweep_errors_decrease_with_noise(worked_sweep):
@@ -365,11 +374,10 @@ def test_noiseless_row_is_the_error_floor(worked_sweep_with_floor):
     assert worked_sweep_with_floor.noiseless_f_hat is not None
 
 
-def test_sweep_is_reproducible_per_seed(small_instance, small_plan):
-    reg = Regularization(tikhonov_weight=1e-6)
-    one = stability_sweep(small_instance, SWEEP_LEVELS, small_plan, reg, seed=3)
-    two = stability_sweep(small_instance, SWEEP_LEVELS, small_plan, reg, seed=3)
-    other = stability_sweep(small_instance, SWEEP_LEVELS, small_plan, reg, seed=4)
+def test_sweep_is_reproducible_per_seed(small_instance, small_operator):
+    one = stability_sweep(small_instance, SWEEP_LEVELS, small_operator, seed=3)
+    two = stability_sweep(small_instance, SWEEP_LEVELS, small_operator, seed=3)
+    other = stability_sweep(small_instance, SWEEP_LEVELS, small_operator, seed=4)
     assert one.rows == two.rows
     assert one.rows != other.rows
 
@@ -383,21 +391,28 @@ def test_sweep_is_reproducible_per_seed(small_instance, small_plan):
         ((1e-1, 8e-2, 5e-2, 3e-2), "two decades"),
     ],
 )
-def test_sweep_rejects_bad_level_sets(small_instance, small_plan, levels, message):
-    reg = Regularization(tikhonov_weight=1e-6)
+def test_sweep_rejects_bad_level_sets(small_instance, small_operator, levels, message):
     with pytest.raises(ValidationError, match=message):
-        stability_sweep(small_instance, levels, small_plan, reg)
+        stability_sweep(small_instance, levels, small_operator)
+
+
+def test_sweep_rejects_an_operator_of_another_instance(small_instance, small_operator):
+    p0, R = small_instance.p0, small_instance.R
+    changes = ({"p0": p0.with_values(p0.values + 1.0)}, {"R": R.with_values(2.0 * R.values)})
+    for change in changes:
+        other = dataclasses.replace(small_instance, **change)
+        with pytest.raises(ValidationError, match="another instance"):
+            stability_sweep(other, SWEEP_LEVELS, small_operator)
 
 
 def test_sweep_with_flat_errors_is_a_degenerate_fit(
-    small_instance, small_plan, monkeypatch
+    small_instance, small_operator, monkeypatch
 ):
     monkeypatch.setattr(
         "carleman_lab.reconstruct.add_noise", lambda inst, level, seed: inst
     )
-    reg = Regularization(tikhonov_weight=1e-6)
     with pytest.raises(SolverError, match="degenerate fit"):
-        stability_sweep(small_instance, SWEEP_LEVELS, small_plan, reg)
+        stability_sweep(small_instance, SWEEP_LEVELS, small_operator)
 
 
 # ---- corollary slice check ---------------------------------------------------------
