@@ -13,7 +13,8 @@ inequality table plus identity residual table), ``make-instance``
 (manufactured problem archive), ``reconstruct`` (lateral solve of the
 noiseless instance), ``sweep`` (noise ladder CSV), ``all`` (the pipeline in
 that order).  Exit codes: 0 success, 1 configuration or validation failure,
-2 solver non-convergence, 3 filesystem trouble.
+2 solver failure (factorization, CG breakdown or non-convergence), 3
+filesystem trouble.
 """
 
 from __future__ import annotations

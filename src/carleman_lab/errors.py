@@ -14,4 +14,5 @@ class ValidationError(CarlemanLabError):
 
 
 class SolverError(CarlemanLabError):
-    """Raised when an iterative solver fails to reach its tolerance."""
+    """Raised when a solve fails: the sparse factorization, a conjugate
+    gradients breakdown, or iterations that do not reach their tolerance."""

@@ -339,12 +339,19 @@ class LateralOperator:
         self._a_scaled = (a @ sp.diags(1.0 / col_norms)).tocsr()
         normal = (self._a_scaled.T @ self._a_scaled).tocsc()
         self._normal = normal
-        self._factor = splu(
-            normal,
-            permc_spec="COLAMD",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        try:
+            self._factor = splu(
+                normal,
+                permc_spec="COLAMD",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except (RuntimeError, MemoryError) as exc:
+            # SuperLU reports a singular factor as RuntimeError
+            raise SolverError(
+                f"factorization of the {normal.shape[0]}-unknown normal matrix failed "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
     def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray, int, list[float]]:
         """Preconditioned CG on the normal equations; residual norms recorded."""
@@ -360,10 +367,20 @@ class LateralOperator:
         history = [norm0]
         for it in range(1, maxit + 1):
             q = self._normal @ p
-            alpha = rho / float(p @ q)
+            pq = float(p @ q)
+            if not 0.0 < pq < math.inf:  # false for NaN too
+                raise SolverError(
+                    f"conjugate gradients broke down at iteration {it}: p.q = {pq!r} "
+                    "is not a positive finite number"
+                )
+            alpha = rho / pq
             y += alpha * p
             r -= alpha * q
             res = float(np.linalg.norm(r))
+            if not math.isfinite(res):
+                raise SolverError(
+                    f"conjugate gradients broke down at iteration {it}: residual norm {res!r}"
+                )
             history.append(res)
             if res <= tol * norm0:
                 return y, it, history

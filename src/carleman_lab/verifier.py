@@ -15,6 +15,10 @@ grid and truncation errors can be measured by grid doubling):
 All weighted integrals are evaluated in shifted form: the weight is
 normalized by its maximum, so integrands stay inside (0, 1] and only the
 reported logarithms carry the (possibly huge) factor ``exp(2 s max phi)``.
+
+Over a corpus, the derivatives of each field are formed once per member and
+the weight once per strength; a (member, s) pair then costs two volume sums
+plus work on the faces.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .geometry import (
     dxn2,
     dxp,
     dxp2,
-    laplacian,
     quadrature_weights,
     trace,
 )
@@ -232,11 +235,14 @@ def lemma1_residual(w: ScalarField) -> Lemma1Result:
 _LATERAL_FACES = (Face.GAMMA_SIDE, Face.OPPOSITE_SIDE, Face.XN_ELL, Face.XN_NEG_ELL)
 
 
-def _check_weighted_args(u: ScalarField, s: float):
+def _check_field(u: ScalarField):
     if u.kind is not FieldKind.SPACE_TIME:
         raise ValidationError(f"inequality sides expect a SPACE_TIME field, got {u.kind.name}")
     if not u.geometry.extended:
         raise ValidationError("inequality sides are evaluated on the extended cylinder")
+
+
+def _check_strength(s: float):
     if not (s > 0 and math.isfinite(s)):
         raise ValidationError(f"weight strength s must be positive and finite, got {s!r}")
 
@@ -251,9 +257,103 @@ def _p0_volume(p0: ScalarField | None, g: CylinderGeometry) -> np.ndarray:
     return p0.values[:, None, :]
 
 
-def _surface_integral(g: CylinderGeometry, field2d: ScalarField) -> float:
-    w = quadrature_weights(g, field2d.kind)
-    return float(np.sum(w * field2d.values * field2d.values))
+def _lateral_traces(values: np.ndarray, g: CylinderGeometry) -> tuple:
+    field = ScalarField(g, values, FieldKind.SPACE_TIME)
+    return tuple(trace(field, face).values for face in _LATERAL_FACES)
+
+
+# The sides are split by what each piece depends on: _MemberTerms only on the
+# field, _StrengthTerms only on s.  Every hoisted array is the left operand of
+# the product the sides form, so ``(a * b) * E`` still multiplies in the same
+# order and every side keeps its bits.
+
+
+@dataclass(frozen=True)
+class _MemberTerms:
+    """The s-independent pieces of the weighted inequality for one field."""
+
+    wq: np.ndarray
+    hess: np.ndarray
+    grad: np.ndarray
+    usq: np.ndarray
+    lap: np.ndarray
+    heat_sq: np.ndarray  # wq * heat * heat
+    lateral: tuple  # per lateral face: (wf * (grad + ut^2), wf * u^2, trace of u)
+    terminal: tuple  # per end of the time window: (w * grad, w * u^2)
+
+
+def _member_terms(u: ScalarField, p0: ScalarField | None) -> _MemberTerms:
+    _check_field(u)
+    g = u.geometry
+    wq = quadrature_weights(g, FieldKind.SPACE_TIME)
+
+    ux_field = dxp(u)
+    ux = ux_field.values
+    un = dxn(u).values
+    ut = dt(u).values
+    uxx = dxp2(u).values
+    unn = dxn2(u).values
+    uxn = dxn(ux_field).values
+
+    hess = uxx * uxx + 2.0 * uxn * uxn + unn * unn
+    grad = ux * ux + un * un
+    usq = u.values**2
+    lap = uxx + unn
+    heat = ut - lap - _p0_volume(p0, g) * u.values
+
+    lateral = []
+    for face, gsq_f in zip(_LATERAL_FACES, _lateral_traces(grad + ut * ut, g)):
+        u_f = trace(u, face)
+        wf = quadrature_weights(g, u_f.kind)
+        lateral.append((wf * gsq_f, wf * (u_f.values * u_f.values), u_f))
+
+    w_sp = quadrature_weights(g, FieldKind.SPACE_ONLY)
+    terminal = tuple((w_sp * grad[:, :, it], w_sp * usq[:, :, it]) for it in (0, g.nt - 1))
+    return _MemberTerms(
+        wq=wq,
+        hess=hess,
+        grad=grad,
+        usq=usq,
+        lap=lap,
+        heat_sq=wq * heat * heat,
+        lateral=tuple(lateral),
+        terminal=terminal,
+    )
+
+
+@dataclass(frozen=True)
+class _StrengthTerms:
+    """The weight at one strength, shifted by its maximum, on the volume and faces."""
+
+    s: float
+    E: np.ndarray  # exp(2 s (phi - max phi))
+    lateral_e: tuple  # E on each lateral face
+    lateral_eh: tuple  # exp(s (phi - max phi)) on each lateral face
+    terminal_e: tuple  # E at each end of the time window
+    log_scale: float
+
+
+def _strength_terms(plan: WeightPlan, g: CylinderGeometry, s_values) -> list[_StrengthTerms]:
+    for s in s_values:
+        _check_strength(s)
+    phi = phi_field(plan, g).values
+    phi_max = float(np.max(phi))
+    shifted = phi - phi_max
+    out = []
+    for s in s_values:
+        E = np.exp(2.0 * s * shifted)
+        Eh = np.exp(s * shifted)
+        out.append(
+            _StrengthTerms(
+                s=s,
+                E=E,
+                lateral_e=_lateral_traces(E, g),
+                lateral_eh=_lateral_traces(Eh, g),
+                terminal_e=(E[:, :, 0], E[:, :, g.nt - 1]),
+                log_scale=2.0 * s * phi_max,
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -292,63 +392,31 @@ class CarlemanSides:
         return 0.0 if self.lhs == 0.0 else math.inf
 
 
-def carleman_sides(
-    u: ScalarField, plan: WeightPlan, s: float, p0: ScalarField | None = None
-) -> CarlemanSides:
-    """Evaluate the full weighted inequality (Hessian form) for one field.
+def _sides(m: _MemberTerms, w: _StrengthTerms) -> CarlemanSides:
+    s = w.s
+    E = w.E
+    lhs = float(np.sum(m.wq * ((m.hess / s) + s * m.grad + s**3 * m.usq) * E))
+    residual = float(np.sum(m.heat_sq * E))
 
-    Left side: (1/s) Hessian + s gradient + s^3 value energies over the
-    extended space-time cylinder.  Right side: heat residual energy, s^3
-    lateral boundary value and gradient energies, (1/s) surface H2 energy of
-    the weighted field on the lateral faces, and s^3 terminal energies.
-    """
-    _check_weighted_args(u, s)
-    g = u.geometry
-    phi = phi_field(plan, g).values
-    phi_max = float(np.max(phi))
-    E = np.exp(2.0 * s * (phi - phi_max))
-    Eh = np.exp(s * (phi - phi_max))
-    wq = quadrature_weights(g, FieldKind.SPACE_TIME)
-
-    ux = dxp(u).values
-    un = dxn(u).values
-    ut = dt(u).values
-    uxx = dxp2(u).values
-    unn = dxn2(u).values
-    uxn = dxn(dxp(u)).values
-
-    hess = uxx * uxx + 2.0 * uxn * uxn + unn * unn
-    grad = ux * ux + un * un
-    lhs = float(np.sum(wq * ((hess / s) + s * grad + s**3 * u.values**2) * E))
-
-    heat = ut - (uxx + unn) - _p0_volume(p0, g) * u.values
-    residual = float(np.sum(wq * heat * heat * E))
-
-    grad_xt_sq = grad + ut * ut
-    gsq_field = ScalarField(g, grad_xt_sq, FieldKind.SPACE_TIME)
-    usq_field = ScalarField(g, u.values * u.values, FieldKind.SPACE_TIME)
-    e_field = ScalarField(g, E, FieldKind.SPACE_TIME)
     lateral_grad = 0.0
     lateral_val = 0.0
-    for face in _LATERAL_FACES:
-        ef = trace(e_field, face).values
-        wf = quadrature_weights(g, trace(e_field, face).kind)
-        lateral_grad += float(np.sum(wf * trace(gsq_field, face).values * ef))
-        lateral_val += float(np.sum(wf * trace(usq_field, face).values * ef))
+    for (gsq_f, usq_f, _), ef in zip(m.lateral, w.lateral_e):
+        lateral_grad += float(np.sum(gsq_f * ef))
+        lateral_val += float(np.sum(usq_f * ef))
     lateral_grad *= s**3
     lateral_val *= s**3
 
-    v = u.with_values(u.values * Eh)
+    # the trace of u * exp(s (phi - max phi)) on each face, as a face product
     trace_h2 = sum(
-        discrete_norm(trace(v, face), kind=NormKind.H2_SURFACE) ** 2 for face in _LATERAL_FACES
+        discrete_norm(u_f.with_values(u_f.values * eh_f), kind=NormKind.H2_SURFACE) ** 2
+        for (_, _, u_f), eh_f in zip(m.lateral, w.lateral_eh)
     ) / s
 
-    w_sp = quadrature_weights(g, FieldKind.SPACE_ONLY)
     terminal_grad = 0.0
     terminal_val = 0.0
-    for it in (0, g.nt - 1):
-        terminal_grad += float(np.sum(w_sp * grad[:, :, it] * E[:, :, it]))
-        terminal_val += float(np.sum(w_sp * u.values[:, :, it] ** 2 * E[:, :, it]))
+    for (grad_t, usq_t), e_t in zip(m.terminal, w.terminal_e):
+        terminal_grad += float(np.sum(grad_t * e_t))
+        terminal_val += float(np.sum(usq_t * e_t))
     terminal_grad *= s**3
     terminal_val *= s**3
 
@@ -361,8 +429,22 @@ def carleman_sides(
         trace_h2=trace_h2,
         terminal_grad=terminal_grad,
         terminal_val=terminal_val,
-        log_scale=2.0 * s * phi_max,
+        log_scale=w.log_scale,
     )
+
+
+def carleman_sides(
+    u: ScalarField, plan: WeightPlan, s: float, p0: ScalarField | None = None
+) -> CarlemanSides:
+    """Evaluate the full weighted inequality (Hessian form) for one field.
+
+    Left side: (1/s) Hessian + s gradient + s^3 value energies over the
+    extended space-time cylinder.  Right side: heat residual energy, s^3
+    lateral boundary value and gradient energies, (1/s) surface H2 energy of
+    the weighted field on the lateral faces, and s^3 terminal energies.
+    """
+    weight = _strength_terms(plan, u.geometry, (s,))[0]
+    return _sides(_member_terms(u, p0), weight)
 
 
 @dataclass(frozen=True)
@@ -385,21 +467,11 @@ def standard_estimate_sides(
     u: ScalarField, plan: WeightPlan, s: float, p0: ScalarField | None = None
 ) -> StandardSides:
     """Reduced form: Laplacian energy on the left, no surface H2 term on the right."""
-    _check_weighted_args(u, s)
-    g = u.geometry
-    full = carleman_sides(u, plan, s, p0)
-    phi = phi_field(plan, g).values
-    E = np.exp(2.0 * s * (phi - np.max(phi)))
-    wq = quadrature_weights(g, FieldKind.SPACE_TIME)
-    lap = laplacian(u).values
-    ux = dxp(u).values
-    un = dxn(u).values
+    weight = _strength_terms(plan, u.geometry, (s,))[0]
+    m = _member_terms(u, p0)
+    full = _sides(m, weight)
     lhs = float(
-        np.sum(
-            wq
-            * ((lap * lap) / s + s * (ux * ux + un * un) + s**3 * u.values**2)
-            * E
-        )
+        np.sum(m.wq * ((m.lap * m.lap) / s + s * m.grad + s**3 * m.usq) * weight.E)
     )
     rhs = full.rhs - full.trace_h2
     return StandardSides(s=float(s), lhs=lhs, rhs=rhs, log_scale=full.log_scale)
@@ -429,6 +501,8 @@ def verify_carleman(
 ) -> CarlemanReport:
     """Tabulate both sides over a corpus and record the worst ratio.
 
+    Every row equals ``carleman_sides(member.sample(g), plan, s, p0)``; the
+    weight is built once per strength and the derivatives once per member.
     ``s_min_emp`` is the smallest strength at which every corpus member's
     ratio is at or below ``c_cap`` (None when no strength qualifies).
     """
@@ -438,14 +512,16 @@ def verify_carleman(
     s_values = [float(s) for s in s_values]
     if not s_values or sorted(s_values) != s_values:
         raise ValidationError("s_values must be a nonempty increasing sequence")
-    fields = [c.sample(g) for c in corpus]
+    weights = _strength_terms(plan, g, s_values)
     rows = []
     by_s: dict[float, list[float]] = {s: [] for s in s_values}
-    for i, u in enumerate(fields):
-        for s in s_values:
-            sides = carleman_sides(u, plan, s, p0)
+    for i, member in enumerate(corpus):
+        # sampled on reaching it, so one member's field is alive at a time
+        terms = _member_terms(member.sample(g), p0)
+        for weight in weights:
+            sides = _sides(terms, weight)
             rows.append((i, sides))
-            by_s[s].append(sides.ratio)
+            by_s[weight.s].append(sides.ratio)
     c_emp = max(sides.ratio for _, sides in rows)
     s_min_emp = next(
         (s for s in s_values if all(r <= c_cap for r in by_s[s])), None

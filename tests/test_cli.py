@@ -6,7 +6,11 @@ frozen parameter values hold exactly.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,26 @@ def test_sweep_outputs_are_byte_identical_per_seed(tmp_path):
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # fresh interpreters, since OpenBLAS reads its thread count at load time;
+    # the two runs of `all` on the 13x11x13 grid take a few seconds together
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
+             "--command", "all", "--out", str(out), "--quiet"],
+            env=env, check=True, timeout=300,
+        )
+        outputs.append(out)
+    for name in ("carleman_rows.csv", "sweep.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
 def test_seed_override_changes_rows_and_hash(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep", "--out", tmp_path / "a", "--quiet") == 0
@@ -340,6 +364,20 @@ def test_exit_2_on_solver_stall(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "reconstruct") == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("Factor is exactly singular"), MemoryError()])
+def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(reconstruct, "splu", fail)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", "reconstruct") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factorization of the ")
+    assert type(exc).__name__ in err
+    assert "Traceback" not in err
 
 
 def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, capsys):

@@ -13,9 +13,12 @@ Hand-derived anchors used below:
 
 import dataclasses
 import io
+import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carleman_lab.errors import SolverError, ValidationError
 from carleman_lab.geometry import (
@@ -289,6 +292,29 @@ def test_nonconvergence_reports_the_residual(small_instance, small_plan):
         lateral_reconstruct(
             inst.data, inst.geometry, small_plan, inst.p0, inst.R, reg
         )
+
+
+def test_cg_breakdown_raises_at_once(small_instance, small_operator, monkeypatch):
+    # a negated normal matrix makes p.q negative on the first step
+    monkeypatch.setattr(small_operator, "_normal", -small_operator._normal)
+    with pytest.raises(SolverError, match="broke down at iteration 1"):
+        small_operator.solve(small_instance.data)
+
+
+@pytest.mark.parametrize(
+    "rhs, message",
+    [
+        # p = e0 gives p.q = 1e-300 > 0, and the step 1e300 * q overflows
+        ((1.0, 0.0), "residual norm inf"),
+        ((math.nan, 0.0), "p.q = nan"),
+    ],
+)
+def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message):
+    normal = sp.csr_matrix(np.array([[1e-300, 0.0], [1e300, 0.0]]))
+    monkeypatch.setattr(small_operator, "_normal", normal)
+    monkeypatch.setattr(small_operator, "_factor", types.SimpleNamespace(solve=np.copy))
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
+        small_operator._pcg(np.array(rhs))
 
 
 def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instance):

@@ -25,6 +25,7 @@ from carleman_lab.geometry import (
 )
 from carleman_lab.verifier import (
     CarlemanReport,
+    CorpusField,
     carleman_sides,
     carleman_table,
     lemma1_residual,
@@ -291,6 +292,40 @@ def test_verify_rejects_bad_strength_grid(worked_plan):
         verify_carleman(worked_plan, corpus, (5.0, 2.0))
     with pytest.raises(ValidationError, match="increasing"):
         verify_carleman(worked_plan, corpus, ())
+
+
+@pytest.mark.parametrize("with_p0", [False, True])
+def test_verify_rows_equal_carleman_sides(worked_plan, with_p0):
+    g = worked_plan.geometry.extend()
+    p0 = None
+    if with_p0:
+        p0 = ScalarField.from_function(
+            g, FieldKind.CROSS_SECTION_TIME, lambda x, t: 1.0 + x * np.cos(t)
+        )
+    corpus = smooth_corpus(3, seed=17, kind=FieldKind.SPACE_TIME)
+    report = verify_carleman(worked_plan, corpus, S_GRID, p0)
+    expected = [
+        (i, carleman_sides(member.sample(g), worked_plan, s, p0))
+        for i, member in enumerate(corpus)
+        for s in S_GRID
+    ]
+    assert len(report.rows) == len(expected)
+    for (i, got), (j, want) in zip(report.rows, expected):
+        assert i == j
+        for name in ("s", "lhs", "residual", "lateral_grad", "lateral_val",
+                     "trace_h2", "terminal_grad", "terminal_val", "log_scale"):
+            assert getattr(got, name) == getattr(want, name), name
+
+
+def test_verify_checks_strengths_before_sampling(worked_plan, monkeypatch):
+    def refuse(self, geometry):
+        raise AssertionError("sampled a member before the strengths were checked")
+
+    monkeypatch.setattr(CorpusField, "sample", refuse)
+    corpus = smooth_corpus(2, seed=1, kind=FieldKind.SPACE_TIME)
+    for s_values in ((0.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            verify_carleman(worked_plan, corpus, s_values)
 
 
 def test_table_renders_every_row(worked_report):
