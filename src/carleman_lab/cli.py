@@ -28,12 +28,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 import jsonschema
 import numpy as np
 
 from . import __version__
+from .artifacts import load_archive, load_table_csv, save_archive, write_table_csv
 from .errors import SolverError, ValidationError
 from .geometry import CylinderGeometry, FieldKind, GammaSide, discrete_norm
 from .problems import (
@@ -218,9 +219,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read, parse, and schema-validate a configuration file."""
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     validator = jsonschema.Draft202012Validator(_schema())
@@ -235,56 +238,13 @@ def load_config(path) -> ExperimentConfig:
 # ---- report files -------------------------------------------------------------------
 
 
-def _write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str]) -> None:
-    """CSV with repr floats and a key=value footer block, LF endings."""
-    stream.write(header + "\n")
-    for row in rows:
-        cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
-        stream.write(",".join(cells) + "\n")
-    for key, value in footer.items():
-        stream.write(f"{key}={value}\n")
-
-
-def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], dict]:
-    """Parse a table CSV back into float rows plus the footer mapping."""
-    header = stream.readline().strip()
-    if header != expected_header:
-        raise ValidationError(f"unexpected CSV header {header!r}")
-    ncols = len(expected_header.split(","))
-    rows: list[tuple] = []
-    footer: dict = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if "=" in line and "," not in line:
-            key, _, value = line.partition("=")
-            footer[key] = value
-            continue
-        parts = line.split(",")
-        if len(parts) != ncols:
-            raise ValidationError(f"malformed CSV row {line!r}")
-        rows.append(tuple(float(p) for p in parts))
-    return rows, footer
-
-
-def _save_reconstruction(path, f_hat, u_hat, meta: dict) -> None:
-    np.savez(
-        path,
-        f_hat=np.ascontiguousarray(f_hat, dtype="<f8"),
-        u_hat=np.ascontiguousarray(u_hat, dtype="<f8"),
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    )
-
-
 def load_reconstruction(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Inverse of the reconstruct command's archive writer."""
-    with np.load(path, allow_pickle=False) as z:
-        try:
-            meta = json.loads(bytes(z["meta"]).decode())
-            return z["f_hat"].copy(), z["u_hat"].copy(), meta
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"not a reconstruction archive: {exc}") from exc
+    return load_archive(
+        path,
+        "a reconstruction archive",
+        lambda arrays, meta: (arrays["f_hat"], arrays["u_hat"], meta),
+    )
 
 
 # ---- commands -----------------------------------------------------------------------
@@ -370,7 +330,7 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     }
     carleman_path = out_dir / "carleman_rows.csv"
     with carleman_path.open("w", newline="") as fh:
-        _write_table_csv(fh, CARLEMAN_CSV_HEADER, rows, footer)
+        write_table_csv(fh, CARLEMAN_CSV_HEADER, rows, footer)
 
     ident_corpus = smooth_corpus(
         int(vs["lemma1_members"]), int(vs["lemma1_seed"]), kind=FieldKind.SPACE_ONLY
@@ -395,7 +355,7 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     }
     lemma1_path = out_dir / "lemma1_rows.csv"
     with lemma1_path.open("w", newline="") as fh:
-        _write_table_csv(fh, LEMMA1_CSV_HEADER, ident_rows, ident_footer)
+        write_table_csv(fh, LEMMA1_CSV_HEADER, ident_rows, ident_footer)
 
     _say(
         quiet,
@@ -431,7 +391,7 @@ def _cmd_reconstruct(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
         **_stamp(pipe.cfg),
     }
     path = out_dir / "reconstruction.npz"
-    _save_reconstruction(path, solution.f_hat.values, solution.u_hat.values, meta)
+    save_archive(path, {"f_hat": solution.f_hat.values, "u_hat": solution.u_hat.values}, meta)
     _say(
         quiet,
         f"reconstruct: err_region={err_region!r} err_global={err_global!r} "

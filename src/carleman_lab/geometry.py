@@ -8,7 +8,9 @@ which is how the even/odd reflections across ``x_n = 0`` are represented.
 
 All derivatives are second-order finite differences: central stencils in the
 interior, one-sided second-order stencils on the first and last node of the
-differentiation axis.  All integrals are trapezoidal on the uniform grid.
+differentiation axis.  One coefficient table, ``_STENCILS``, drives both the
+array stencils (``diff_array``, behind ``diff``) and the sparse matrices of
+the lateral solver (``diff_matrix``).  All integrals are trapezoidal.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 
@@ -31,6 +34,8 @@ __all__ = [
     "Face",
     "NormKind",
     "Region",
+    "diff_array",
+    "diff_matrix",
     "diff",
     "dxp",
     "dxn",
@@ -123,22 +128,25 @@ class CylinderGeometry:
 
     # ---- coordinates ----------------------------------------------------
 
-    def axis_nodes(self, axis: str) -> np.ndarray:
+    def _axis_extent(self, axis: str) -> tuple[float, float, int]:
+        """First node, last node and node count of a named axis."""
         if axis == "xp":
-            return np.linspace(self.d_lo, self.d_hi, self.nx_prime)
+            return self.d_lo, self.d_hi, self.nx_prime
         if axis == "xn":
-            lo = -self.ell if self.extended else 0.0
-            return np.linspace(lo, self.ell, self.nx_n)
+            return (-self.ell if self.extended else 0.0), self.ell, self.nx_n
         if axis == "t":
-            return np.linspace(-self.delta, self.delta, self.nt)
+            return -self.delta, self.delta, self.nt
         raise ValidationError(f"unknown axis {axis!r}")
+
+    def axis_nodes(self, axis: str) -> np.ndarray:
+        return np.linspace(*self._axis_extent(axis))
 
     def axis_count(self, axis: str) -> int:
         return {"xp": self.nx_prime, "xn": self.nx_n, "t": self.nt}[axis]
 
     def spacing(self, axis: str) -> float:
-        nodes = self.axis_nodes(axis)
-        return float((nodes[-1] - nodes[0]) / (len(nodes) - 1))
+        lo, hi, n = self._axis_extent(axis)
+        return (hi - lo) / (n - 1)
 
     def shape(self, kind: FieldKind) -> tuple[int, ...]:
         return tuple(self.axis_count(a) for a in kind.axes)
@@ -194,13 +202,13 @@ class CylinderGeometry:
 class ScalarField:
     """Array of nodal values tied to a geometry and an axis signature.
 
-    Values are stored read-only; operations return new fields.
+    Values are stored as a private read-only copy; operations return new fields.
     """
 
     __slots__ = ("geometry", "values", "kind")
 
     def __init__(self, geometry: CylinderGeometry, values, kind: FieldKind):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         expected = geometry.shape(kind)
         if values.shape != expected:
             raise ValidationError(
@@ -208,7 +216,6 @@ class ScalarField:
             )
         if not np.all(np.isfinite(values)):
             raise ValidationError("field contains non-finite values")
-        values = values.copy() if not values.flags.owndata else values
         values.flags.writeable = False
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "values", values)
@@ -237,8 +244,7 @@ class ScalarField:
         coords = [geometry.axis_nodes(a) for a in kind.axes]
         mesh = np.meshgrid(*coords, indexing="ij")
         vals = np.asarray(fn(*mesh), dtype=np.float64)
-        vals = np.broadcast_to(vals, geometry.shape(kind)).copy()
-        return cls(geometry, vals, kind)
+        return cls(geometry, np.broadcast_to(vals, geometry.shape(kind)), kind)
 
     @classmethod
     def zeros(cls, geometry: CylinderGeometry, kind: FieldKind) -> "ScalarField":
@@ -290,37 +296,60 @@ class ScalarField:
 # ---- finite differences ---------------------------------------------------
 
 
-def _diff1_array(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order first derivative along ``axis``."""
+# Second-order stencils by derivative order: (denominator, interior taps on
+# nodes i-1, i, i+1, first-row taps on nodes 0, 1, ...).  The outer interior
+# taps are -1 or +1; the last row mirrors the first, sign flipped for odd orders.
+_STENCILS = {
+    1: (lambda h: 2.0 * h, (-1.0, 0.0, 1.0), (-3.0, 4.0, -1.0)),
+    2: (lambda h: h * h, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0)),
+}
+
+
+def _stencil(order: int, h: float):
+    """Denominator, interior taps, first-row and last-row taps of ``order``."""
+    if order not in _STENCILS:
+        raise ValidationError(f"derivative order must be 1 or 2, got {order}")
+    denominator, interior, first = _STENCILS[order]
+    sign = -1.0 if order % 2 else 1.0
+    return denominator(h), interior, first, tuple(sign * c for c in reversed(first))
+
+
+def diff_array(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
+    """Second-order derivative of a nodal array along ``axis``."""
+    den, (left, center, _), first, last = _stencil(order, h)
     b = np.moveaxis(a, axis, 0)
     out = np.empty_like(b)
-    out[1:-1] = (b[2:] - b[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * b[0] + 4.0 * b[1] - b[2]) / (2.0 * h)
-    out[-1] = (3.0 * b[-1] - 4.0 * b[-2] + b[-3]) / (2.0 * h)
+    # the outer pair first, so the stencil is bitwise symmetric under mirroring
+    inner = b[2:] + b[:-2] if left > 0 else b[2:] - b[:-2]
+    if center:
+        inner += center * b[1:-1]
+    out[1:-1] = inner / den
+    for row, step, taps in ((0, 1, first), (-1, -1, last[::-1])):
+        acc = taps[0] * b[row]
+        for k in range(1, len(taps)):
+            acc = acc + taps[k] * b[row + step * k]
+        out[row] = acc / den
     return np.moveaxis(out, 0, axis)
 
 
-def _diff2_array(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order second derivative along ``axis``."""
-    b = np.moveaxis(a, axis, 0)
-    out = np.empty_like(b)
-    h2 = h * h
-    # (left + right) first, so the stencil is bitwise symmetric under mirroring
-    out[1:-1] = ((b[2:] + b[:-2]) - 2.0 * b[1:-1]) / h2
-    out[0] = (2.0 * b[0] - 5.0 * b[1] + 4.0 * b[2] - b[3]) / h2
-    out[-1] = (2.0 * b[-1] - 5.0 * b[-2] + 4.0 * b[-3] - b[-4]) / h2
-    return np.moveaxis(out, 0, axis)
+def diff_matrix(n: int, h: float, order: int = 1) -> sp.csr_matrix:
+    """The ``diff_array`` stencil on an axis of ``n`` nodes, as a sparse matrix.
+
+    Stores no explicit zeros: ``2n + 2`` entries for order 1, ``3n + 2`` for 2.
+    """
+    den, interior, first, last = _stencil(order, h)
+    taps = [(off, c) for off, c in zip((-1, 0, 1), interior) if c]
+    k, inner = len(first), np.arange(1, n - 1)
+    rows = np.concatenate([np.zeros(k, int), np.repeat(inner, len(taps)), np.full(k, n - 1)])
+    cols = [np.arange(k), (inner[:, None] + [off for off, _ in taps]).ravel(), np.arange(n - k, n)]
+    vals = np.concatenate([first, np.tile([c for _, c in taps], n - 2), last])
+    return sp.csr_matrix((vals * (1.0 / den), (rows, np.concatenate(cols))), shape=(n, n))
 
 
 def diff(u: ScalarField, axis: str, order: int = 1) -> ScalarField:
     """Finite-difference derivative of ``u`` along a named axis."""
     idx = u.axis_index(axis)
-    h = u.geometry.spacing(axis)
-    if order == 1:
-        return u.with_values(_diff1_array(u.values, idx, h))
-    if order == 2:
-        return u.with_values(_diff2_array(u.values, idx, h))
-    raise ValidationError(f"derivative order must be 1 or 2, got {order}")
+    return u.with_values(diff_array(u.values, idx, u.geometry.spacing(axis), order))
 
 
 def dxp(u: ScalarField) -> ScalarField:
@@ -422,7 +451,7 @@ def restrict_to_upper(u: ScalarField) -> ScalarField:
     sl = [slice(None)] * u.values.ndim
     sl[ax] = slice(u.geometry.xn_zero_index, None)
     base = replace(u.geometry, nx_n=(u.geometry.nx_n + 1) // 2, extended=False)
-    return ScalarField(base, u.values[tuple(sl)].copy(), u.kind)
+    return ScalarField(base, u.values[tuple(sl)], u.kind)
 
 
 # ---- traces -----------------------------------------------------------------
@@ -455,8 +484,7 @@ def _slice_axis(u: ScalarField, axis: str, index: int) -> ScalarField:
         raise ValidationError(
             f"trace along {axis!r} is not defined for fields of kind {u.kind.name}"
         )
-    vals = np.take(u.values, index, axis=u.axis_index(axis))
-    return ScalarField(u.geometry, vals.copy(), out_kind)
+    return ScalarField(u.geometry, np.take(u.values, index, axis=u.axis_index(axis)), out_kind)
 
 
 def trace(u: ScalarField, face: Face) -> ScalarField:
@@ -512,11 +540,7 @@ def axis_weights(n: int, h: float) -> np.ndarray:
 
 def quadrature_weights(geometry: CylinderGeometry, kind: FieldKind) -> np.ndarray:
     """Outer-product trapezoidal weight array over the field's full domain."""
-    w = None
-    for a in kind.axes:
-        wa = axis_weights(geometry.axis_count(a), geometry.spacing(a))
-        w = wa if w is None else np.multiply.outer(w, wa)
-    return w
+    return _region_weights(geometry, kind, None)[1]
 
 
 class NormKind(Enum):
@@ -538,9 +562,9 @@ class Region:
 
 
 def _axis_selection(geometry: CylinderGeometry, axis: str, bounds) -> slice:
-    nodes = geometry.axis_nodes(axis)
     if bounds is None:
-        return slice(0, len(nodes))
+        return slice(0, geometry.axis_count(axis))
+    nodes = geometry.axis_nodes(axis)
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValidationError(f"bad region bounds for axis {axis!r}: {bounds!r}")
@@ -576,7 +600,7 @@ def _surface_derivative_stack(u: ScalarField, second: bool) -> list[np.ndarray]:
     if second:
         d00 = diff(u, a0, 2).values
         d11 = diff(u, a1, 2).values
-        d01 = _diff1_array(d0, u.axis_index(a1), u.geometry.spacing(a1))
+        d01 = diff_array(d0, u.axis_index(a1), u.geometry.spacing(a1))
         out += [d00, d01, d11]
     return out
 

@@ -17,12 +17,12 @@ factors come from a small registry of profiles with analytic derivatives, so
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .artifacts import load_archive, save_archive
 from .errors import ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -545,75 +545,44 @@ def compute_apriori_bound(inst: ProblemInstance) -> float:
 def save_instance(inst: ProblemInstance, path) -> None:
     """Write an instance to a single .npz archive (little-endian doubles)."""
     g = inst.geometry
-    geometry_meta = {
-        "d_lo": g.d_lo,
-        "d_hi": g.d_hi,
-        "ell": g.ell,
-        "delta": g.delta,
-        "gamma_side": g.gamma_side.value,
-        "nx_prime": g.nx_prime,
-        "nx_n": g.nx_n,
-        "nt": g.nt,
-        "extended": g.extended,
-    }
     meta = {
-        "geometry": geometry_meta,
+        "geometry": {**asdict(g), "gamma_side": g.gamma_side.value},
         "provenance": inst.provenance,
         "noise_level": inst.data.noise_level,
         "seed": inst.data.seed,
         "d_of_u": inst.d_of_u,
         "apriori_bound": inst.apriori_bound,
     }
-    arrays = {
-        "u": inst.u.values,
-        "f": inst.f.values,
-        "R": inst.R.values,
-        "p0": inst.p0.values,
-    }
-    for name, ch in inst.data.channels().items():
-        arrays[f"bundle_{name}"] = ch.values
-    arrays = {k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    channels = {f"bundle_{name}": ch for name, ch in inst.data.channels().items()}
+    fields = {"u": inst.u, "f": inst.f, "R": inst.R, "p0": inst.p0, **channels}
+    save_archive(path, {name: fld.values for name, fld in fields.items()}, meta)
 
 
-def load_instance(path) -> ProblemInstance:
-    """Inverse of save_instance; revalidates shapes via field construction."""
-    with np.load(path, allow_pickle=False) as z:
-        try:
-            meta = json.loads(bytes(z["meta"]).decode())
-        except (KeyError, ValueError) as e:
-            raise ValidationError(f"not an instance archive: {e}") from e
-        gm = meta["geometry"]
-        geometry = CylinderGeometry(
-            d_lo=gm["d_lo"],
-            d_hi=gm["d_hi"],
-            ell=gm["ell"],
-            delta=gm["delta"],
-            gamma_side=GammaSide(gm["gamma_side"]),
-            nx_prime=gm["nx_prime"],
-            nx_n=gm["nx_n"],
-            nt=gm["nt"],
-            extended=gm["extended"],
-        )
-        u = ScalarField(geometry, z["u"], FieldKind.SPACE_TIME)
-        f = ScalarField(geometry, z["f"], FieldKind.CROSS_SECTION_TIME)
-        R = ScalarField(geometry, z["R"], FieldKind.SPACE_TIME)
-        p0 = ScalarField(geometry, z["p0"], FieldKind.CROSS_SECTION_TIME)
-        channels = {
-            name: ScalarField(geometry, z[f"bundle_{name}"], FieldKind.AXIAL_TIME)
-            for name in BUNDLE_CHANNELS
-        }
+def _instance_from_archive(arrays: dict, meta: dict) -> ProblemInstance:
+    gm = meta["geometry"]
+    geometry = CylinderGeometry(**{**gm, "gamma_side": GammaSide(gm["gamma_side"])})
+
+    def field(name: str, kind: FieldKind) -> ScalarField:
+        return ScalarField(geometry, arrays[name], kind)
+
     bundle = BoundaryBundle(
-        noise_level=meta["noise_level"], seed=meta["seed"], **channels
+        noise_level=meta["noise_level"],
+        seed=meta["seed"],
+        **{name: field(f"bundle_{name}", FieldKind.AXIAL_TIME) for name in BUNDLE_CHANNELS},
     )
     return ProblemInstance(
         geometry=geometry,
-        u=u,
-        f=f,
-        R=R,
-        p0=p0,
+        u=field("u", FieldKind.SPACE_TIME),
+        f=field("f", FieldKind.CROSS_SECTION_TIME),
+        R=field("R", FieldKind.SPACE_TIME),
+        p0=field("p0", FieldKind.CROSS_SECTION_TIME),
         data=bundle,
         d_of_u=meta["d_of_u"],
         apriori_bound=meta["apriori_bound"],
         provenance=meta["provenance"],
     )
+
+
+def load_instance(path) -> ProblemInstance:
+    """Inverse of save_instance; revalidates shapes via field construction."""
+    return load_archive(path, "an instance archive", _instance_from_archive)

@@ -20,13 +20,14 @@ empirical Holder exponent from the decreasing part of the error curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .artifacts import load_table_csv, parse_float, write_table_csv
 from .errors import SolverError, ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -35,6 +36,7 @@ from .geometry import (
     NormKind,
     Region,
     ScalarField,
+    diff_matrix,
     discrete_norm,
     dxn2,
     quadrature_weights,
@@ -55,7 +57,6 @@ __all__ = [
     "Regularization",
     "LateralSolution",
     "LateralOperator",
-    "assemble_lateral_system",
     "lateral_reconstruct",
     "SweepRow",
     "SweepReport",
@@ -130,40 +131,8 @@ class Regularization:
             raise ValidationError("cauchy_weight and face_weight must be positive")
 
 
-def _d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Sparse first-derivative matrix matching the grid module's stencils."""
-    m = sp.lil_matrix((n, n))
-    inv = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        m[i, i - 1] = -inv
-        m[i, i + 1] = inv
-    m[0, 0], m[0, 1], m[0, 2] = -3.0 * inv, 4.0 * inv, -inv
-    m[n - 1, n - 1], m[n - 1, n - 2], m[n - 1, n - 3] = 3.0 * inv, -4.0 * inv, inv
-    return m.tocsr()
-
-
-def _d2_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Sparse second-derivative matrix matching the grid module's stencils."""
-    m = sp.lil_matrix((n, n))
-    inv = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        m[i, i - 1] = inv
-        m[i, i] = -2.0 * inv
-        m[i, i + 1] = inv
-    m[0, 0], m[0, 1], m[0, 2], m[0, 3] = 2.0 * inv, -5.0 * inv, 4.0 * inv, -inv
-    m[n - 1, n - 1], m[n - 1, n - 2], m[n - 1, n - 3], m[n - 1, n - 4] = (
-        2.0 * inv,
-        -5.0 * inv,
-        4.0 * inv,
-        -inv,
-    )
-    return m.tocsr()
-
-
 def _unit_row(n: int, idx: int) -> sp.csr_matrix:
-    row = sp.lil_matrix((1, n))
-    row[0, idx] = 1.0
-    return row.tocsr()
+    return sp.csr_matrix(([1.0], [idx], [0, 1]), shape=(1, n))
 
 
 def _lateral_matrix(
@@ -196,12 +165,12 @@ def _lateral_matrix(
     nq = nxp * nxn * nt
     nf = nxp * nt
 
-    d1p = _d1_matrix(nxp, g.spacing("xp"))
-    d1n = _d1_matrix(nxn, g.spacing("xn"))
-    d1t = _d1_matrix(nt, g.spacing("t"))
-    d2p = _d2_matrix(nxp, g.spacing("xp"))
-    d2n = _d2_matrix(nxn, g.spacing("xn"))
-    d2t = _d2_matrix(nt, g.spacing("t"))
+    d1p = diff_matrix(nxp, g.spacing("xp"), 1)
+    d1n = diff_matrix(nxn, g.spacing("xn"), 1)
+    d1t = diff_matrix(nt, g.spacing("t"), 1)
+    d2p = diff_matrix(nxp, g.spacing("xp"), 2)
+    d2n = diff_matrix(nxn, g.spacing("xn"), 2)
+    d2t = diff_matrix(nt, g.spacing("t"), 2)
     i_p, i_n, i_t = sp.identity(nxp), sp.identity(nxn), sp.identity(nt)
 
     dxp_v = sp.kron(d1p, sp.kron(i_n, i_t), format="csr")
@@ -277,20 +246,6 @@ def _lateral_rhs(
     rhs.extend([np.zeros(nf)] * 3)
     rhs.extend([np.zeros(nq)] * 2)
     return np.concatenate(rhs)
-
-
-def assemble_lateral_system(
-    bundle: BoundaryBundle,
-    geometry: CylinderGeometry,
-    plan: WeightPlan,
-    p0: ScalarField,
-    R: ScalarField,
-    reg: Regularization,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Build the least-squares system min ||A z - b|| over z = (u, f)."""
-    a = _lateral_matrix(geometry, plan, p0, R, reg)
-    b = _lateral_rhs(bundle, geometry, reg)
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -593,41 +548,15 @@ _CSV_HEADER = "noise,D_u,err_region,err_global"
 def write_sweep_csv(
     report: SweepReport, stream: IO[str], footer: Mapping[str, str] | None = None
 ) -> None:
-    """Emit the sweep as CSV with a key=value footer block.
-
-    Floats are written with repr so rereading reproduces them bit for bit;
-    line endings are plain newlines regardless of platform.
-    """
-    stream.write(_CSV_HEADER + "\n")
-    for row in report.rows:
-        stream.write(
-            f"{row.noise!r},{row.d_of_u!r},{row.err_region!r},{row.err_global!r}\n"
-        )
-    stream.write(f"theta_emp={report.theta_emp!r}\n")
-    for key, value in (footer or {}).items():
-        stream.write(f"{key}={value}\n")
+    """Emit the sweep as a table CSV whose footer opens with ``theta_emp``."""
+    rows = [astuple(row) for row in report.rows]
+    footer = {"theta_emp": repr(report.theta_emp), **(footer or {})}
+    write_table_csv(stream, _CSV_HEADER, rows, footer)
 
 
 def load_sweep_csv(stream: IO[str]) -> tuple[list[SweepRow], dict]:
     """Parse a sweep CSV back into rows plus the footer mapping."""
-    header = stream.readline().strip()
-    if header != _CSV_HEADER:
-        raise ValidationError(f"unexpected CSV header {header!r}")
-    rows = []
-    footer: dict = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if "=" in line and "," not in line:
-            key, _, value = line.partition("=")
-            footer[key] = value
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"malformed CSV row {line!r}")
-        noise, d_of_u, err_region, err_global = map(float, parts)
-        rows.append(SweepRow(noise, d_of_u, err_region, err_global))
+    rows, footer = load_table_csv(stream, _CSV_HEADER)
     if "theta_emp" in footer:
-        footer["theta_emp"] = float(footer["theta_emp"])
-    return rows, footer
+        footer["theta_emp"] = parse_float(footer["theta_emp"], "theta_emp")
+    return [SweepRow(*row) for row in rows], footer

@@ -36,6 +36,7 @@ from .geometry import (
     NormKind,
     ScalarField,
     axis_weights,
+    diff_array,
     discrete_norm,
     dt,
     dxn,
@@ -140,22 +141,20 @@ def _d1_sharp(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     The identity residual is itself a second-order quantity; the standard
     second-order end rows would leak third-order boundary-strip errors into
     it and blur the measured convergence rate, so the end rows here are two
-    orders better than the interior.
+    orders better than the interior rows of ``diff_array``.
     """
-    b = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(b)
-    out[1:-1] = (b[2:] - b[:-2]) / (2.0 * h)
+    d = diff_array(arr, axis, h, 1)
+    b, out = np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0)
     out[0] = (-25.0 / 12.0 * b[0] + 4.0 * b[1] - 3.0 * b[2] + 4.0 / 3.0 * b[3] - 0.25 * b[4]) / h
     out[-1] = (25.0 / 12.0 * b[-1] - 4.0 * b[-2] + 3.0 * b[-3] - 4.0 / 3.0 * b[-4] + 0.25 * b[-5]) / h
-    return np.moveaxis(out, 0, axis)
+    return d
 
 
 def _d2_sharp(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central second derivative with fourth-order one-sided end rows."""
-    b = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(b)
+    d = diff_array(arr, axis, h, 2)
+    b, out = np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0)
     h2 = h * h
-    out[1:-1] = ((b[2:] + b[:-2]) - 2.0 * b[1:-1]) / h2
     out[0] = (
         15.0 / 4.0 * b[0] - 77.0 / 6.0 * b[1] + 107.0 / 6.0 * b[2]
         - 13.0 * b[3] + 61.0 / 12.0 * b[4] - 5.0 / 6.0 * b[5]
@@ -164,7 +163,7 @@ def _d2_sharp(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
         15.0 / 4.0 * b[-1] - 77.0 / 6.0 * b[-2] + 107.0 / 6.0 * b[-3]
         - 13.0 * b[-4] + 61.0 / 12.0 * b[-5] - 5.0 / 6.0 * b[-6]
     ) / h2
-    return np.moveaxis(out, 0, axis)
+    return d
 
 
 def lemma1_residual(w: ScalarField) -> Lemma1Result:

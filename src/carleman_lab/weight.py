@@ -32,6 +32,7 @@ from .geometry import (
     GammaSide,
     ScalarField,
     axis_weights,
+    diff_array,
 )
 
 __all__ = [
@@ -101,10 +102,7 @@ def _validate_d_nodes(geometry: CylinderGeometry, vals: np.ndarray):
     # is not checked separately; the planner re-checks positivity on the
     # observation subdomain once that subdomain is known.
     h = geometry.spacing("xp")
-    slope = np.empty_like(vals)
-    slope[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    slope[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    slope[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    slope = diff_array(vals, 0, h)
     flat = np.nonzero(np.abs(slope) <= 1e-12 * scale / h)[0]
     clauses.append(
         (
@@ -616,8 +614,13 @@ def load_plan_record(text: str) -> dict:
         if key in ("geometry", "gamma_side"):
             out[key] = raw
         elif key in ("nx_prime", "nx_n", "nt"):
-            out[key] = int(raw)
+            try:
+                out[key] = int(raw)
+            except ValueError:
+                raise ValidationError(f"malformed plan report line: {ln!r}") from None
         elif key == "include_far_face":
+            if raw not in ("True", "False"):
+                raise ValidationError(f"malformed plan report line: {ln!r}")
             out[key] = raw == "True"
         else:
             try:

@@ -11,6 +11,8 @@ from carleman_lab.geometry import (
     Region,
     ScalarField,
     diff,
+    diff_array,
+    diff_matrix,
     discrete_norm,
     dt,
     dxn,
@@ -97,6 +99,15 @@ def test_field_values_are_read_only():
         u.values[0, 0, 0] = 1.0
 
 
+def test_field_copies_and_leaves_the_callers_array_writable():
+    g = small_geometry()
+    a = np.zeros(g.shape(FieldKind.SPACE_TIME))
+    u = ScalarField(g, a, FieldKind.SPACE_TIME)
+    a[0, 0, 0] = 1.0
+    assert u.values[0, 0, 0] == 0.0
+    assert not u.values.flags.writeable
+
+
 def test_from_function_samples_tensor_grid():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp + 10 * xn + 100 * t)
@@ -175,6 +186,20 @@ def test_diff_rejects_missing_axis_and_bad_order():
     u = ScalarField.zeros(g, FieldKind.SPACE_ONLY)
     with pytest.raises(ValidationError, match="order"):
         diff(u, "xn", 3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+@pytest.mark.parametrize("order", [1, 2])
+def test_sparse_stencil_matches_array_stencil(n, order):
+    h = 1.0 / (n - 1)
+    m = diff_matrix(n, h, order)
+    # no explicit zeros: the order-1 interior rows skip their center node
+    assert m.nnz == np.count_nonzero(m.data) == (2 * n + 2 if order == 1 else 3 * n + 2)
+    rng = np.random.default_rng(n + 10 * order)
+    for _ in range(5):
+        v = rng.standard_normal(n)
+        expected = diff_array(v, 0, h, order)
+        assert np.max(np.abs(m @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # ---- reflections -------------------------------------------------------------
