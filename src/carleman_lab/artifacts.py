@@ -39,7 +39,15 @@ def parse_float(text: str, what: str) -> float:
 
 
 def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str]) -> None:
-    """CSV with repr floats and a key=value footer block, LF endings."""
+    """CSV with repr floats and a key=value footer block, LF endings.
+
+    A footer key holding ``=``, or a key or value holding ``,`` or a line
+    break, would not read back as that entry, so it raises ValidationError
+    before anything is written.
+    """
+    for key, value in footer.items():
+        if "=" in key or any(c in f"{key}{value}" for c in ",\n\r"):
+            raise ValidationError(f"footer entry {key!r}: {value!r} would not read back")
     stream.write(header + "\n")
     for row in rows:
         cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
@@ -76,12 +84,17 @@ def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], 
 
 
 def save_archive(path, arrays: Mapping[str, np.ndarray], meta: Mapping) -> None:
-    """Write ``meta`` as a JSON member, then the arrays as little-endian doubles."""
-    np.savez(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **{k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()},
-    )
+    """Write ``meta`` as a JSON member, then the arrays as little-endian doubles.
+
+    The file lands at exactly ``path``: an open file keeps ``np.savez`` from
+    appending ``.npz`` to a path without that suffix.
+    """
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            **{k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()},
+        )
 
 
 def load_archive(path, what: str, build: Callable[[dict, dict], object]):

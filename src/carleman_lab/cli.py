@@ -208,6 +208,7 @@ class ExperimentConfig:
             cg_maxit=int(sb.get("cg_maxit", 10000)),
             cauchy_weight=float(sb.get("cauchy_weight", 100.0)),
             face_weight=float(sb.get("face_weight", 100.0)),
+            max_factor_gb=float(sb.get("max_factor_gb", 4.0)),
         )
 
     def verify_settings(self) -> dict:

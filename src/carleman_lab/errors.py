@@ -14,5 +14,5 @@ class ValidationError(CarlemanLabError):
 
 
 class SolverError(CarlemanLabError):
-    """Raised when a solve fails: the sparse factorization, a conjugate
+    """Raised when a solve fails: the band Cholesky factorization, a conjugate
     gradients breakdown, or iterations that do not reach their tolerance."""

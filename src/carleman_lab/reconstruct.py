@@ -7,9 +7,12 @@ solves a regularized least-squares problem for the pair (u, f) jointly:
 PDE residual rows (optionally Carleman-weighted), Cauchy mismatch rows on
 the data side, zero-trace rows at x_n = 0, and Tikhonov rows.  The normal
 equations are solved by preconditioned conjugate gradients after Jacobi
-column scaling; the preconditioner is a sparse factorization of the normal
+column scaling; the preconditioner is a Cholesky factorization of the normal
 matrix, which the squared conditioning of the sideways problem makes
-necessary (unpreconditioned iterations stall).
+necessary (unpreconditioned iterations stall).  The unknowns are numbered in
+a tensor-grid order that keeps the normal matrix a narrow band, so LAPACK's
+band Cholesky (``cholesky_banded``) factors it and the factor's storage,
+(half-bandwidth + 1) * unknowns doubles, is known before it is allocated.
 
 The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
@@ -25,7 +28,8 @@ from typing import IO, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import splu  # unused here; perfbench/traced_cli.py hooks this name
 
 from .artifacts import load_table_csv, parse_float, write_table_csv
 from .errors import SolverError, ValidationError
@@ -106,7 +110,8 @@ class Regularization:
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``cauchy_weight`` and ``face_weight`` scale
-    the data-side and zero-trace row blocks.
+    the data-side and zero-trace row blocks; ``max_factor_gb`` caps the band
+    factor's storage in GB (1e9 bytes).
     """
 
     tikhonov_weight: float
@@ -115,6 +120,7 @@ class Regularization:
     cg_maxit: int = 10000
     cauchy_weight: float = 100.0
     face_weight: float = 100.0
+    max_factor_gb: float = 4.0
 
     def __post_init__(self):
         if not (self.tikhonov_weight > 0 and math.isfinite(self.tikhonov_weight)):
@@ -129,6 +135,8 @@ class Regularization:
             raise ValidationError(f"cg_maxit must be at least 1, got {self.cg_maxit!r}")
         if not (self.cauchy_weight > 0 and self.face_weight > 0):
             raise ValidationError("cauchy_weight and face_weight must be positive")
+        if not self.max_factor_gb > 0:
+            raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
 
 
 def _unit_row(n: int, idx: int) -> sp.csr_matrix:
@@ -248,6 +256,30 @@ def _lateral_rhs(
     return np.concatenate(rhs)
 
 
+def _band_order(geometry: CylinderGeometry) -> np.ndarray:
+    """Band position of each unknown of z = (u, f), indexed in z's own order.
+
+    x_n varies fastest, f(x', t) takes one extra x_n slot right after
+    u(x', :, t), then t varies and x' is slowest.  Every stencil of the
+    normal matrix then stays within about 3 * nt * (nx_n + 1) positions of
+    the diagonal, the half-bandwidth of its band Cholesky factor.
+    """
+    g = geometry
+    pos = np.arange(g.nx_prime * g.nt * (g.nx_n + 1)).reshape(g.nx_prime, g.nt, g.nx_n + 1)
+    u_pos = pos[:, :, : g.nx_n].transpose(0, 2, 1)
+    return np.concatenate([u_pos.ravel(), pos[:, :, g.nx_n].ravel()])
+
+
+class _BandCholesky:
+    """Upper band Cholesky factor in LAPACK storage; ``solve`` applies its inverse."""
+
+    def __init__(self, cb: np.ndarray):
+        self.cb = cb
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.cb, False), r, check_finite=False)
+
+
 @dataclass(frozen=True)
 class LateralSolution:
     """Joint least-squares solution; iterates like the pair (u_hat, f_hat)."""
@@ -272,6 +304,14 @@ class LateralOperator:
     gradients on the normal equations: the sideways problem squares badly
     enough that unpreconditioned iterations make no headway, while CG on top
     of the factorization still enforces ``cg_tol`` in exact arithmetic terms.
+
+    The columns are renumbered once into the order of ``_band_order``, so the
+    scaled matrix, the normal matrix, its upper band Cholesky factor and the
+    CG iterates all live in band order and ``solve`` maps the result back.
+    A grid whose band, ``(half_bandwidth + 1) * unknowns * 8`` bytes, exceeds
+    ``reg.max_factor_gb`` is refused with ValidationError before the band is
+    allocated; a matrix LAPACK finds not positive definite, or a band that
+    does not fit in memory, raises SolverError.
     """
 
     def __init__(
@@ -288,23 +328,38 @@ class LateralOperator:
         self.R = R
         self.reg = reg
         a = _lateral_matrix(geometry, plan, p0, R, reg)
+        self._band_pos = _band_order(geometry)
+        a = sp.csr_matrix((a.data, self._band_pos[a.indices], a.indptr), shape=a.shape)
+        a.sort_indices()
         col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
         col_norms[col_norms == 0.0] = 1.0
         self._col_norms = col_norms
         self._a_scaled = (a @ sp.diags(1.0 / col_norms)).tocsr()
-        normal = (self._a_scaled.T @ self._a_scaled).tocsc()
+        normal = (self._a_scaled.T @ self._a_scaled).tocsr()
         self._normal = normal
-        try:
-            self._factor = splu(
-                normal,
-                permc_spec="COLAMD",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+        n = normal.shape[0]
+        upper = sp.triu(normal, format="coo")
+        offsets = upper.col - upper.row
+        b = self.half_bandwidth = int(offsets.max())
+        band_gb = (b + 1) * n * 8 / 1e9
+        if band_gb > reg.max_factor_gb:
+            raise ValidationError(
+                f"the band factor of the {n}-unknown normal matrix needs {band_gb:.3g} GB "
+                f"(half-bandwidth {b}), above max_factor_gb = {reg.max_factor_gb!r}"
             )
-        except (RuntimeError, MemoryError) as exc:
-            # SuperLU reports a singular factor as RuntimeError
+        try:
+            # LAPACK upper band storage, column-major so the factor overwrites it
+            ab = np.zeros((b + 1, n), order="F")
+            ab[b - offsets, upper.col] = upper.data
+            # no finiteness check, which would take a boolean copy of the band:
+            # a NaN passes through the factor and stops CG at its first step
+            self._factor = _BandCholesky(
+                cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            )
+        except (np.linalg.LinAlgError, MemoryError) as exc:
+            # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(
-                f"factorization of the {normal.shape[0]}-unknown normal matrix failed "
+                f"factorization of the {n}-unknown normal matrix failed "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
@@ -352,7 +407,7 @@ class LateralOperator:
         """Solve the joint least-squares problem for one data bundle."""
         b = _lateral_rhs(bundle, self.geometry, self.reg)
         y, iters, history = self._pcg(self._a_scaled.T @ b)
-        z = y / self._col_norms
+        z = (y / self._col_norms)[self._band_pos]
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
         u_hat = ScalarField(
@@ -378,7 +433,8 @@ def lateral_reconstruct(
 
     Deterministic for fixed inputs: the system is assembled in a fixed row
     order, Jacobi column scaling uses exact column norms, the factorization
-    is deterministic, and CG starts from zero.
+    is deterministic for a fixed number of BLAS threads, and CG starts from
+    zero.
     """
     return LateralOperator(geometry, plan, p0, R, reg).solve(bundle)
 

@@ -127,6 +127,17 @@ def test_damaged_sweep_csv_loads_or_is_rejected(spec):
     loads_or_rejects(load_sweep_csv, io.StringIO(damage(SWEEP, *spec)))
 
 
+@pytest.mark.parametrize(
+    "footer",
+    [{"note": "x,y"}, {"note": "x\ny"}, {"note": "x\ry"}, {"a,b": "1"}, {"a=b": "1"}],
+)
+def test_footer_that_would_not_read_back_is_refused(footer):
+    buf = io.StringIO()
+    with pytest.raises(ValidationError, match="would not read back"):
+        write_table_csv(buf, CARLEMAN_CSV_HEADER, [(0, 2.0, 0.5, 0.25, 1.0, 0.5)], footer)
+    assert buf.getvalue() == ""
+
+
 def test_bad_cells_and_bad_theta_are_rejected():
     with pytest.raises(ValidationError, match="not a number"):
         load_table_csv(io.StringIO(TABLE.replace("0.125", "0.1x5")), CARLEMAN_CSV_HEADER)
@@ -198,6 +209,15 @@ def test_instance_meta_without_geometry_is_rejected(tiny_instance, tmp_path):
     save_archive(path, {"u": tiny_instance.u.values}, {"provenance": {}})
     with pytest.raises(ValidationError, match="not an instance archive"):
         load_instance(path)
+
+
+def test_archive_is_written_at_exactly_the_given_path(tmp_path):
+    path = tmp_path / "x.bin"
+    save_archive(path, {"f_hat": np.arange(3.0)}, {"iterations": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+    arrays, meta = load_archive(path, "an archive", lambda arrays, meta: (arrays, meta))
+    assert np.array_equal(arrays["f_hat"], np.arange(3.0))
+    assert meta == {"iterations": 1}
 
 
 def test_a_missing_archive_stays_an_os_error(tmp_path):

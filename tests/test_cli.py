@@ -164,6 +164,7 @@ def test_solver_defaults_fill_in(tmp_path):
     assert reg.carleman_s == 0.0
     assert reg.cg_tol == 1e-8
     assert reg.cg_maxit == 10000
+    assert reg.max_factor_gb == 4.0
 
 
 def test_verify_settings_merge_defaults(tmp_path):
@@ -294,7 +295,7 @@ def test_all_pipeline_emits_every_artifact(tmp_path):
 def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in (
-        (reconstruct, "splu"),
+        (reconstruct, "cholesky_banded"),
         (cli_module, "plan_parameters"),
         (cli_module, "make_instance"),
     ):
@@ -305,7 +306,7 @@ def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "all", "--quiet") == 0
-    assert calls == {"splu": 1, "plan_parameters": 1, "make_instance": 1}
+    assert calls == {"cholesky_banded": 1, "plan_parameters": 1, "make_instance": 1}
 
 
 def test_all_matches_the_commands_run_one_at_a_time(tmp_path):
@@ -366,12 +367,14 @@ def test_exit_2_on_solver_stall(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("Factor is exactly singular"), MemoryError()])
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("9-th leading minor not positive definite"), MemoryError()]
+)
 def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(reconstruct, "splu", fail)
+    monkeypatch.setattr(reconstruct, "cholesky_banded", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
@@ -384,12 +387,26 @@ def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, ca
     def refuse(*args, **kwargs):
         raise AssertionError("factored before the levels were checked")
 
-    monkeypatch.setattr(reconstruct, "splu", refuse)
+    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["instance"]["noise_levels"] = [0.1, 0.01, 0.001]
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "sweep") == 1
     assert "at least 4 noise levels" in capsys.readouterr().err
+
+
+def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a grid above the size limit")
+
+    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
+    cfg = base_config(tmp_path / "out")
+    cfg["solver"]["max_factor_gb"] = 1e-3
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "reconstruct") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the band factor of the ")
+    assert "GB" in err and "max_factor_gb = 0.001" in err
 
 
 def test_exit_3_on_missing_config(tmp_path, capsys):

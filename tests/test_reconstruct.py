@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carleman_lab import reconstruct
 from carleman_lab.errors import SolverError, ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
@@ -185,6 +186,7 @@ def test_oracle_rejects_bad_inputs(worked_geometry, quartic_instance, small_inst
         ({"tikhonov_weight": 1e-8, "cg_maxit": 0}, "cg_maxit"),
         ({"tikhonov_weight": 1e-8, "cauchy_weight": 0.0}, "must be positive"),
         ({"tikhonov_weight": 1e-8, "face_weight": -2.0}, "must be positive"),
+        ({"tikhonov_weight": 1e-8, "max_factor_gb": 0.0}, "max_factor_gb"),
     ],
 )
 def test_regularization_rejects_bad_parameters(kwargs, message):
@@ -313,6 +315,39 @@ def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message
     monkeypatch.setattr(small_operator, "_factor", types.SimpleNamespace(solve=np.copy))
     with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
         small_operator._pcg(np.array(rhs))
+
+
+def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
+    op = small_operator
+    normal = op._normal.toarray()
+    # LAPACK upper band storage: cb[b + i - j, j] = U[i, j]
+    b = op.half_bandwidth
+    upper = sp.dia_matrix((op._factor.cb, b - np.arange(b + 1)), shape=normal.shape).toarray()
+    assert np.linalg.norm(upper.T @ upper - normal) <= 1e-12 * np.linalg.norm(normal)
+    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry, op.reg)
+    got = op._factor.solve(r)
+    assert np.linalg.norm(normal @ got - r) <= 1e-10 * np.linalg.norm(r)
+    # cond(normal) is about 2e9 at mu = 1e-6, so two exact solvers agree to
+    # about 1e-8 here, not to the residual's 1e-13
+    expected = np.linalg.solve(normal, r)
+    assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
+def test_band_order_keeps_the_band_narrow(worked_operator):
+    # 3 * nt * (nx_n + 1) = 1,134 at 21x17x21, plus the x_n and t reach
+    assert worked_operator.half_bandwidth <= 1170
+
+
+def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_plan, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a grid above the size limit")
+
+    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
+    inst = small_instance
+    reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
+    # 2,028 unknowns, half-bandwidth 492: 493 * 2028 * 8 bytes
+    with pytest.raises(ValidationError, match=r"needs 0\.008 GB \(half-bandwidth 492\)"):
+        LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
 
 
 def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instance):
