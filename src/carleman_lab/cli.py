@@ -83,6 +83,16 @@ _VERIFY_DEFAULTS: Mapping[str, object] = {
     "lemma1_seed": 7,
 }
 
+# the solver block's optional keys, named as in Regularization, which holds their defaults
+_SOLVER_OPTIONS: Mapping[str, type] = {
+    "carleman_s": float,
+    "cg_tol": float,
+    "cg_maxit": int,
+    "cauchy_weight": float,
+    "face_weight": float,
+    "max_factor_gb": float,
+}
+
 
 # ---- configuration ------------------------------------------------------------------
 
@@ -145,17 +155,12 @@ class ExperimentConfig:
             raise ValidationError(
                 "weight block needs exactly one of 'D0' (explicit window) or 'region' (collar search)"
             )
-        lam = float(wb.get("lam", 1.0))
-        margin = float(wb.get("margin", 1.1))
+        # only the keys the block sets, so the planner's defaults apply to the rest
+        options = {key: float(wb[key]) for key in ("lam", "margin", "delta0") if key in wb}
         if has_window:
             d, _ = build_d(geometry, DMode.EXPLICIT_INTERVAL)
             lo, hi = (float(v) for v in wb["D0"])
-            delta0 = wb.get("delta0")
-            return plan_parameters(
-                d, (lo, hi),
-                delta0=None if delta0 is None else float(delta0),
-                lam=lam, margin=margin,
-            )
+            return plan_parameters(d, (lo, hi), **options)
         if "delta0" in wb:
             raise ValidationError(
                 "delta0 applies to the explicit 'D0' form; the collar search sets its own time level"
@@ -166,8 +171,7 @@ class ExperimentConfig:
             float(rb["delta1"]),
             float(rb["x0_prime"]),
             None if rb.get("epsilon0") is None else float(rb["epsilon0"]),
-            lam=lam,
-            margin=margin,
+            **options,
         )
         return fam.plan
 
@@ -201,15 +205,8 @@ class ExperimentConfig:
 
     def regularization(self) -> Regularization:
         sb = self._block("solver")
-        return Regularization(
-            tikhonov_weight=float(sb["mu"]),
-            carleman_s=float(sb.get("carleman_s", 0.0)),
-            cg_tol=float(sb.get("cg_tol", 1e-8)),
-            cg_maxit=int(sb.get("cg_maxit", 10000)),
-            cauchy_weight=float(sb.get("cauchy_weight", 100.0)),
-            face_weight=float(sb.get("face_weight", 100.0)),
-            max_factor_gb=float(sb.get("max_factor_gb", 4.0)),
-        )
+        options = {key: kind(sb[key]) for key, kind in _SOLVER_OPTIONS.items() if key in sb}
+        return Regularization(tikhonov_weight=float(sb["mu"]), **options)
 
     def verify_settings(self) -> dict:
         merged = dict(_VERIFY_DEFAULTS)

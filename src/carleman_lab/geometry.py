@@ -3,8 +3,8 @@
 The domain is a cylinder ``Omega = D x (0, ell)`` with interval cross-section
 ``D = (d_lo, d_hi)``, crossed with the time window ``(-delta, delta)``.  One
 endpoint of ``D`` is the data-carrying side (``gamma_side``).  Fields may also
-live on the reflected cylinder ``Omega x (-ell, ell)`` (``extended=True``),
-which is how the even/odd reflections across ``x_n = 0`` are represented.
+live on the extended cylinder ``Omega x (-ell, ell)`` (``extended=True``),
+where the verifier samples its corpus and checks the weighted inequality.
 
 All derivatives are second-order finite differences: central stencils in the
 interior, one-sided second-order stencils on the first and last node of the
@@ -44,10 +44,6 @@ __all__ = [
     "dxn2",
     "dt2",
     "laplacian",
-    "grad_xt",
-    "even_extend",
-    "odd_extend",
-    "restrict_to_upper",
     "trace",
     "time_slice",
     "axis_weights",
@@ -159,10 +155,6 @@ class CylinderGeometry:
     def gamma_coord(self) -> float:
         return self.d_hi if self.gamma_side is GammaSide.HI else self.d_lo
 
-    @property
-    def opposite_coord(self) -> float:
-        return self.d_lo if self.gamma_side is GammaSide.HI else self.d_hi
-
     # ---- derived geometries ---------------------------------------------
 
     def extend(self) -> "CylinderGeometry":
@@ -260,8 +252,7 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    # Small arithmetic surface so tests and callers can form differences
-    # and scalings without unwrapping the arrays.
+    # Differences of fields on one grid, without unwrapping the arrays.
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
@@ -270,24 +261,8 @@ class ScalarField:
             return other.values
         return other
 
-    def __add__(self, other):
-        return self.with_values(self.values + self._coerce(other))
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self.with_values(self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self.with_values(self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return self.with_values(self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
     def __repr__(self):
         return f"ScalarField({self.kind.name}, shape={self.values.shape})"
@@ -381,77 +356,6 @@ def laplacian(u: ScalarField) -> ScalarField:
     if "xp" not in u.axes or "xn" not in u.axes:
         raise ValidationError(f"laplacian needs both spatial axes, got kind {u.kind.name}")
     return u.with_values(dxp2(u).values + dxn2(u).values)
-
-
-def grad_xt(u: ScalarField) -> tuple[ScalarField, ...]:
-    """First derivatives along every axis of the field, in axis order."""
-    return tuple(diff(u, a, 1) for a in u.axes)
-
-
-# ---- reflections across x_n = 0 --------------------------------------------
-
-_EXTENDABLE = (FieldKind.SPACE_TIME, FieldKind.SPACE_ONLY)
-
-
-def _check_extendable(u: ScalarField, op: str) -> int:
-    if u.kind not in _EXTENDABLE:
-        raise ValidationError(f"{op} needs an axial axis, got kind {u.kind.name}")
-    if u.geometry.extended:
-        raise ValidationError(f"{op}: field is already on the extended cylinder")
-    return u.axis_index("xn")
-
-
-def even_extend(u: ScalarField) -> ScalarField:
-    """Reflect evenly across ``x_n = 0`` onto the extended cylinder.
-
-    The mirrored block reuses the stored values, so matching nodes agree
-    bit for bit.
-    """
-    ax = _check_extendable(u, "even_extend")
-    mirror = np.flip(u.values, axis=ax)
-    sl = [slice(None)] * u.values.ndim
-    sl[ax] = slice(0, -1)
-    vals = np.concatenate([mirror[tuple(sl)], u.values], axis=ax)
-    return ScalarField(u.geometry.extend(), vals, u.kind)
-
-
-def odd_extend(u: ScalarField) -> ScalarField:
-    """Reflect oddly across ``x_n = 0``; requires a vanishing trace there.
-
-    The trace must vanish to 1e-12 relative to the field's max-abs.  The
-    reflected field carries an exact zero on the ``x_n = 0`` slice so that
-    antisymmetry holds node for node.
-    """
-    ax = _check_extendable(u, "odd_extend")
-    face = np.take(u.values, 0, axis=ax)
-    scale = u.max_abs()
-    if scale > 0 and np.max(np.abs(face)) > 1e-12 * scale:
-        worst = np.unravel_index(np.argmax(np.abs(face)), face.shape)
-        raise ValidationError(
-            "odd_extend: trace at x_n = 0 is nonzero "
-            f"(max {np.max(np.abs(face)):.3e} vs scale {scale:.3e} at node {worst})"
-        )
-    mirror = -np.flip(u.values, axis=ax)
-    sl = [slice(None)] * u.values.ndim
-    sl[ax] = slice(0, -1)
-    vals = np.concatenate([mirror[tuple(sl)], u.values], axis=ax)
-    center = [slice(None)] * vals.ndim
-    center[ax] = (vals.shape[ax] - 1) // 2
-    vals[tuple(center)] = 0.0
-    return ScalarField(u.geometry.extend(), vals, u.kind)
-
-
-def restrict_to_upper(u: ScalarField) -> ScalarField:
-    """Restriction of an extended field to ``x_n >= 0``."""
-    if u.kind not in _EXTENDABLE:
-        raise ValidationError(f"restrict_to_upper needs an axial axis, got {u.kind.name}")
-    if not u.geometry.extended:
-        raise ValidationError("restrict_to_upper: field is not on the extended cylinder")
-    ax = u.axis_index("xn")
-    sl = [slice(None)] * u.values.ndim
-    sl[ax] = slice(u.geometry.xn_zero_index, None)
-    base = replace(u.geometry, nx_n=(u.geometry.nx_n + 1) // 2, extended=False)
-    return ScalarField(base, u.values[tuple(sl)], u.kind)
 
 
 # ---- traces -----------------------------------------------------------------

@@ -282,16 +282,12 @@ class _BandCholesky:
 
 @dataclass(frozen=True)
 class LateralSolution:
-    """Joint least-squares solution; iterates like the pair (u_hat, f_hat)."""
+    """Joint least-squares solution with its conjugate-gradient history."""
 
     u_hat: ScalarField
     f_hat: ScalarField
     iterations: int
     residual_history: tuple
-
-    def __iter__(self):
-        yield self.u_hat
-        yield self.f_hat
 
 
 class LateralOperator:

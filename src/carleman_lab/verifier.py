@@ -46,7 +46,7 @@ from .geometry import (
     quadrature_weights,
     trace,
 )
-from .weight import WeightPlan, compute_sigmas, phi_field
+from .weight import WeightPlan, phi_field
 
 __all__ = [
     "CorpusField",
@@ -55,13 +55,8 @@ __all__ = [
     "lemma1_residual",
     "CarlemanSides",
     "carleman_sides",
-    "StandardSides",
-    "standard_estimate_sides",
     "CarlemanReport",
     "verify_carleman",
-    "carleman_table",
-    "SigmaGapReport",
-    "sigma_gap_check",
 ]
 
 
@@ -275,7 +270,6 @@ class _MemberTerms:
     hess: np.ndarray
     grad: np.ndarray
     usq: np.ndarray
-    lap: np.ndarray
     heat_sq: np.ndarray  # wq * heat * heat
     lateral: tuple  # per lateral face: (wf * (grad + ut^2), wf * u^2, trace of u)
     terminal: tuple  # per end of the time window: (w * grad, w * u^2)
@@ -313,7 +307,6 @@ def _member_terms(u: ScalarField, p0: ScalarField | None) -> _MemberTerms:
         hess=hess,
         grad=grad,
         usq=usq,
-        lap=lap,
         heat_sq=wq * heat * heat,
         lateral=tuple(lateral),
         terminal=terminal,
@@ -446,36 +439,6 @@ def carleman_sides(
     return _sides(_member_terms(u, p0), weight)
 
 
-@dataclass(frozen=True)
-class StandardSides:
-    """Sides of the reduced inequality (Laplacian form, no surface H2 term)."""
-
-    s: float
-    lhs: float
-    rhs: float
-    log_scale: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs > 0:
-            return self.lhs / self.rhs
-        return 0.0 if self.lhs == 0.0 else math.inf
-
-
-def standard_estimate_sides(
-    u: ScalarField, plan: WeightPlan, s: float, p0: ScalarField | None = None
-) -> StandardSides:
-    """Reduced form: Laplacian energy on the left, no surface H2 term on the right."""
-    weight = _strength_terms(plan, u.geometry, (s,))[0]
-    m = _member_terms(u, p0)
-    full = _sides(m, weight)
-    lhs = float(
-        np.sum(m.wq * ((m.lap * m.lap) / s + s * m.grad + s**3 * m.usq) * weight.E)
-    )
-    rhs = full.rhs - full.trace_h2
-    return StandardSides(s=float(s), lhs=lhs, rhs=rhs, log_scale=full.log_scale)
-
-
 # ---- corpus-level verification ----------------------------------------------------
 
 
@@ -511,6 +474,8 @@ def verify_carleman(
     s_values = [float(s) for s in s_values]
     if not s_values or sorted(s_values) != s_values:
         raise ValidationError("s_values must be a nonempty increasing sequence")
+    if not corpus:
+        raise ValidationError("the corpus must hold at least one field")
     weights = _strength_terms(plan, g, s_values)
     rows = []
     by_s: dict[float, list[float]] = {s: [] for s in s_values}
@@ -533,64 +498,4 @@ def verify_carleman(
         c_cap=c_cap,
         corpus_size=len(corpus),
         geometry_fingerprint=g.fingerprint(),
-    )
-
-
-def carleman_table(report: CarlemanReport) -> str:
-    """Plain-text table of the verification rows plus the summary line."""
-    lines = [
-        f"weighted inequality over {report.corpus_size} fields "
-        f"(geometry {report.geometry_fingerprint})",
-        f"{'member':>6} {'s':>8} {'log lhs':>14} {'log rhs':>14} {'ratio':>12}",
-    ]
-    for i, sides in report.rows:
-        log_lhs = math.log(sides.lhs) + sides.log_scale if sides.lhs > 0 else -math.inf
-        log_rhs = math.log(sides.rhs) + sides.log_scale if sides.rhs > 0 else -math.inf
-        lines.append(
-            f"{i:>6} {sides.s:>8.3g} {log_lhs:>14.6f} {log_rhs:>14.6f} {sides.ratio:>12.6f}"
-        )
-    smin = "none" if report.s_min_emp is None else f"{report.s_min_emp:g}"
-    lines.append(
-        f"C_emp = {report.c_emp:.6f}; smallest s with all ratios <= {report.c_cap:g}: {smin}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-# ---- sigma gap sanity --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaGapReport:
-    sigma0: float
-    sigma1: float
-    sigma0_refined: float
-    sigma1_refined: float
-    ratio: float
-    ratio_refined: float
-    ratio_double_lam: float
-
-
-def sigma_gap_check(plan: WeightPlan) -> SigmaGapReport:
-    """Confirm the weight-level gap survives refinement and grows with lam."""
-    s0r, s1r, _ = compute_sigmas(plan, plan.geometry.refine())
-    if not s1r < s0r:
-        raise ValidationError(
-            f"weight-level gap closes under refinement: sigma0 = {s0r!r} <= sigma1 = {s1r!r}"
-        )
-    s0d, s1d, _ = compute_sigmas(plan, lam=2.0 * plan.lam)
-    ratio = plan.sigma0 / plan.sigma1
-    ratio_refined = s0r / s1r
-    ratio_double = s0d / s1d
-    if not ratio_double > ratio:
-        raise ValidationError(
-            f"weight-level gap does not grow with lam: {ratio_double!r} <= {ratio!r}"
-        )
-    return SigmaGapReport(
-        sigma0=plan.sigma0,
-        sigma1=plan.sigma1,
-        sigma0_refined=s0r,
-        sigma1_refined=s1r,
-        ratio=ratio,
-        ratio_refined=ratio_refined,
-        ratio_double_lam=ratio_double,
     )

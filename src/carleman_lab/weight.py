@@ -46,7 +46,6 @@ __all__ = [
     "region_family",
     "DecayResult",
     "decay_integral",
-    "holder_exponent",
     "psi_values",
     "phi_field",
     "plan_report",
@@ -193,7 +192,7 @@ def _mask(nodes: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
 
 
 def compute_sigmas(
-    plan: WeightPlan, geometry: CylinderGeometry | None = None, lam: float | None = None
+    plan: WeightPlan, geometry: CylinderGeometry | None = None
 ) -> tuple[float, float, float]:
     """Recompute (sigma0, sigma1, c0) on a given grid.
 
@@ -204,7 +203,6 @@ def compute_sigmas(
     the whole window.  Extrema are over grid nodes.
     """
     g = geometry if geometry is not None else plan.geometry
-    lm = plan.lam if lam is None else lam
     xp = g.axis_nodes("xp")
     d = _interp_d(plan.d_values, xp)
     t = g.axis_nodes("t")
@@ -234,7 +232,7 @@ def compute_sigmas(
         d_far = float(np.interp(far, xp, d))
         cand.append(float(np.max(d_far - plan.alpha * xnsq[:, None] - plan.beta * tsq[None, :])))
     psi1 = max(cand)
-    return math.exp(lm * psi0), math.exp(lm * psi1), math.exp(lm * c0_psi)
+    return math.exp(plan.lam * psi0), math.exp(plan.lam * psi1), math.exp(plan.lam * c0_psi)
 
 
 def plan_parameters(
@@ -543,18 +541,6 @@ def decay_integral(plan: WeightPlan, s: float, geometry: CylinderGeometry | None
             f"decay integral {value!r} exceeds its envelope {bound!r}; quadrature inconsistency"
         )
     return DecayResult(s=float(s), value=value, bound=bound)
-
-
-def holder_exponent(sigma0: float, sigma1: float, c1: float) -> float:
-    """Stability exponent ``(sigma0 - sigma1) / (c1 + sigma0 - sigma1)``."""
-    if not (sigma0 > sigma1 > 0):
-        raise ValidationError(
-            f"weight levels must satisfy sigma0 > sigma1 > 0, got {sigma0!r}, {sigma1!r}"
-        )
-    if not (c1 > 0 and math.isfinite(c1)):
-        raise ValidationError(f"comparison constant c1 must be positive, got {c1!r}")
-    gap = sigma0 - sigma1
-    return gap / (c1 + gap)
 
 
 # ---- serialization -----------------------------------------------------------

@@ -164,6 +164,8 @@ def test_solver_defaults_fill_in(tmp_path):
     assert reg.carleman_s == 0.0
     assert reg.cg_tol == 1e-8
     assert reg.cg_maxit == 10000
+    assert reg.cauchy_weight == 100.0
+    assert reg.face_weight == 100.0
     assert reg.max_factor_gb == 4.0
 
 

@@ -19,11 +19,7 @@ from carleman_lab.geometry import (
     dxn2,
     dxp,
     dxp2,
-    even_extend,
-    grad_xt,
     laplacian,
-    odd_extend,
-    restrict_to_upper,
     time_slice,
     trace,
 )
@@ -34,6 +30,12 @@ def small_geometry(nx_prime=11, nx_n=9, nt=11, **kw):
                 gamma_side=GammaSide.HI, nx_prime=nx_prime, nx_n=nx_n, nt=nt)
     args.update(kw)
     return CylinderGeometry(**args)
+
+
+def mirrored(u):
+    """``u`` reflected evenly across x_n = 0 onto the extended grid (x_n is axis 1)."""
+    vals = np.concatenate([u.values[:, :0:-1], u.values], axis=1)
+    return ScalarField(u.geometry.extend(), vals, u.kind)
 
 
 # ---- geometry and grids ----------------------------------------------------
@@ -158,22 +160,12 @@ def test_laplacian_two_grid_ratio_near_four():
     assert 3.6 < ratio < 4.4
 
 
-def test_grad_xt_returns_one_field_per_axis():
-    g = small_geometry()
-    u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp * xp + xn - t)
-    gx, gn, gt = grad_xt(u)
-    xp = g.axis_nodes("xp")
-    assert np.max(np.abs(gx.values - 2 * xp[:, None, None])) < 1e-13
-    assert np.max(np.abs(gn.values - 1.0)) < 1e-13
-    assert np.max(np.abs(gt.values + 1.0)) < 1e-13
-
-
 def test_diff_is_linear():
     g = small_geometry()
     rng = np.random.default_rng(7)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_TIME)), FieldKind.SPACE_TIME)
     v = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_TIME)), FieldKind.SPACE_TIME)
-    lhs = diff(2.5 * u + (-3.0) * v, "xn", 1).values
+    lhs = diff(u.with_values(2.5 * u.values - 3.0 * v.values), "xn", 1).values
     rhs = 2.5 * diff(u, "xn", 1).values - 3.0 * diff(v, "xn", 1).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
@@ -202,33 +194,14 @@ def test_sparse_stencil_matches_array_stencil(n, order):
         assert np.max(np.abs(m @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-# ---- reflections -------------------------------------------------------------
-
-
-def test_even_extend_matches_bit_for_bit():
-    g = small_geometry()
-    rng = np.random.default_rng(3)
-    u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_TIME)), FieldKind.SPACE_TIME)
-    ue = even_extend(u)
-    i0 = ue.geometry.xn_zero_index
-    for k in range(g.nx_n):
-        assert np.array_equal(ue.values[:, i0 + k, :], ue.values[:, i0 - k, :])
-    assert np.array_equal(ue.values[:, i0:, :], u.values)
-
-
-def test_even_extend_roundtrip_restriction():
-    g = small_geometry()
-    u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: np.cos(xn) + xp)
-    back = restrict_to_upper(even_extend(u))
-    assert back.geometry == g
-    assert np.array_equal(back.values, u.values)
+# ---- even reflection across x_n = 0 ------------------------------------------
 
 
 def test_dxn_of_even_extension_is_antisymmetric_exactly():
     g = small_geometry()
     rng = np.random.default_rng(11)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_ONLY)), FieldKind.SPACE_ONLY)
-    w = dxn(even_extend(u)).values
+    w = dxn(mirrored(u)).values
     i0 = (w.shape[1] - 1) // 2
     assert np.array_equal(w[:, i0], np.zeros(w.shape[0]))
     for k in range(1, i0 + 1):
@@ -239,7 +212,7 @@ def test_dxn2_of_even_extension_is_symmetric_exactly():
     g = small_geometry()
     rng = np.random.default_rng(12)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_ONLY)), FieldKind.SPACE_ONLY)
-    w = dxn2(even_extend(u)).values
+    w = dxn2(mirrored(u)).values
     i0 = (w.shape[1] - 1) // 2
     for k in range(1, i0 + 1):
         assert np.array_equal(w[:, i0 + k], w[:, i0 - k])
@@ -250,44 +223,12 @@ def test_face_stencil_mismatch_after_extension_shrinks_second_order():
     # extension sees a central one; the gap is pure h^2 for a cubic profile.
     def gap(g):
         u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: np.sin(xp) * xn**3)
-        inner = restrict_to_upper(dxn(even_extend(u)))
-        return np.max(np.abs(inner.values - dxn(u).values))
+        w = dxn(mirrored(u)).values
+        return np.max(np.abs(w[:, g.nx_n - 1:] - dxn(u).values))
 
     g = small_geometry()
     ratio = gap(g) / gap(g.refine())
     assert 3.9 < ratio < 4.1
-
-
-def test_even_extend_rejects_extended_input():
-    g = small_geometry().extend()
-    u = ScalarField.zeros(g, FieldKind.SPACE_ONLY)
-    with pytest.raises(ValidationError, match="already on the extended"):
-        even_extend(u)
-
-
-def test_odd_extend_reproduces_odd_profile():
-    g = small_geometry()
-    u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: 2 * xn * (1 + xp))
-    ue = odd_extend(u)
-    expect = ScalarField.from_function(ue.geometry, FieldKind.SPACE_ONLY, lambda xp, xn: 2 * xn * (1 + xp))
-    assert np.max(np.abs(ue.values - expect.values)) < 1e-13
-
-
-def test_odd_extend_is_antisymmetric_and_zero_at_center():
-    g = small_geometry()
-    u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xn * np.cos(t) * xp)
-    ue = odd_extend(u)
-    i0 = ue.geometry.xn_zero_index
-    assert np.all(ue.values[:, i0, :] == 0.0)
-    for k in range(1, i0 + 1):
-        assert np.array_equal(ue.values[:, i0 + k, :], -ue.values[:, i0 - k, :])
-
-
-def test_odd_extend_rejects_nonzero_trace():
-    g = small_geometry()
-    u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: xn + 1.0)
-    with pytest.raises(ValidationError, match="trace at x_n = 0"):
-        odd_extend(u)
 
 
 # ---- traces ------------------------------------------------------------------
@@ -321,7 +262,7 @@ def test_trace_xn_neg_ell_needs_extension():
     u = ScalarField.zeros(g, FieldKind.SPACE_TIME)
     with pytest.raises(ValidationError, match="XN_NEG_ELL"):
         trace(u, Face.XN_NEG_ELL)
-    ue = even_extend(u)
+    ue = mirrored(u)
     assert trace(ue, Face.XN_NEG_ELL).kind is FieldKind.CROSS_SECTION_TIME
 
 
@@ -350,7 +291,8 @@ def test_norm_scales_linearly():
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_ONLY)), FieldKind.SPACE_ONLY)
     for kind in NormKind:
         base = discrete_norm(u, kind=kind)
-        assert discrete_norm(-3.0 * u, kind=kind) == pytest.approx(3.0 * base, rel=1e-13)
+        scaled = u.with_values(-3.0 * u.values)
+        assert discrete_norm(scaled, kind=kind) == pytest.approx(3.0 * base, rel=1e-13)
 
 
 def test_region_norm_is_monotone_under_nesting():

@@ -201,7 +201,10 @@ def test_data_functional_is_degree_one_homogeneous(quartic_instance):
         quartic_instance,
         data=dataclasses.replace(
             quartic_instance.data,
-            **{name: -4.0 * ch for name, ch in quartic_instance.data.channels().items()},
+            **{
+                name: ch.with_values(-4.0 * ch.values)
+                for name, ch in quartic_instance.data.channels().items()
+            },
         ),
     )
     got = compute_data_functional(scaled)
@@ -253,7 +256,8 @@ def test_data_functional_matches_quadrature_oracle(worked_geometry, quartic_inst
 
 
 def test_apriori_bound_is_degree_one_homogeneous(quartic_instance):
-    scaled = dataclasses.replace(quartic_instance, u=2.5 * quartic_instance.u)
+    u = quartic_instance.u
+    scaled = dataclasses.replace(quartic_instance, u=u.with_values(2.5 * u.values))
     got = compute_apriori_bound(scaled)
     assert got == pytest.approx(2.5 * quartic_instance.apriori_bound, rel=1e-13)
 
@@ -336,14 +340,11 @@ def test_coefficient_reduction_recovers_the_difference(worked_geometry):
 
 def test_coefficient_reduction_rejects_mismatched_cauchy_data(worked_geometry):
     v_p, v_q, p, q = coefficient_pair(worked_geometry)
-    v_p_bad = v_p + ScalarField.from_function(
-        worked_geometry, FieldKind.SPACE_TIME, lambda xp, xn, t: 0.01 * np.cos(xn) + 0 * xp + 0 * t
-    )
+    xn = worked_geometry.axis_nodes("xn")[None, :, None]
+    v_p_bad = v_p.with_values(v_p.values + 0.01 * np.cos(xn))
     with pytest.raises(ValidationError, match="Cauchy values"):
         coefficient_reduction(v_p_bad, v_q, p, q)
-    v_p_slope = v_p + ScalarField.from_function(
-        worked_geometry, FieldKind.SPACE_TIME, lambda xp, xn, t: 0.01 * xn + 0 * xp + 0 * t
-    )
+    v_p_slope = v_p.with_values(v_p.values + 0.01 * xn)
     with pytest.raises(ValidationError, match="Cauchy derivatives"):
         coefficient_reduction(v_p_slope, v_q, p, q)
 

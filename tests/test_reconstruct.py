@@ -242,12 +242,6 @@ def test_residual_history_is_decreasing_and_converged(noiseless_solution, sweep_
     assert hist[-1] <= sweep_reg.cg_tol * hist[0]
 
 
-def test_solution_unpacks_like_a_pair(noiseless_solution):
-    u_hat, f_hat = noiseless_solution
-    assert u_hat is noiseless_solution.u_hat
-    assert f_hat is noiseless_solution.f_hat
-
-
 def test_zero_bundle_gives_exactly_zero(small_instance, small_plan):
     g = small_instance.geometry
     zero = ScalarField.zeros(g, FieldKind.AXIAL_TIME)

@@ -8,6 +8,7 @@ by hand with exact rational arithmetic:
     sigma0 = exp(1/102), sigma1 = 1,  c0 = exp(-2500/2499).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from carleman_lab.weight import (
     build_d,
     compute_sigmas,
     decay_integral,
-    holder_exponent,
     load_plan_record,
     phi_field,
     plan_parameters,
@@ -177,7 +177,7 @@ def test_misaligned_observation_corner_warns(worked_geometry):
 
 
 def test_sigma_levels_scale_as_expected_with_lam(worked_plan):
-    s0, s1, _ = compute_sigmas(worked_plan, lam=2.0)
+    s0, s1, _ = compute_sigmas(dataclasses.replace(worked_plan, lam=2.0))
     assert rel(s0, worked_plan.sigma0**2) < 1e-12
     assert rel(s1, worked_plan.sigma1**2) < 1e-12
     assert s0 / s1 > worked_plan.sigma0 / worked_plan.sigma1
@@ -244,27 +244,7 @@ def test_decay_integral_rejects_negative_strength(worked_plan):
         decay_integral(worked_plan, -1.0)
 
 
-# ---- exponent and sampling ------------------------------------------------------
-
-
-def test_holder_exponent_hand_value(worked_plan):
-    theta = holder_exponent(worked_plan.sigma0, worked_plan.sigma1, 1.0)
-    gap = SIGMA0 - 1.0
-    assert rel(theta, gap / (1.0 + gap)) < 1e-12
-    assert 0.0 < theta < 1.0
-
-
-def test_holder_exponent_decreases_with_larger_constant(worked_plan):
-    t1 = holder_exponent(worked_plan.sigma0, worked_plan.sigma1, 1.0)
-    t2 = holder_exponent(worked_plan.sigma0, worked_plan.sigma1, 10.0)
-    assert t2 < t1
-
-
-def test_holder_exponent_validates_inputs():
-    with pytest.raises(ValidationError, match="sigma0 > sigma1"):
-        holder_exponent(1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="c1"):
-        holder_exponent(2.0, 1.0, 0.0)
+# ---- sampling -------------------------------------------------------------------
 
 
 def test_phi_field_matches_closed_form(worked_plan):
