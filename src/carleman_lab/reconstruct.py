@@ -17,18 +17,32 @@ band Cholesky (``cholesky_banded``) factors it and the factor's storage,
 The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
 sweep leans on that to rerun the solver across noise levels and fit an
-empirical Holder exponent from the decreasing part of the error curve.
+empirical Holder exponent from the decreasing part of the error curve.  It
+solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: conjugate gradients
+run in lockstep over the block, and the factor is applied to the whole block
+by a blocked band triangular solve (BLAS-3 ``dgemm`` and ``dtrsm`` on
+zero-copy windows of the band), which streams the band once per block
+instead of once per bundle.  The factorization and the blocked solves run on
+one thread of scipy's OpenBLAS, so their rounding does not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from typing import IO, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.sparse.linalg import splu  # unused here; perfbench/traced_cli.py hooks this name
 
 from .artifacts import load_table_csv, parse_float, write_table_csv
@@ -52,7 +66,7 @@ from .problems import (
     BoundaryBundle,
     ProblemInstance,
     add_noise,
-    compute_data_functional,
+    compute_data_functional,  # unused here; perfbench/traced_cli.py hooks this name
 )
 from .weight import WeightPlan, phi_field
 
@@ -270,6 +284,99 @@ def _band_order(geometry: CylinderGeometry) -> np.ndarray:
     return np.concatenate([u_pos.ravel(), pos[:, :, g.nx_n].ravel()])
 
 
+_SOLVE_BLOCK = 16  # bundles per lockstep solve in a sweep; bounds the block state
+# rows per diagonal block of the blocked triangular solve; 32-48 ran fastest
+# at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
+_BAND_BLOCK = 48
+
+
+@functools.cache
+def _openblas_threads():
+    """Getter and setter of scipy's OpenBLAS thread count, or None if not exported.
+
+    scipy's wheels vendor OpenBLAS as ``scipy.libs/libscipy_openblas-*.so``;
+    loading it again by path returns the copy scipy.linalg already uses.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads
+            put = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of scipy's OpenBLAS, restoring the count after.
+
+    Threaded ``dgemm`` rounds differently from the serial one, so without the
+    pin the factor and the blocked solves would depend on the thread count.
+    Where the thread functions are not exported the body runs unpinned.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve U^T U x = r for an n x k block r, U upper band in LAPACK storage.
+
+    In that column-major storage U[i, j] sits at flat offset b + i + j*b, so
+    a strided view with strides (8, 8b) over the flat band is U itself, and
+    each window U[s-b:s, s:s+nb] above a diagonal block is an F-contiguous
+    matrix with leading dimension b that BLAS reads in place.  Both passes
+    work on x^T, so every block row of x is F-contiguous too: the forward
+    pass U^T w = r updates each block row by a dot product with its window,
+    the backward pass U x = w is right-looking, and ``dtrsm`` solves the
+    nb x nb diagonal blocks.  The window entries with j - i > b lie outside
+    the band; the view wraps them into the neighbouring column, so one small
+    product with that triangle cancels their contribution.
+    """
+    b, n = cb.shape[0] - 1, cb.shape[1]
+    flat = cb.reshape(-1, order="F")
+    u = as_strided(flat[b:], shape=(n, n), strides=(8, 8 * b), writeable=False)
+    nb = max(1, min(_BAND_BLOCK, b))
+    x = np.array(r, order="C")
+    starts = range(0, n, nb)
+    for s in starts:
+        e, lo = min(s + nb, n), max(0, s - b)
+        xs = x[s:e].T
+        if lo < s:
+            w = u[lo:s, s:e]
+            wrapped = np.triu(w[: e - s], lo - s + b + 1)
+            dgemm(-1.0, x[lo:s].T, w, beta=1.0, c=xs, overwrite_c=1)
+            dgemm(1.0, x[lo : lo + len(wrapped)].T, wrapped, beta=1.0, c=xs, overwrite_c=1)
+        dtrsm(1.0, u[s:e, s:e], xs, side=1, overwrite_b=1)
+    for s in reversed(starts):
+        e, lo = min(s + nb, n), max(0, s - b)
+        xs = dtrsm(1.0, u[s:e, s:e], x[s:e].T, side=1, trans_a=1, overwrite_b=1)
+        if lo < s:
+            w = u[lo:s, s:e]
+            wrapped = np.triu(w[: e - s], lo - s + b + 1)
+            dgemm(-1.0, xs, w, beta=1.0, c=x[lo:s].T, trans_b=1, overwrite_c=1)
+            tail = x[lo : lo + len(wrapped)].T
+            dgemm(1.0, xs, wrapped, beta=1.0, c=tail, trans_b=1, overwrite_c=1)
+    return x
+
+
 class _BandCholesky:
     """Upper band Cholesky factor in LAPACK storage; ``solve`` applies its inverse."""
 
@@ -277,7 +384,16 @@ class _BandCholesky:
         self.cb = cb
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self.cb, False), r, check_finite=False)
+        """Apply the inverse to the columns of an n x k block; F-ordered result.
+
+        One column goes to LAPACK's ``dpbtrs``: its BLAS-2 sweep beats the
+        blocked solve's fixed costs there, and it keeps a single solve's bytes.
+        """
+        with _one_blas_thread():
+            if r.shape[1] == 1:
+                return cho_solve_banded((self.cb, False), r, check_finite=False)
+            x = _blocked_band_solve(self.cb, r)
+        return np.asfortranarray(x)
 
 
 @dataclass(frozen=True)
@@ -303,7 +419,12 @@ class LateralOperator:
 
     The columns are renumbered once into the order of ``_band_order``, so the
     scaled matrix, the normal matrix, its upper band Cholesky factor and the
-    CG iterates all live in band order and ``solve`` maps the result back.
+    CG iterates all live in band order and the solvers map the result back.
+    ``solve_many`` solves several bundles as one block under lockstep CG and
+    applies the factor to the block with a blocked triangular solve; ``solve``
+    is ``solve_many`` on one bundle, whose single column goes through
+    LAPACK's ``dpbtrs``.  The factorization and every application of the
+    factor run on one thread of scipy's OpenBLAS (see ``_one_blas_thread``).
     A grid whose band, ``(half_bandwidth + 1) * unknowns * 8`` bytes, exceeds
     ``reg.max_factor_gb`` is refused with ValidationError before the band is
     allocated; a matrix LAPACK finds not positive definite, or a band that
@@ -349,9 +470,9 @@ class LateralOperator:
             ab[b - offsets, upper.col] = upper.data
             # no finiteness check, which would take a boolean copy of the band:
             # a NaN passes through the factor and stops CG at its first step
-            self._factor = _BandCholesky(
-                cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-            )
+            with _one_blas_thread():
+                cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            self._factor = _BandCholesky(cb)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(
@@ -359,62 +480,102 @@ class LateralOperator:
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
-    def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray, int, list[float]]:
-        """Preconditioned CG on the normal equations; residual norms recorded."""
+    def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray, list[int], list[list[float]]]:
+        """Lockstep preconditioned CG on the normal equations for an n x k block.
+
+        Each column is its own CG run: its own step sizes, convergence test and
+        residual history, computed with the same vector arithmetic as a
+        one-column solve.  A converged column leaves the block; the others
+        share each normal product and each application of the factor.  Takes
+        ownership of the F-ordered ``rhs``; returns the solutions, each
+        column's iteration count and its residual norms.
+        """
         tol, maxit = self.reg.cg_tol, self.reg.cg_maxit
-        norm0 = float(np.linalg.norm(rhs))
-        if norm0 == 0.0:
-            return np.zeros(len(rhs)), 0, [0.0]
-        y = np.zeros(len(rhs))
-        r = rhs.copy()
+        y = np.zeros(rhs.shape, order="F")
+        norm0 = [float(np.linalg.norm(rhs[:, j])) for j in range(rhs.shape[1])]
+        histories = [[nrm] for nrm in norm0]
+        iterations = [0] * len(norm0)
+        cols = [j for j, nrm in enumerate(norm0) if nrm != 0.0]  # active, in block order
+        if not cols:
+            return y, iterations, histories
+        r = rhs if len(cols) == len(norm0) else np.asfortranarray(rhs[:, cols])
         z = self._factor.solve(r)
-        p = z.copy()
-        rho = float(r @ z)
-        history = [norm0]
+        p = z
+        rho = [float(r[:, c] @ z[:, c]) for c in range(len(cols))]
         for it in range(1, maxit + 1):
-            q = self._normal @ p
-            pq = float(p @ q)
-            if not 0.0 < pq < math.inf:  # false for NaN too
-                raise SolverError(
-                    f"conjugate gradients broke down at iteration {it}: p.q = {pq!r} "
-                    "is not a positive finite number"
-                )
-            alpha = rho / pq
-            y += alpha * p
-            r -= alpha * q
-            res = float(np.linalg.norm(r))
-            if not math.isfinite(res):
-                raise SolverError(
-                    f"conjugate gradients broke down at iteration {it}: residual norm {res!r}"
-                )
-            history.append(res)
-            if res <= tol * norm0:
-                return y, it, history
+            q = np.asfortranarray(self._normal @ p)
+            done = []
+            for c, j in enumerate(cols):
+                pq = float(p[:, c] @ q[:, c])
+                if not 0.0 < pq < math.inf:  # false for NaN too
+                    raise SolverError(
+                        f"conjugate gradients broke down at iteration {it}: p.q = {pq!r} "
+                        "is not a positive finite number"
+                    )
+                alpha = rho[c] / pq
+                y[:, j] += alpha * p[:, c]
+                r[:, c] -= alpha * q[:, c]
+                res = float(np.linalg.norm(r[:, c]))
+                if not math.isfinite(res):
+                    raise SolverError(
+                        f"conjugate gradients broke down at iteration {it}: residual norm {res!r}"
+                    )
+                histories[j].append(res)
+                if res <= tol * norm0[j]:
+                    iterations[j] = it
+                    done.append(c)
+            if done:
+                keep = [c for c in range(len(cols)) if c not in done]
+                if not keep:
+                    return y, iterations, histories
+                cols, rho = [cols[c] for c in keep], [rho[c] for c in keep]
+                r, p = np.asfortranarray(r[:, keep]), np.asfortranarray(p[:, keep])
+            del q  # so the factor's result can take its memory
             z = self._factor.solve(r)
-            rho_new = float(r @ z)
-            p = z + (rho_new / rho) * p
-            rho = rho_new
+            for c in range(len(cols)):
+                rho_new = float(r[:, c] @ z[:, c])
+                p[:, c] = z[:, c] + (rho_new / rho[c]) * p[:, c]
+                rho[c] = rho_new
+        worst = max(histories[j][-1] / norm0[j] for j in cols)
         raise SolverError(
             f"conjugate gradients did not converge in {maxit} iterations; "
-            f"final relative normal residual {history[-1] / norm0:.3e}"
+            f"final relative normal residual {worst:.3e}"
         )
 
     def solve(self, bundle: BoundaryBundle) -> LateralSolution:
         """Solve the joint least-squares problem for one data bundle."""
-        b = _lateral_rhs(bundle, self.geometry, self.reg)
-        y, iters, history = self._pcg(self._a_scaled.T @ b)
-        z = (y / self._col_norms)[self._band_pos]
+        (solution,) = self.solve_many([bundle])
+        return solution
+
+    def solve_many(self, bundles: Iterable[BoundaryBundle]) -> Iterator[LateralSolution]:
+        """Solve for several data bundles as one block; yield a solution per bundle.
+
+        All bundles go through one lockstep CG run (see ``_pcg``), so each step
+        applies the factor to the whole block at once.  The solutions are
+        yielded in bundle order and built on demand, so a caller that drops
+        each one keeps a single solution's fields alive.
+        """
+        bundles = list(bundles)
+        rhs = np.empty((self._normal.shape[0], len(bundles)), order="F")
+        for j, bundle in enumerate(bundles):
+            rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry, self.reg)
+        y, iterations, histories = self._pcg(rhs)
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
-        u_hat = ScalarField(
-            g, z[:nq].reshape(g.nx_prime, g.nx_n, g.nt), FieldKind.SPACE_TIME
-        )
-        f_hat = ScalarField(
-            g, z[nq:].reshape(g.nx_prime, g.nt), FieldKind.CROSS_SECTION_TIME
-        )
-        return LateralSolution(
-            u_hat=u_hat, f_hat=f_hat, iterations=iters, residual_history=tuple(history)
-        )
+        for j in range(len(bundles)):
+            z = (y[:, j] / self._col_norms)[self._band_pos]
+            u_hat = ScalarField(
+                g, z[:nq].reshape(g.nx_prime, g.nx_n, g.nt), FieldKind.SPACE_TIME
+            )
+            f_hat = ScalarField(
+                g, z[nq:].reshape(g.nx_prime, g.nt), FieldKind.CROSS_SECTION_TIME
+            )
+            yield LateralSolution(
+                u_hat=u_hat,
+                f_hat=f_hat,
+                iterations=iterations[j],
+                residual_history=tuple(histories[j]),
+            )
 
 
 def lateral_reconstruct(
@@ -429,8 +590,9 @@ def lateral_reconstruct(
 
     Deterministic for fixed inputs: the system is assembled in a fixed row
     order, Jacobi column scaling uses exact column norms, the factorization
-    is deterministic for a fixed number of BLAS threads, and CG starts from
-    zero.
+    runs on one thread of scipy's OpenBLAS (where its thread functions are
+    exported) so it does not depend on the BLAS thread count, and CG starts
+    from zero.
     """
     return LateralOperator(geometry, plan, p0, R, reg).solve(bundle)
 
@@ -495,11 +657,13 @@ def stability_sweep(
     the whole sweep; the operator must be built from the instance's ``p0``
     and ``R``, and its plan fixes the stability region of the error rows.
     Levels are processed in decreasing order (a single 0.0 level is allowed
-    and lands last).  The empirical exponent is the least-squares slope of
-    log err_region against log D(u) over the rows where err_region dropped
-    relative to the previous row; fewer than three such rows leave the fit
-    degenerate and raise.  Noise draws derive from ``seed`` plus the row
-    index, so a sweep is reproducible end to end.
+    and lands last), ``_SOLVE_BLOCK`` at a time: the noisy bundles of a chunk
+    are drawn first and then solved as one block by ``solve_many``.  The
+    empirical exponent is the least-squares slope of log err_region against
+    log D(u) over the rows where err_region dropped relative to the previous
+    row; fewer than three such rows leave the fit degenerate and raise.
+    Noise draws derive from ``seed`` plus the row index, so a sweep is
+    reproducible end to end.
     """
     levels = sweep_levels(noise_levels)
     if not (
@@ -511,25 +675,29 @@ def stability_sweep(
     plan = operator.plan
     rows = []
     noiseless_f_hat = None
-    for i, level in enumerate(levels):
-        noisy = add_noise(instance, level, seed=seed + i)
-        sol = operator.solve(noisy.data)
-        err_region, err_global = _sweep_errors(sol.f_hat, instance.f, plan)
-        if err_region > err_global:
-            raise SolverError(
-                f"region error {err_region!r} exceeds global error {err_global!r} "
-                f"at noise level {level!r}"
+    for start in range(0, len(levels), _SOLVE_BLOCK):
+        chunk = levels[start : start + _SOLVE_BLOCK]
+        noisy = [
+            add_noise(instance, level, seed=seed + start + i) for i, level in enumerate(chunk)
+        ]
+        solutions = operator.solve_many([inst.data for inst in noisy])
+        for level, inst, sol in zip(chunk, noisy, solutions):
+            err_region, err_global = _sweep_errors(sol.f_hat, instance.f, plan)
+            if err_region > err_global:
+                raise SolverError(
+                    f"region error {err_region!r} exceeds global error {err_global!r} "
+                    f"at noise level {level!r}"
+                )
+            rows.append(
+                SweepRow(
+                    noise=level,
+                    d_of_u=inst.d_of_u,
+                    err_region=err_region,
+                    err_global=err_global,
+                )
             )
-        rows.append(
-            SweepRow(
-                noise=level,
-                d_of_u=compute_data_functional(noisy),
-                err_region=err_region,
-                err_global=err_global,
-            )
-        )
-        if level == 0.0:
-            noiseless_f_hat = sol.f_hat
+            if level == 0.0:
+                noiseless_f_hat = sol.f_hat
 
     decreasing = [
         i for i in range(1, len(rows)) if rows[i].err_region < rows[i - 1].err_region

@@ -250,24 +250,43 @@ def test_sweep_outputs_are_byte_identical_per_seed(tmp_path):
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
+def _run_at_blas_threads(path, out, threads, command="all"):
+    # a fresh interpreter, since OpenBLAS reads its thread count at load time
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
+         "--command", command, "--out", str(out), "--quiet"],
+        env=env, check=True, timeout=300,
+    )
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # fresh interpreters, since OpenBLAS reads its thread count at load time;
     # the two runs of `all` on the 13x11x13 grid take a few seconds together
     path = write_config(tmp_path, base_config(tmp_path / "out"))
-    src = str(Path(cli_module.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
-             "--command", "all", "--out", str(out), "--quiet"],
-            env=env, check=True, timeout=300,
-        )
+        _run_at_blas_threads(path, out, threads)
         outputs.append(out)
     for name in ("carleman_rows.csv", "sweep.csv"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, name", [("reconstruct", "reconstruction.npz"), ("sweep", "sweep.csv")]
+)
+def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, name):
+    # half-bandwidth 1,170: wide enough that threaded OpenBLAS products inside
+    # the factorization and the blocked solves would round differently
+    cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
+    del cfg["verify"]
+    path = write_config(tmp_path, cfg)
+    for threads in ("1", "2"):
+        _run_at_blas_threads(path, tmp_path / f"threads{threads}", threads, command)
+    one, two = (tmp_path / f"threads{threads}" / name for threads in ("1", "2"))
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_seed_override_changes_rows_and_hash(tmp_path):
@@ -409,6 +428,29 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: the band factor of the ")
     assert "GB" in err and "max_factor_gb = 0.001" in err
+
+
+def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
+    # a NaN factor passes LAPACK unchecked and stops the lockstep CG at once
+    def nan_factor(ab, **kwargs):
+        return np.full_like(ab, np.nan)
+
+    monkeypatch.setattr(reconstruct, "cholesky_banded", nan_factor)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", "sweep") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: conjugate gradients broke down at iteration 1: p.q = nan")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_exit_3_when_an_artifact_cannot_be_written(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file where the output directory should go\n")
+    path = write_config(tmp_path, base_config(taken))
+    assert cli("--config", path, "--command", "plan") == 3
+    assert "error: " in capsys.readouterr().err
+    assert taken.read_text() == "a file where the output directory should go\n"
 
 
 def test_exit_3_on_missing_config(tmp_path, capsys):

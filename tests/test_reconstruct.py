@@ -19,6 +19,8 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from carleman_lab import reconstruct
 from carleman_lab.errors import SolverError, ValidationError
@@ -295,20 +297,111 @@ def test_cg_breakdown_raises_at_once(small_instance, small_operator, monkeypatch
         small_operator.solve(small_instance.data)
 
 
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize(
     "rhs, message",
     [
         # p = e0 gives p.q = 1e-300 > 0, and the step 1e300 * q overflows
-        ((1.0, 0.0), "residual norm inf"),
-        ((math.nan, 0.0), "p.q = nan"),
+        ((1.0, 0.0), "broke down at iteration 1: residual norm inf"),
+        ((math.nan, 0.0), "broke down at iteration 1: p.q = nan"),
     ],
 )
-def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message):
+def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message, k):
     normal = sp.csr_matrix(np.array([[1e-300, 0.0], [1e300, 0.0]]))
     monkeypatch.setattr(small_operator, "_normal", normal)
     monkeypatch.setattr(small_operator, "_factor", types.SimpleNamespace(solve=np.copy))
+    block = np.asfortranarray(np.tile(np.array(rhs)[:, None], (1, k)))
     with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
-        small_operator._pcg(np.array(rhs))
+        small_operator._pcg(block)
+
+
+def _per_column(cb):
+    """A preconditioner that applies ``cb`` one column at a time with LAPACK."""
+
+    def solve(r):
+        cols = [cho_solve_banded((cb, False), col, check_finite=False) for col in r.T]
+        return np.asfortranarray(np.column_stack(cols))
+
+    return types.SimpleNamespace(solve=solve)
+
+
+def test_lockstep_columns_match_their_single_solves(small_instance, small_plan, monkeypatch):
+    # the factor at mu = 1e-6 preconditions the mu = 1e-8 system inexactly, so
+    # the noisy column needs a second step while the clean one stops after one;
+    # applied column by column it gives the block the arithmetic of one solve
+    inst = small_instance
+    op = LateralOperator(
+        inst.geometry, small_plan, inst.p0, inst.R, Regularization(tikhonov_weight=1e-8)
+    )
+    coarser = LateralOperator(
+        inst.geometry, small_plan, inst.p0, inst.R, Regularization(tikhonov_weight=1e-6)
+    )
+    monkeypatch.setattr(op, "_factor", _per_column(coarser._factor.cb))
+    zero = ScalarField.zeros(inst.geometry, FieldKind.AXIAL_TIME)
+    silent = dataclasses.replace(inst.data, **{name: zero for name in BUNDLE_CHANNELS})
+    bundles = [silent, add_noise(inst, 0.1, seed=1).data, inst.data]
+    singles = [op.solve(bundle) for bundle in bundles]
+    assert [sol.iterations for sol in singles] == [0, 2, 1]
+    block = list(op.solve_many(bundles))
+    assert len(block) == len(bundles)
+    for got, want in zip(block, singles):
+        assert got.iterations == want.iterations
+        assert got.residual_history == want.residual_history
+        assert np.array_equal(got.f_hat.values, want.f_hat.values)
+        assert np.array_equal(got.u_hat.values, want.u_hat.values)
+
+
+def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
+    bundles = [add_noise(small_instance, level, seed=2).data for level in (0.1, 0.0, 1e-3)]
+    for got, want in zip(small_operator.solve_many(bundles), map(small_operator.solve, bundles)):
+        assert got.iterations == want.iterations == 1
+        scale = np.linalg.norm(want.f_hat.values)
+        assert np.linalg.norm(got.f_hat.values - want.f_hat.values) <= 1e-8 * scale
+
+
+def _spd_band(n, b, seed):
+    """LAPACK upper band storage of a random, diagonally dominant SPD band."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((b + 1, n), order="F")
+    ab[:b] = rng.uniform(-1.0, 1.0, (b, n))
+    for i in range(b):  # entries above the first row of U do not exist
+        ab[i, : b - i] = 0.0
+    ab[b] = 2.0 * b + 1.0
+    return ab
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 700),
+    b=st.integers(0, 400),
+    k=st.sampled_from([1, 2, 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=700, b=300, k=17, seed=0)  # full windows, n not a multiple of the block
+@example(n=500, b=reconstruct._BAND_BLOCK // 2, k=2, seed=1)  # half-bandwidth below the block
+@example(n=300, b=299, k=17, seed=2)  # a band as wide as the matrix
+@example(n=40, b=90, k=2, seed=3)  # half-bandwidth above n - 1
+def test_blocked_solve_matches_lapack(n, b, k, seed):
+    cb = cholesky_banded(_spd_band(n, b, seed))
+    r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
+    got = reconstruct._BandCholesky(cb).solve(r)
+    want = cho_solve_banded((cb, False), r)
+    assert got.shape == (n, k) and got.flags.f_contiguous
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_the_blas_thread_pin_is_active():
+    api = reconstruct._openblas_threads()
+    assert api is not None, "scipy's OpenBLAS exports no thread-count functions"
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        with reconstruct._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
@@ -319,7 +412,7 @@ def test_band_factor_solves_the_normal_equations(small_operator, small_instance)
     upper = sp.dia_matrix((op._factor.cb, b - np.arange(b + 1)), shape=normal.shape).toarray()
     assert np.linalg.norm(upper.T @ upper - normal) <= 1e-12 * np.linalg.norm(normal)
     r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry, op.reg)
-    got = op._factor.solve(r)
+    got = op._factor.solve(r[:, None])[:, 0]
     assert np.linalg.norm(normal @ got - r) <= 1e-10 * np.linalg.norm(r)
     # cond(normal) is about 2e9 at mu = 1e-6, so two exact solvers agree to
     # about 1e-8 here, not to the residual's 1e-13
