@@ -297,21 +297,21 @@ def test_cg_breakdown_raises_at_once(small_instance, small_operator, monkeypatch
         small_operator.solve(small_instance.data)
 
 
-@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize(
     "rhs, message",
     [
         # p = e0 gives p.q = 1e-300 > 0, and the step 1e300 * q overflows
-        ((1.0, 0.0), "broke down at iteration 1: residual norm inf"),
-        ((math.nan, 0.0), "broke down at iteration 1: p.q = nan"),
+        ((1.0, 0.0), "residual norm inf"),
+        ((math.nan, 0.0), "p.q = nan"),
     ],
 )
-def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message, k):
+def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message):
     normal = sp.csr_matrix(np.array([[1e-300, 0.0], [1e300, 0.0]]))
     monkeypatch.setattr(small_operator, "_normal", normal)
     monkeypatch.setattr(small_operator, "_factor", types.SimpleNamespace(solve=np.copy))
-    block = np.asfortranarray(np.tile(np.array(rhs)[:, None], (1, k)))
-    with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
+    block = np.asfortranarray(np.column_stack([rhs, rhs]))  # both columns fail alike
+    match = f"broke down at iteration 1: {message}"
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match=match):
         small_operator._pcg(block)
 
 
@@ -325,7 +325,7 @@ def _per_column(cb):
     return types.SimpleNamespace(solve=solve)
 
 
-def test_lockstep_columns_match_their_single_solves(small_instance, small_plan, monkeypatch):
+def test_lockstep_columns_match_their_single_solves(small_instance, small_plan):
     # the factor at mu = 1e-6 preconditions the mu = 1e-8 system inexactly, so
     # the noisy column needs a second step while the clean one stops after one;
     # applied column by column it gives the block the arithmetic of one solve
@@ -336,7 +336,7 @@ def test_lockstep_columns_match_their_single_solves(small_instance, small_plan, 
     coarser = LateralOperator(
         inst.geometry, small_plan, inst.p0, inst.R, Regularization(tikhonov_weight=1e-6)
     )
-    monkeypatch.setattr(op, "_factor", _per_column(coarser._factor.cb))
+    op._factor = _per_column(coarser._factor.cb)
     zero = ScalarField.zeros(inst.geometry, FieldKind.AXIAL_TIME)
     silent = dataclasses.replace(inst.data, **{name: zero for name in BUNDLE_CHANNELS})
     bundles = [silent, add_noise(inst, 0.1, seed=1).data, inst.data]
