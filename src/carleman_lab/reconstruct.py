@@ -342,9 +342,10 @@ def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
     In that column-major storage U[i, j] sits at flat offset b + i + j*b, so
     a strided view with strides (8, 8b) over the flat band is U itself, and
     each window U[s-b:s, s:s+nb] above a diagonal block is an F-contiguous
-    matrix with leading dimension b that BLAS reads in place.  Both passes
-    work on x^T, so every block row of x is F-contiguous too: the forward
-    pass U^T w = r updates each block row by a dot product with its window,
+    matrix with leading dimension b that BLAS reads in place (only the
+    first windows, cut off at row 0, are copied).  Both passes work on x^T,
+    so every block row of x is F-contiguous too: the forward pass U^T w = r
+    subtracts from each block row its window's product with the rows above,
     the backward pass U x = w is right-looking, and ``dtrsm`` solves the
     nb x nb diagonal blocks.  The window entries with j - i > b lie outside
     the band; the view wraps them into the neighbouring column, so one small
