@@ -19,12 +19,14 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GammaSide",
@@ -49,6 +51,7 @@ __all__ = [
     "axis_weights",
     "quadrature_weights",
     "discrete_norm",
+    "discrete_norms",
 ]
 
 _MIN_NODES = 4  # the widest one-sided stencil spans four nodes
@@ -194,13 +197,26 @@ class CylinderGeometry:
 class ScalarField:
     """Array of nodal values tied to a geometry and an axis signature.
 
-    Values are stored as a private read-only copy; operations return new fields.
+    Values are stored read-only.  The constructor takes a private copy of the
+    caller's array; operations return new fields.
     """
 
     __slots__ = ("geometry", "values", "kind")
 
     def __init__(self, geometry: CylinderGeometry, values, kind: FieldKind):
-        values = np.array(values, dtype=np.float64)
+        self._bind(geometry, np.array(values, dtype=np.float64), kind)
+
+    @classmethod
+    def _adopt(cls, geometry: CylinderGeometry, values: np.ndarray, kind: FieldKind):
+        """A field over a float64 array this module has just made, without the copy.
+
+        Only for arrays no caller can hold: the field freezes ``values`` itself.
+        """
+        field = object.__new__(cls)
+        field._bind(geometry, values, kind)
+        return field
+
+    def _bind(self, geometry: CylinderGeometry, values: np.ndarray, kind: FieldKind):
         expected = geometry.shape(kind)
         if values.shape != expected:
             raise ValidationError(
@@ -312,6 +328,8 @@ def diff_matrix(n: int, h: float, order: int = 1) -> sp.csr_matrix:
 
     Stores no explicit zeros: ``2n + 2`` entries for order 1, ``3n + 2`` for 2.
     """
+    import scipy.sparse as sp  # on first use, so commands without a solve never load scipy
+
     den, interior, first, last = _stencil(order, h)
     taps = [(off, c) for off, c in zip((-1, 0, 1), interior) if c]
     k, inner = len(first), np.arange(1, n - 1)
@@ -324,7 +342,8 @@ def diff_matrix(n: int, h: float, order: int = 1) -> sp.csr_matrix:
 def diff(u: ScalarField, axis: str, order: int = 1) -> ScalarField:
     """Finite-difference derivative of ``u`` along a named axis."""
     idx = u.axis_index(axis)
-    return u.with_values(diff_array(u.values, idx, u.geometry.spacing(axis), order))
+    values = diff_array(u.values, idx, u.geometry.spacing(axis), order)
+    return ScalarField._adopt(u.geometry, values, u.kind)
 
 
 def dxp(u: ScalarField) -> ScalarField:
@@ -388,7 +407,8 @@ def _slice_axis(u: ScalarField, axis: str, index: int) -> ScalarField:
         raise ValidationError(
             f"trace along {axis!r} is not defined for fields of kind {u.kind.name}"
         )
-    return ScalarField(u.geometry, np.take(u.values, index, axis=u.axis_index(axis)), out_kind)
+    values = np.take(u.values, index, axis=u.axis_index(axis))
+    return ScalarField._adopt(u.geometry, values, out_kind)
 
 
 def trace(u: ScalarField, face: Face) -> ScalarField:
@@ -496,16 +516,21 @@ def _region_weights(
     return tuple(sels), w
 
 
-def _surface_derivative_stack(u: ScalarField, second: bool) -> list[np.ndarray]:
-    a0, a1 = u.axes
-    d0 = diff(u, a0, 1).values
-    d1 = diff(u, a1, 1).values
-    out = [d0, d1]
+def _surface_derivative_stack(
+    stack: np.ndarray, geometry: CylinderGeometry, kind: FieldKind, second: bool
+) -> list[np.ndarray]:
+    """Derivatives along the two axes of ``kind``, the last two axes of ``stack``.
+
+    Each stencil is elementwise, so every field of the stack gets the bits it
+    would get alone.
+    """
+    h0, h1 = (geometry.spacing(a) for a in kind.axes)
+    d0 = diff_array(stack, -2, h0, 1)
+    out = [d0, diff_array(stack, -1, h1, 1)]
     if second:
-        d00 = diff(u, a0, 2).values
-        d11 = diff(u, a1, 2).values
-        d01 = diff_array(d0, u.axis_index(a1), u.geometry.spacing(a1))
-        out += [d00, d01, d11]
+        d00 = diff_array(stack, -2, h0, 2)
+        d11 = diff_array(stack, -1, h1, 2)
+        out += [d00, diff_array(d0, -1, h1), d11]
     return out
 
 
@@ -520,16 +545,41 @@ def discrete_norm(
     first, then restricted, so one-sided stencils only ever sit on true
     domain boundaries.
     """
-    sels, w = _region_weights(u.geometry, u.kind, region)
-    pieces = [u.values]
+    return discrete_norms(u.geometry, u.kind, u.values[None], region, kind)[0]
+
+
+def discrete_norms(
+    geometry: CylinderGeometry,
+    field_kind: FieldKind,
+    stack: np.ndarray,
+    region: Region | None = None,
+    kind: NormKind = NormKind.L2,
+) -> list[float]:
+    """``discrete_norm`` of each field ``stack[i]`` of one kind on one grid.
+
+    The derivatives are formed once for the whole stack, and each norm sums
+    its own field's terms in the order ``discrete_norm`` does, so it carries
+    the same bits as the norm of that field alone.
+    """
+    if stack.shape[1:] != geometry.shape(field_kind):
+        raise ValidationError(
+            f"stack of shape {stack.shape} does not hold fields of shape "
+            f"{geometry.shape(field_kind)} for {field_kind.name}"
+        )
+    sels, w = _region_weights(geometry, field_kind, region)
+    pieces = [stack]
     if kind is not NormKind.L2:
-        if len(u.axes) != 2:
+        if len(field_kind.axes) != 2:
             raise ValidationError(
-                f"{kind.name} norm is defined for two-axis fields, got {u.kind.name}"
+                f"{kind.name} norm is defined for two-axis fields, got {field_kind.name}"
             )
-        pieces += _surface_derivative_stack(u, second=(kind is NormKind.H2_SURFACE))
-    total = 0.0
+        pieces += _surface_derivative_stack(
+            stack, geometry, field_kind, second=(kind is NormKind.H2_SURFACE)
+        )
+    totals = [0.0] * len(stack)
     for p in pieces:
-        q = p[sels]
-        total += float(np.sum(w * q * q))
-    return math.sqrt(total)
+        q = p[(slice(None), *sels)]
+        terms = w * q * q
+        for i in range(len(stack)):
+            totals[i] += float(np.sum(terms[i]))
+    return [math.sqrt(total) for total in totals]

@@ -22,28 +22,27 @@ solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: conjugate gradients
 run in lockstep over the block, and the factor is applied to the whole block
 by a blocked band triangular solve (BLAS-3 ``dgemm`` and ``dtrsm`` on
 zero-copy windows of the band), which streams the band once per block
-instead of once per bundle.  The factorization and the blocked solves run on
-one thread of scipy's OpenBLAS, so their rounding does not depend on the
-BLAS thread count.
+instead of once per bundle.  The factorization and the solves run on one
+thread of scipy's OpenBLAS and of numpy's, so their rounding does not depend
+on the BLAS thread count.
+
+scipy is imported on first use, by the operator build and the band solves,
+so a command that never builds an operator never loads it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.blas import dgemm, dtrsm
-from scipy.sparse.linalg import splu  # unused here; perfbench/traced_cli.py hooks this name
 
 from .artifacts import load_table_csv, parse_float, write_table_csv
 from .errors import SolverError, ValidationError
@@ -70,6 +69,9 @@ from .problems import (
 )
 from .weight import WeightPlan, phi_field
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 __all__ = [
     "oracle_trace_reconstruct",
     "Regularization",
@@ -85,6 +87,16 @@ __all__ = [
     "write_sweep_csv",
     "load_sweep_csv",
 ]
+
+
+def __getattr__(name: str):
+    # nothing here calls splu; perfbench/traced_cli.py hooks it by this name,
+    # so scipy loads only on that lookup
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---- oracle reconstruction --------------------------------------------------------
@@ -154,6 +166,8 @@ class Regularization:
 
 
 def _unit_row(n: int, idx: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.csr_matrix(([1.0], [idx], [0, 1]), shape=(1, n))
 
 
@@ -176,6 +190,8 @@ def _lateral_matrix(
 
     Nothing here reads the data bundle; it only fixes the rhs layout.
     """
+    import scipy.sparse as sp
+
     if geometry.extended:
         raise ValidationError("lateral reconstruction runs on the physical half-cylinder")
     if p0.kind is not FieldKind.CROSS_SECTION_TIME or p0.geometry != geometry:
@@ -290,14 +306,22 @@ _SOLVE_BLOCK = 16  # bundles per lockstep solve in a sweep; bounds the block sta
 _BAND_BLOCK = 48
 
 
-@functools.cache
-def _openblas_threads():
-    """Getter and setter of scipy's OpenBLAS thread count, or None if not exported.
+# symbol suffix of the thread functions of each package's vendored OpenBLAS:
+# scipy's uses 32-bit integers, numpy's 64-bit ones (``*64_`` symbols)
+_OPENBLAS_SUFFIX = {"scipy": "", "numpy": "64_"}
 
-    scipy's wheels vendor OpenBLAS as ``scipy.libs/libscipy_openblas-*.so``;
-    loading it again by path returns the copy scipy.linalg already uses.
+
+@functools.cache
+def _openblas_threads(package: str = "scipy"):
+    """Getter and setter of a package's OpenBLAS thread count, or None if not exported.
+
+    The wheels of scipy and numpy each vendor an OpenBLAS as
+    ``<package>.libs/libscipy_openblas*.so``; loading it again by path
+    returns the copy the package already uses.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    suffix = _OPENBLAS_SUFFIX[package]
+    module = importlib.import_module(package)
+    libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{package}.libs")
     try:
         names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
     except OSError:
@@ -305,8 +329,8 @@ def _openblas_threads():
     for name in names:
         try:
             lib = ctypes.CDLL(os.path.join(libs, name))
-            get = lib.scipy_openblas_get_num_threads
-            put = lib.scipy_openblas_set_num_threads
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -317,23 +341,23 @@ def _openblas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one thread of scipy's OpenBLAS, restoring the count after.
+    """Run the body on one thread of scipy's and numpy's OpenBLAS, restoring the counts after.
 
-    Threaded ``dgemm`` rounds differently from the serial one, so without the
-    pin the factor and the blocked solves would depend on the thread count.
-    Where the thread functions are not exported the body runs unpinned.
+    Threaded ``dgemm`` rounds differently from the serial one, and a threaded
+    dot product of more than 10,000 entries sums in another order, so without
+    the pin the factor, the blocked solves and the CG dot products would
+    depend on the thread count.  A library whose thread functions are not
+    exported runs unpinned.
     """
-    api = _openblas_threads()
-    if api is None:
-        yield
-        return
-    get, put = api
-    before = get()
-    put(1)
+    apis = [api for api in map(_openblas_threads, _OPENBLAS_SUFFIX) if api is not None]
+    before = [get() for get, _ in apis]
+    for _, put in apis:
+        put(1)
     try:
         yield
     finally:
-        put(before)
+        for (_, put), count in zip(apis, before):
+            put(count)
 
 
 def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -351,6 +375,8 @@ def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
     the band; the view wraps them into the neighbouring column, so one small
     product with that triangle cancels their contribution.
     """
+    from scipy.linalg.blas import dgemm, dtrsm
+
     b, n = cb.shape[0] - 1, cb.shape[1]
     flat = cb.reshape(-1, order="F")
     u = as_strided(flat[b:], shape=(n, n), strides=(8, 8 * b), writeable=False)
@@ -390,6 +416,8 @@ class _BandCholesky:
         One column goes to LAPACK's ``dpbtrs``: its BLAS-2 sweep beats the
         blocked solve's fixed costs there, and it keeps a single solve's bytes.
         """
+        from scipy.linalg import cho_solve_banded
+
         with _one_blas_thread():
             if r.shape[1] == 1:
                 return cho_solve_banded((self.cb, False), r, check_finite=False)
@@ -424,8 +452,8 @@ class LateralOperator:
     ``solve_many`` solves several bundles as one block under lockstep CG and
     applies the factor to the block with a blocked triangular solve; ``solve``
     is ``solve_many`` on one bundle, whose single column goes through
-    LAPACK's ``dpbtrs``.  The factorization and every application of the
-    factor run on one thread of scipy's OpenBLAS (see ``_one_blas_thread``).
+    LAPACK's ``dpbtrs``.  The factorization and the CG solves run on one
+    thread of scipy's OpenBLAS and of numpy's (see ``_one_blas_thread``).
     A grid whose band, ``(half_bandwidth + 1) * unknowns * 8`` bytes, exceeds
     ``reg.max_factor_gb`` is refused with ValidationError before the band is
     allocated; a matrix LAPACK finds not positive definite, or a band that
@@ -440,6 +468,9 @@ class LateralOperator:
         R: ScalarField,
         reg: Regularization,
     ):
+        import scipy.linalg
+        import scipy.sparse as sp
+
         self.geometry = geometry
         self.plan = plan
         self.p0 = p0
@@ -472,7 +503,7 @@ class LateralOperator:
             # no finiteness check, which would take a boolean copy of the band:
             # a NaN passes through the factor and stops CG at its first step
             with _one_blas_thread():
-                cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+                cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
             self._factor = _BandCholesky(cb)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
@@ -560,7 +591,8 @@ class LateralOperator:
         rhs = np.empty((self._normal.shape[0], len(bundles)), order="F")
         for j, bundle in enumerate(bundles):
             rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry, self.reg)
-        y, iterations, histories = self._pcg(rhs)
+        with _one_blas_thread():
+            y, iterations, histories = self._pcg(rhs)
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
         for j in range(len(bundles)):
@@ -591,9 +623,9 @@ def lateral_reconstruct(
 
     Deterministic for fixed inputs: the system is assembled in a fixed row
     order, Jacobi column scaling uses exact column norms, the factorization
-    runs on one thread of scipy's OpenBLAS (where its thread functions are
-    exported) so it does not depend on the BLAS thread count, and CG starts
-    from zero.
+    and CG run on one thread of scipy's and numpy's OpenBLAS (where their
+    thread functions are exported) so they do not depend on the BLAS thread
+    count, and CG starts from zero.
     """
     return LateralOperator(geometry, plan, p0, R, reg).solve(bundle)
 

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from carleman_lab import __version__, cli as cli_module, reconstruct
+from carleman_lab import __version__, cli as cli_module
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
     LEMMA1_CSV_HEADER,
@@ -250,16 +251,47 @@ def test_sweep_outputs_are_byte_identical_per_seed(tmp_path):
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
+def _child_env(**overrides):
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_at_blas_threads(path, out, threads, command="all"):
     # a fresh interpreter, since OpenBLAS reads its thread count at load time
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
          "--command", command, "--out", str(out), "--quiet"],
-        env=env, check=True, timeout=300,
+        env=_child_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
     )
+
+
+_SCIPY_MODULES_AFTER_PLAN_AND_VERIFY = """
+import json, sys
+import carleman_lab.cli as cli
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded = [scipy_modules()]
+for command in ("plan", "verify"):
+    assert cli.main(["--config", sys.argv[1], "--command", command, "--quiet"]) == 0
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_plan_and_verify_never_load_scipy(tmp_path):
+    # a fresh interpreter, since this process has scipy loaded already
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES_AFTER_PLAN_AND_VERIFY, str(path)],
+        env=_child_env(), check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert json.loads(done.stdout) == [[], [], []]
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {
+        "plan.txt", "carleman_rows.csv", "lemma1_rows.csv",
+    }
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -289,6 +321,29 @@ def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, na
     assert one.read_bytes() == two.read_bytes()
 
 
+_DOT_IN_THE_PIN = """
+import numpy as np
+from carleman_lab import reconstruct
+x, y = np.random.default_rng(0).standard_normal((2, 20412))
+with reconstruct._one_blas_thread():
+    print(float(x @ y).hex())
+"""
+
+
+def test_a_dot_product_in_the_pin_does_not_depend_on_blas_threads():
+    # 20,412 entries, the unknowns at 27^3: unpinned, numpy's OpenBLAS splits
+    # a dot product of more than 10,000 entries over its threads
+    got = [
+        subprocess.run(
+            [sys.executable, "-c", _DOT_IN_THE_PIN],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert got[0] == got[1]
+
+
 def test_seed_override_changes_rows_and_hash(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep", "--out", tmp_path / "a", "--quiet") == 0
@@ -316,7 +371,7 @@ def test_all_pipeline_emits_every_artifact(tmp_path):
 def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in (
-        (reconstruct, "cholesky_banded"),
+        (scipy.linalg, "cholesky_banded"),
         (cli_module, "plan_parameters"),
         (cli_module, "make_instance"),
     ):
@@ -395,7 +450,7 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(reconstruct, "cholesky_banded", fail)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
@@ -408,7 +463,7 @@ def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, ca
     def refuse(*args, **kwargs):
         raise AssertionError("factored before the levels were checked")
 
-    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["instance"]["noise_levels"] = [0.1, 0.01, 0.001]
     path = write_config(tmp_path, cfg)
@@ -420,7 +475,7 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["solver"]["max_factor_gb"] = 1e-3
     path = write_config(tmp_path, cfg)
@@ -435,7 +490,7 @@ def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
     def nan_factor(ab, **kwargs):
         return np.full_like(ab, np.nan)
 
-    monkeypatch.setattr(reconstruct, "cholesky_banded", nan_factor)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", nan_factor)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep") == 2
     err = capsys.readouterr().err

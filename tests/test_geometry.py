@@ -14,6 +14,7 @@ from carleman_lab.geometry import (
     diff_array,
     diff_matrix,
     discrete_norm,
+    discrete_norms,
     dt,
     dxn,
     dxn2,
@@ -108,6 +109,15 @@ def test_field_copies_and_leaves_the_callers_array_writable():
     a[0, 0, 0] = 1.0
     assert u.values[0, 0, 0] == 0.0
     assert not u.values.flags.writeable
+
+
+def test_diff_and_trace_results_are_read_only_and_own_their_memory():
+    g = small_geometry()
+    u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp * xn + t)
+    for out in (diff(u, "xn", 1), diff(u, "t", 2), trace(u, Face.GAMMA_SIDE),
+                trace(u, Face.T_PLUS_DELTA)):
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, u.values)
 
 
 def test_from_function_samples_tensor_grid():
@@ -328,6 +338,18 @@ def test_surface_norms_are_ordered_and_need_two_axes():
     w = ScalarField.zeros(g, FieldKind.SPACE_TIME)
     with pytest.raises(ValidationError, match="two-axis"):
         discrete_norm(w, kind=NormKind.H1_SURFACE)
+
+
+@pytest.mark.parametrize("region", [None, Region(xp=(0.5, 1.0), t=(-0.5, 0.5))])
+def test_stacked_norms_carry_the_bits_of_each_field_alone(region):
+    g = small_geometry(nx_prime=21, nt=21)
+    kind = FieldKind.CROSS_SECTION_TIME
+    stack = np.random.default_rng(3).standard_normal((3, *g.shape(kind)))
+    for norm in NormKind:
+        alone = [discrete_norm(ScalarField(g, a, kind), region, norm) for a in stack]
+        assert discrete_norms(g, kind, stack, region, norm) == alone
+    with pytest.raises(ValidationError, match="does not hold fields of shape"):
+        discrete_norms(g, FieldKind.SPACE_ONLY, stack)
 
 
 def test_norm_is_deterministic():

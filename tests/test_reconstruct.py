@@ -18,6 +18,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -404,6 +405,21 @@ def test_the_blas_thread_pin_is_active():
         put(before)
 
 
+def test_the_numpy_blas_thread_pin_is_active():
+    # numpy's own OpenBLAS computes the dot products and norms of CG
+    api = reconstruct._openblas_threads("numpy")
+    assert api is not None, "numpy's OpenBLAS exports no thread-count functions"
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        with reconstruct._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        put(before)
+
+
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
     op = small_operator
     normal = op._normal.toarray()
@@ -429,7 +445,7 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(reconstruct, "cholesky_banded", refuse)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
     # 2,028 unknowns, half-bandwidth 492: 493 * 2028 * 8 bytes

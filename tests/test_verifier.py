@@ -17,9 +17,13 @@ import pytest
 from carleman_lab.errors import ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
+    Face,
     FieldKind,
     GammaSide,
+    NormKind,
     ScalarField,
+    discrete_norm,
+    trace,
 )
 from carleman_lab.verifier import (
     CarlemanReport,
@@ -29,6 +33,7 @@ from carleman_lab.verifier import (
     smooth_corpus,
     verify_carleman,
 )
+from carleman_lab.weight import phi_field
 
 
 def ext_square(n=33, nt=5):
@@ -302,6 +307,23 @@ def test_verify_rows_equal_carleman_sides(worked_plan, with_p0):
         for name in ("s", "lhs", "residual", "lateral_grad", "lateral_val",
                      "trace_h2", "terminal_grad", "terminal_val", "log_scale"):
             assert getattr(got, name) == getattr(want, name), name
+
+
+def test_trace_h2_is_the_sum_of_the_face_norms_one_at_a_time(worked_plan):
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 9, 13, 7, extended=True)
+    corpus = smooth_corpus(2, seed=5, kind=FieldKind.SPACE_TIME)
+    report = verify_carleman(worked_plan, corpus, (2, 3.5, 8), geometry=g)
+    phi = phi_field(worked_plan, g).values
+    faces = (Face.GAMMA_SIDE, Face.OPPOSITE_SIDE, Face.XN_ELL, Face.XN_NEG_ELL)
+    assert len(report.rows) == 2 * 3
+    for i, sides in report.rows:
+        u = corpus[i].sample(g)
+        s = sides.s
+        eh = ScalarField(g, np.exp(s * (phi - np.max(phi))), FieldKind.SPACE_TIME)
+        weighted = [trace(u, f).with_values(trace(u, f).values * trace(eh, f).values)
+                    for f in faces]
+        want = sum(discrete_norm(w, kind=NormKind.H2_SURFACE) ** 2 for w in weighted) / s
+        assert sides.trace_h2 == want
 
 
 def test_verify_checks_strengths_before_sampling(worked_plan, monkeypatch):
