@@ -56,7 +56,7 @@ from .reconstruct import (
     write_sweep_csv,
 )
 from .verifier import lemma1_residual, smooth_corpus, verify_carleman
-from .weight import DMode, WeightPlan, build_d, plan_parameters, plan_report, region_family
+from .weight import WeightPlan, build_d, plan_parameters, plan_report, region_family
 
 __all__ = [
     "ExperimentConfig",
@@ -158,9 +158,8 @@ class ExperimentConfig:
         # only the keys the block sets, so the planner's defaults apply to the rest
         options = {key: float(wb[key]) for key in ("lam", "margin", "delta0") if key in wb}
         if has_window:
-            d, _ = build_d(geometry, DMode.EXPLICIT_INTERVAL)
             lo, hi = (float(v) for v in wb["D0"])
-            return plan_parameters(d, (lo, hi), **options)
+            return plan_parameters(build_d(geometry), (lo, hi), **options)
         if "delta0" in wb:
             raise ValidationError(
                 "delta0 applies to the explicit 'D0' form; the collar search sets its own time level"
@@ -215,11 +214,17 @@ class ExperimentConfig:
         return merged
 
 
+def _refuse_constant(literal: str):
+    # json.loads takes the non-standard NaN and Infinity literals, and a NaN
+    # passes every numeric bound of the schema
+    raise ValidationError(f"config is not valid JSON: non-standard literal {literal} refused")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read, parse, and schema-validate a configuration file."""
     data = Path(path).read_bytes()
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

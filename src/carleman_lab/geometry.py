@@ -44,8 +44,8 @@ __all__ = [
     "dt",
     "dxp2",
     "dxn2",
-    "dt2",
     "laplacian",
+    "face_index",
     "trace",
     "time_slice",
     "axis_weights",
@@ -366,10 +366,6 @@ def dxn2(u: ScalarField) -> ScalarField:
     return diff(u, "xn", 2)
 
 
-def dt2(u: ScalarField) -> ScalarField:
-    return diff(u, "t", 2)
-
-
 def laplacian(u: ScalarField) -> ScalarField:
     """Spatial Laplacian (cross-section plus axial second derivatives)."""
     if "xp" not in u.axes or "xn" not in u.axes:
@@ -411,32 +407,34 @@ def _slice_axis(u: ScalarField, axis: str, index: int) -> ScalarField:
     return ScalarField._adopt(u.geometry, values, out_kind)
 
 
-def trace(u: ScalarField, face: Face) -> ScalarField:
-    """Restrict a field to one face of its domain.
+def face_index(g: CylinderGeometry, face: Face) -> tuple[str, int]:
+    """The axis a face drops and the node index it keeps on that axis.
 
-    Axial faces drop the ``xn`` axis, lateral faces drop ``xp``, terminal
-    faces drop ``t``.  ``XN_NEG_ELL`` exists only on extended geometries.
+    Axial faces drop ``xn``, lateral faces drop ``xp``, terminal faces drop
+    ``t``.  ``XN_NEG_ELL`` exists only on extended geometries.
     """
-    g = u.geometry
     if face is Face.XN_ZERO:
-        return _slice_axis(u, "xn", g.xn_zero_index)
+        return "xn", g.xn_zero_index
     if face is Face.XN_ELL:
-        return _slice_axis(u, "xn", g.nx_n - 1)
+        return "xn", g.nx_n - 1
     if face is Face.XN_NEG_ELL:
         if not g.extended:
             raise ValidationError("face XN_NEG_ELL requires an extended geometry")
-        return _slice_axis(u, "xn", 0)
+        return "xn", 0
     if face is Face.GAMMA_SIDE:
-        idx = g.nx_prime - 1 if g.gamma_side is GammaSide.HI else 0
-        return _slice_axis(u, "xp", idx)
+        return "xp", g.nx_prime - 1 if g.gamma_side is GammaSide.HI else 0
     if face is Face.OPPOSITE_SIDE:
-        idx = 0 if g.gamma_side is GammaSide.HI else g.nx_prime - 1
-        return _slice_axis(u, "xp", idx)
+        return "xp", 0 if g.gamma_side is GammaSide.HI else g.nx_prime - 1
     if face is Face.T_PLUS_DELTA:
-        return _slice_axis(u, "t", g.nt - 1)
+        return "t", g.nt - 1
     if face is Face.T_MINUS_DELTA:
-        return _slice_axis(u, "t", 0)
+        return "t", 0
     raise ValidationError(f"unknown face {face!r}")
+
+
+def trace(u: ScalarField, face: Face) -> ScalarField:
+    """Restrict a field to one face of its domain (see ``face_index``)."""
+    return _slice_axis(u, *face_index(u.geometry, face))
 
 
 def time_slice(u: ScalarField, t_value: float) -> ScalarField:

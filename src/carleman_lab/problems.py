@@ -31,11 +31,10 @@ from .geometry import (
     GammaSide,
     NormKind,
     ScalarField,
+    diff,
     discrete_norm,
     dt,
-    dt2,
     dxn,
-    dxn2,
     dxp,
     laplacian,
     trace,
@@ -196,16 +195,30 @@ class Recipe:
 
 # ---- instances -----------------------------------------------------------------
 
-BUNDLE_CHANNELS = ("y", "y_xp", "y_xn", "y_t", "y_xnxn", "y_xnt", "y_tt")
+# The lateral data channels in their fixed order, each with the derivative
+# steps (axis, order) applied left to right to y = du/dx_n before the trace on
+# the data side.  ``make_bundle`` and the Cauchy rows of the lateral solver
+# both read this table.
+BUNDLE_CHANNELS = {
+    "y": (),
+    "y_xp": (("xp", 1),),
+    "y_xn": (("xn", 1),),
+    "y_t": (("t", 1),),
+    "y_xnxn": (("xn", 2),),
+    "y_xnt": (("xn", 1), ("t", 1)),
+    "y_tt": (("t", 2),),
+}
 
 
 @dataclass(frozen=True)
 class BoundaryBundle:
     """Data-side lateral traces of the axial derivative y = du/dx_n.
 
-    ``y_xp`` is the derivative normal to the face; the remaining channels are
-    tangential derivatives on the face (axial and time, up to second order).
-    Channels live on the face, so their kind is AXIAL_TIME.
+    The channels and the derivatives that make them are declared in
+    ``BUNDLE_CHANNELS``.  ``y_xp`` is the derivative normal to the face; the
+    remaining channels are tangential derivatives on the face (axial and
+    time, up to second order).  Channels live on the face, so their kind is
+    AXIAL_TIME.
     """
 
     y: ScalarField
@@ -240,19 +253,16 @@ def _ct_to_volume(field: ScalarField) -> np.ndarray:
     return field.values[:, None, :]
 
 
-def make_bundle(u: ScalarField, noise_level: float = 0.0, seed: int | None = None) -> BoundaryBundle:
+def make_bundle(u: ScalarField) -> BoundaryBundle:
     """Lateral data bundle of a solution field, by finite differences."""
     y = dxn(u)
-    ch = {
-        "y": trace(y, Face.GAMMA_SIDE),
-        "y_xp": trace(dxp(y), Face.GAMMA_SIDE),
-        "y_xn": trace(dxn(y), Face.GAMMA_SIDE),
-        "y_t": trace(dt(y), Face.GAMMA_SIDE),
-        "y_xnxn": trace(dxn2(y), Face.GAMMA_SIDE),
-        "y_xnt": trace(dt(dxn(y)), Face.GAMMA_SIDE),
-        "y_tt": trace(dt2(y), Face.GAMMA_SIDE),
-    }
-    return BoundaryBundle(noise_level=noise_level, seed=seed, **ch)
+    channels = {}
+    for name, steps in BUNDLE_CHANNELS.items():
+        c = y
+        for axis, order in steps:
+            c = diff(c, axis, order)
+        channels[name] = trace(c, Face.GAMMA_SIDE)
+    return BoundaryBundle(**channels)
 
 
 def residual_field(inst: ProblemInstance) -> ScalarField:

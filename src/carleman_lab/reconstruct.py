@@ -56,6 +56,7 @@ from .geometry import (
     diff_matrix,
     discrete_norm,
     dxn2,
+    face_index,
     quadrature_weights,
     time_slice,
     trace,
@@ -203,31 +204,32 @@ def _lateral_matrix(
     nq = nxp * nxn * nt
     nf = nxp * nt
 
-    d1p = diff_matrix(nxp, g.spacing("xp"), 1)
-    d1n = diff_matrix(nxn, g.spacing("xn"), 1)
-    d1t = diff_matrix(nt, g.spacing("t"), 1)
-    d2p = diff_matrix(nxp, g.spacing("xp"), 2)
-    d2n = diff_matrix(nxn, g.spacing("xn"), 2)
-    d2t = diff_matrix(nt, g.spacing("t"), 2)
-    i_p, i_n, i_t = sp.identity(nxp), sp.identity(nxn), sp.identity(nt)
+    # the six volume derivatives by (axis, order): the axis's stencil matrix
+    # in its slot of the Kronecker product over the axes of u
+    axes = FieldKind.SPACE_TIME.axes
+    eye = {a: sp.identity(g.axis_count(a)) for a in axes}
 
-    dxp_v = sp.kron(d1p, sp.kron(i_n, i_t), format="csr")
-    dxn_v = sp.kron(i_p, sp.kron(d1n, i_t), format="csr")
-    dt_v = sp.kron(i_p, sp.kron(i_n, d1t), format="csr")
-    dxp2_v = sp.kron(d2p, sp.kron(i_n, i_t), format="csr")
-    dxn2_v = sp.kron(i_p, sp.kron(d2n, i_t), format="csr")
-    dt2_v = sp.kron(i_p, sp.kron(i_n, d2t), format="csr")
+    def volume(axis: str, order: int) -> sp.csr_matrix:
+        m = [
+            diff_matrix(g.axis_count(a), g.spacing(a), order) if a == axis else eye[a]
+            for a in axes
+        ]
+        return sp.kron(m[0], sp.kron(m[1], m[2]), format="csr")
 
-    gamma_idx = 0 if g.gamma_side.name == "LO" else nxp - 1
-    t_gamma = sp.kron(_unit_row(nxp, gamma_idx), sp.kron(i_n, i_t), format="csr")
-    t_zero = sp.kron(i_p, sp.kron(_unit_row(nxn, g.xn_zero_index), i_t), format="csr")
+    vol = {(axis, order): volume(axis, order) for axis in axes for order in (1, 2)}
+    dxp_v, dxn_v = vol["xp", 1], vol["xn", 1]
+
+    _, gamma_idx = face_index(g, Face.GAMMA_SIDE)
+    _, zero_idx = face_index(g, Face.XN_ZERO)
+    t_gamma = sp.kron(_unit_row(nxp, gamma_idx), sp.kron(eye["xn"], eye["t"]), format="csr")
+    t_zero = sp.kron(eye["xp"], sp.kron(_unit_row(nxn, zero_idx), eye["t"]), format="csr")
 
     # PDE block with the shifted exponential weight (identically 1 at s = 0)
     phi = phi_field(plan, g).values
     eh = np.exp(reg.carleman_s * (phi - np.max(phi))).ravel()
     wq = np.sqrt(quadrature_weights(g, FieldKind.SPACE_TIME).ravel())
     p0_vol = np.broadcast_to(p0.values[:, None, :], (nxp, nxn, nt)).ravel()
-    heat = dt_v - dxp2_v - dxn2_v - sp.diags(p0_vol)
+    heat = vol["t", 1] - vol["xp", 2] - vol["xn", 2] - sp.diags(p0_vol)
     idx = np.indices((nxp, nxn, nt))
     f_cols = (idx[0] * nt + idx[2]).ravel()
     r_map = sp.csr_matrix(
@@ -236,21 +238,15 @@ def _lateral_matrix(
     pde_w = sp.diags(wq * eh)
     blocks = [[pde_w @ heat, -(pde_w @ r_map)]]
 
-    # Cauchy mismatch rows, one block per recorded channel
-    y_op = dxn_v
-    channel_ops = {
-        "y": t_gamma @ y_op,
-        "y_xp": t_gamma @ (dxp_v @ y_op),
-        "y_xn": t_gamma @ (dxn_v @ y_op),
-        "y_t": t_gamma @ (dt_v @ y_op),
-        "y_xnxn": t_gamma @ (dxn2_v @ y_op),
-        "y_xnt": t_gamma @ (dt_v @ (dxn_v @ y_op)),
-        "y_tt": t_gamma @ (dt2_v @ y_op),
-    }
+    # Cauchy mismatch rows, one block per recorded channel: the channel's
+    # derivative steps applied to y = dxn(u) in order, then the data-side trace
     w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
     cauchy_scale = sp.diags(math.sqrt(reg.cauchy_weight) * w_face)
-    for name in BUNDLE_CHANNELS:
-        blocks.append([cauchy_scale @ channel_ops[name], None])
+    for steps in BUNDLE_CHANNELS.values():
+        op = dxn_v
+        for step in steps:
+            op = vol[step] @ op
+        blocks.append([cauchy_scale @ (t_gamma @ op), None])
 
     # zero Cauchy data at the x_n = 0 face
     w0 = np.sqrt(quadrature_weights(g, FieldKind.CROSS_SECTION_TIME).ravel())

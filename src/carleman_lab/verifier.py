@@ -45,6 +45,7 @@ from .geometry import (
     dxn2,
     dxp,
     dxp2,
+    face_index,
     quadrature_weights,
     trace,
 )
@@ -254,8 +255,10 @@ def _p0_volume(p0: ScalarField | None, g: CylinderGeometry) -> np.ndarray:
 
 
 def _lateral_traces(values: np.ndarray, g: CylinderGeometry) -> tuple:
-    field = ScalarField(g, values, FieldKind.SPACE_TIME)
-    return tuple(trace(field, face).values for face in _LATERAL_FACES)
+    """The lateral faces of a SPACE_TIME array on ``g``, in ``_LATERAL_FACES`` order."""
+    faces = [face_index(g, face) for face in _LATERAL_FACES]
+    axes = FieldKind.SPACE_TIME.axes
+    return tuple(np.take(values, idx, axis=axes.index(axis)) for axis, idx in faces)
 
 
 # The sides are split by what each piece depends on: _MemberTerms only on the

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -32,12 +31,9 @@ from .geometry import (
     GammaSide,
     ScalarField,
     axis_weights,
-    diff_array,
 )
 
 __all__ = [
-    "DMode",
-    "DBuildReport",
     "build_d",
     "WeightPlan",
     "plan_parameters",
@@ -46,109 +42,29 @@ __all__ = [
     "region_family",
     "DecayResult",
     "decay_integral",
-    "psi_values",
     "phi_field",
     "plan_report",
     "load_plan_record",
 ]
 
 
-class DMode(Enum):
-    EXPLICIT_INTERVAL = "EXPLICIT_INTERVAL"
-    USER_SUPPLIED = "USER_SUPPLIED"
+def build_d(geometry: CylinderGeometry) -> ScalarField:
+    """The cross-section weight base ``d``: the distance to the far endpoint.
 
-
-@dataclass(frozen=True)
-class DBuildReport:
-    """Outcome of the discrete admissibility checks on the weight base."""
-
-    clauses: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.clauses)
-
-
-def _validate_d_nodes(geometry: CylinderGeometry, vals: np.ndarray):
-    """Check the four discrete admissibility clauses for a weight base."""
-    xp = geometry.axis_nodes("xp")
-    far = 0 if geometry.gamma_side is GammaSide.HI else len(xp) - 1
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise ValidationError("weight base is identically zero")
-    clauses = []
-
-    neg = np.nonzero(vals < -1e-12 * scale)[0]
-    clauses.append(
-        (
-            "nonnegative on the closed cross-section",
-            neg.size == 0,
-            "" if neg.size == 0 else f"d({xp[neg[0]]!r}) = {vals[neg[0]]!r}",
-        )
-    )
-
-    far_ok = abs(vals[far]) <= 1e-12 * scale
-    clauses.append(
-        (
-            "vanishes at the endpoint opposite the data side",
-            far_ok,
-            "" if far_ok else f"d({xp[far]!r}) = {vals[far]!r}",
-        )
-    )
-
-    # positivity away from that endpoint is implied by the remaining clauses
-    # (a strictly monotone nonnegative profile vanishing at one end), so it
-    # is not checked separately; the planner re-checks positivity on the
-    # observation subdomain once that subdomain is known.
-    h = geometry.spacing("xp")
-    slope = diff_array(vals, 0, h)
-    flat = np.nonzero(np.abs(slope) <= 1e-12 * scale / h)[0]
-    clauses.append(
-        (
-            "slope bounded away from zero at every node",
-            flat.size == 0,
-            "" if flat.size == 0 else f"|grad d| = {abs(slope[flat[0]])!r} at x' = {xp[flat[0]]!r}",
-        )
-    )
-    return DBuildReport(tuple(clauses))
-
-
-def build_d(
-    geometry: CylinderGeometry, mode: DMode, values=None
-) -> tuple[ScalarField, DBuildReport]:
-    """Build the cross-section weight base ``d`` and validate it.
-
-    EXPLICIT_INTERVAL uses the distance to the endpoint opposite the data
-    side, which satisfies every admissibility clause by construction.
-    USER_SUPPLIED values are validated discretely; the first violated clause
-    raises with the offending node.
+    The paper asks of ``d`` that it be positive in D, vanish on the boundary
+    of D away from the data side, and have a nonzero gradient.  On the
+    interval D the distance to the endpoint opposite the data side meets all
+    three by construction: it is 0 at that endpoint, grows linearly to the
+    width of D at the data side, and its slope is +1 or -1 everywhere.
     """
     if geometry.extended:
         raise ValidationError("weight base is planned on the physical geometry, not the extension")
     xp = geometry.axis_nodes("xp")
-    if mode is DMode.EXPLICIT_INTERVAL:
-        if values is not None:
-            raise ValidationError("EXPLICIT_INTERVAL mode does not take user values")
-        if geometry.gamma_side is GammaSide.HI:
-            vals = xp - geometry.d_lo
-        else:
-            vals = geometry.d_hi - xp
-    elif mode is DMode.USER_SUPPLIED:
-        if values is None:
-            raise ValidationError("USER_SUPPLIED mode requires nodal values for d")
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != (geometry.nx_prime,):
-            raise ValidationError(
-                f"user weight base has shape {vals.shape}, expected ({geometry.nx_prime},)"
-            )
+    if geometry.gamma_side is GammaSide.HI:
+        vals = xp - geometry.d_lo
     else:
-        raise ValidationError(f"unknown weight-base mode {mode!r}")
-
-    report = _validate_d_nodes(geometry, vals)
-    if not report.ok:
-        name, _, detail = next(c for c in report.clauses if not c[1])
-        raise ValidationError(f"weight base rejected: {name} fails ({detail})")
-    return ScalarField(geometry, vals, FieldKind.CROSS_SECTION), report
+        vals = geometry.d_hi - xp
+    return ScalarField(geometry, vals, FieldKind.CROSS_SECTION)
 
 
 @dataclass(frozen=True)
@@ -425,7 +341,7 @@ def region_family(
     if not 0 < eps <= span:
         raise ValidationError(f"epsilon0 = {eps!r} must lie in (0, {span!r}]")
 
-    d_field, _ = build_d(geometry, DMode.EXPLICIT_INTERVAL)
+    d_field = build_d(geometry)
     xp = geometry.axis_nodes("xp")
     ratio_floor = (delta1 / geometry.delta) ** 2
     hi_side = geometry.gamma_side is GammaSide.HI
@@ -480,23 +396,18 @@ def _check_same_extents(plan: WeightPlan, geometry: CylinderGeometry):
         raise ValidationError("geometry extents do not match the plan's geometry")
 
 
-def psi_values(plan: WeightPlan, geometry: CylinderGeometry) -> np.ndarray:
-    """Sample ``psi = d - alpha x_n^2 - beta t^2`` on a grid (SPACE_TIME shape)."""
+def phi_field(plan: WeightPlan, geometry: CylinderGeometry) -> ScalarField:
+    """The weight ``phi = exp(lam * psi)``, ``psi = d - alpha x_n^2 - beta t^2``, on a grid."""
     _check_same_extents(plan, geometry)
     d = _interp_d(plan.d_values, geometry.axis_nodes("xp"))
     xn = geometry.axis_nodes("xn")
     t = geometry.axis_nodes("t")
-    return (
+    psi = (
         d[:, None, None]
         - plan.alpha * (xn * xn)[None, :, None]
         - plan.beta * (t * t)[None, None, :]
     )
-
-
-def phi_field(plan: WeightPlan, geometry: CylinderGeometry) -> ScalarField:
-    """The weight ``phi = exp(lam * psi)`` sampled on a grid."""
-    vals = np.exp(plan.lam * psi_values(plan, geometry))
-    return ScalarField(geometry, vals, FieldKind.SPACE_TIME)
+    return ScalarField(geometry, np.exp(plan.lam * psi), FieldKind.SPACE_TIME)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from carleman_lab.errors import ValidationError
 from carleman_lab.geometry import CylinderGeometry, GammaSide
 from carleman_lab.problems import load_instance, make_instance, save_instance
 from carleman_lab.reconstruct import SweepReport, SweepRow, load_sweep_csv, write_sweep_csv
-from carleman_lab.weight import DMode, build_d, load_plan_record, plan_parameters, plan_report
+from carleman_lab.weight import build_d, load_plan_record, plan_parameters, plan_report
 
 # no shrink phase: a failing damage example is short already, and shrinking
 # one through the zip layer takes minutes
@@ -230,7 +230,7 @@ def test_a_missing_archive_stays_an_os_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def plan_text():
-    d, _ = build_d(TINY, DMode.EXPLICIT_INTERVAL)
+    d = build_d(TINY)
     return plan_report(plan_parameters(d, (0.5, 1.0), delta0=0.5, lam=1.0, margin=1.1))
 
 

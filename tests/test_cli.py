@@ -430,6 +430,18 @@ def test_exit_1_on_rejected_config(tmp_path, capsys):
     assert "delta0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, value):
+    cfg = base_config(tmp_path / "out")
+    cfg["verify"]["c_cap"] = value
+    path = write_config(tmp_path, cfg)  # json.dumps writes NaN, Infinity, -Infinity
+    literal = json.dumps(value)
+    assert literal in path.read_text()
+    assert cli("--config", path, "--command", "verify") == 1
+    assert f"non-standard literal {literal} refused" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_on_argparse_usage_error(tmp_path, capsys):
     assert cli("--config", tmp_path / "x.json", "--command", "bogus") == 1
     capsys.readouterr()

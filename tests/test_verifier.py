@@ -26,8 +26,10 @@ from carleman_lab.geometry import (
     trace,
 )
 from carleman_lab.verifier import (
+    _LATERAL_FACES,
     CarlemanReport,
     CorpusField,
+    _lateral_traces,
     carleman_sides,
     lemma1_residual,
     smooth_corpus,
@@ -324,6 +326,21 @@ def test_trace_h2_is_the_sum_of_the_face_norms_one_at_a_time(worked_plan):
                     for f in faces]
         want = sum(discrete_norm(w, kind=NormKind.H2_SURFACE) ** 2 for w in weighted) / s
         assert sides.trace_h2 == want
+
+
+@pytest.mark.parametrize("side", list(GammaSide))
+def test_lateral_traces_equal_the_traces_of_the_field(side):
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, side, 9, 13, 7, extended=True)
+    a = np.random.default_rng(3).standard_normal(g.shape(FieldKind.SPACE_TIME))
+    field = ScalarField(g, a, FieldKind.SPACE_TIME)
+    assert set(_LATERAL_FACES) == {
+        Face.GAMMA_SIDE, Face.OPPOSITE_SIDE, Face.XN_ELL, Face.XN_NEG_ELL
+    }
+    got = _lateral_traces(a, g)
+    assert len(got) == len(_LATERAL_FACES)
+    for face, values in zip(_LATERAL_FACES, got):
+        want = trace(field, face).values
+        assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 def test_verify_checks_strengths_before_sampling(worked_plan, monkeypatch):

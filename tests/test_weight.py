@@ -17,7 +17,6 @@ import pytest
 from carleman_lab.errors import ValidationError
 from carleman_lab.geometry import CylinderGeometry, GammaSide
 from carleman_lab.weight import (
-    DMode,
     build_d,
     compute_sigmas,
     decay_integral,
@@ -44,39 +43,15 @@ def rel(a, b):
 
 
 def test_explicit_interval_base_both_sides():
-    g_hi = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    d, report = build_d(g_hi, DMode.EXPLICIT_INTERVAL)
-    assert report.ok
-    assert d.values[0] == 0.0 and d.values[-1] == 1.0
-    g_lo = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.LO, 21, 9, 11)
-    d2, _ = build_d(g_lo, DMode.EXPLICIT_INTERVAL)
-    assert d2.values[0] == 1.0 and d2.values[-1] == 0.0
-
-
-def test_user_supplied_base_matching_explicit_passes():
-    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    d, _ = build_d(g, DMode.USER_SUPPLIED, values=np.linspace(0.0, 1.0, 21))
-    assert np.array_equal(d.values, np.linspace(0.0, 1.0, 21))
-
-
-def test_user_supplied_base_with_flat_spot_is_rejected():
-    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    xp = np.linspace(0.0, 1.0, 21)
-    with pytest.raises(ValidationError, match="slope") as e:
-        build_d(g, DMode.USER_SUPPLIED, values=xp * (1.0 - xp))
-    assert "0.5" in str(e.value)
-
-
-def test_user_supplied_base_must_vanish_opposite_the_data_side():
-    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    with pytest.raises(ValidationError, match="vanishes at the endpoint"):
-        build_d(g, DMode.USER_SUPPLIED, values=np.linspace(0.5, 1.0, 21))
-
-
-def test_user_supplied_base_rejects_negative_values():
-    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        build_d(g, DMode.USER_SUPPLIED, values=np.linspace(-0.2, 1.0, 21))
+    # the paper's conditions on d, on the nodes: zero at the endpoint opposite
+    # the data side, and strictly monotone, hence positive everywhere else
+    for side, far, gamma, sign in ((GammaSide.HI, 0, -1, 1.0), (GammaSide.LO, -1, 0, -1.0)):
+        g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, side, 21, 9, 11)
+        d = build_d(g).values
+        assert d[far] == 0.0 and d[gamma] == 1.0
+        assert np.all(sign * np.diff(d) > 0.0)
+        with pytest.raises(ValidationError, match="physical geometry"):
+            build_d(g.extend())
 
 
 # ---- parameter selection ------------------------------------------------------
@@ -93,7 +68,7 @@ def test_plan_matches_hand_derived_values(worked_plan):
 
 def test_plan_mirrors_exactly_on_the_other_data_side():
     g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.LO, 21, 17, 21)
-    d, _ = build_d(g, DMode.EXPLICIT_INTERVAL)
+    d = build_d(g)
     plan = plan_parameters(d, (0.0, 0.5), delta0=0.7, lam=1.0, margin=1.1)
     assert rel(plan.beta, BETA) < 1e-12
     assert rel(plan.sigma0, SIGMA0) < 1e-12
@@ -120,13 +95,13 @@ def test_derived_inequalities_hold_strictly(worked_plan):
 
 
 def test_delta0_default_takes_most_of_the_bound(worked_geometry):
-    d, _ = build_d(worked_geometry, DMode.EXPLICIT_INTERVAL)
+    d = build_d(worked_geometry)
     plan = plan_parameters(d, (0.5, 1.0))
     assert rel(plan.delta0, 0.99 * DELTA0_MAX) < 1e-14
 
 
 def test_delta0_at_or_above_the_bound_is_rejected(worked_geometry):
-    d, _ = build_d(worked_geometry, DMode.EXPLICIT_INTERVAL)
+    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="delta0") as e:
         plan_parameters(d, (0.5, 1.0), delta0=0.75)
     assert repr(DELTA0_MAX) in str(e.value)
@@ -135,7 +110,7 @@ def test_delta0_at_or_above_the_bound_is_rejected(worked_geometry):
 
 
 def test_observation_block_must_touch_the_data_side(worked_geometry):
-    d, _ = build_d(worked_geometry, DMode.EXPLICIT_INTERVAL)
+    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="touch the data side"):
         plan_parameters(d, (0.5, 0.9), delta0=0.7)
     with pytest.raises(ValidationError, match="strictly away from the far end"):
@@ -143,7 +118,7 @@ def test_observation_block_must_touch_the_data_side(worked_geometry):
 
 
 def test_margin_and_lam_are_validated(worked_geometry):
-    d, _ = build_d(worked_geometry, DMode.EXPLICIT_INTERVAL)
+    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="margin"):
         plan_parameters(d, (0.5, 1.0), delta0=0.7, margin=1.0)
     with pytest.raises(ValidationError, match="lam"):
@@ -171,7 +146,7 @@ def test_aligned_plan_is_stable_under_refinement(worked_plan):
 
 
 def test_misaligned_observation_corner_warns(worked_geometry):
-    d, _ = build_d(worked_geometry, DMode.EXPLICIT_INTERVAL)
+    d = build_d(worked_geometry)
     with pytest.warns(UserWarning, match="refine the grid or align"):
         plan_parameters(d, (0.5231, 1.0), delta0=0.7)
 
