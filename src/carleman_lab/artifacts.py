@@ -50,7 +50,7 @@ def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str
             raise ValidationError(f"footer entry {key!r}: {value!r} would not read back")
     stream.write(header + "\n")
     for row in rows:
-        cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
+        cells = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
         stream.write(",".join(cells) + "\n")
     for key, value in footer.items():
         stream.write(f"{key}={value}\n")

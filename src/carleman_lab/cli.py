@@ -23,6 +23,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -56,6 +57,7 @@ from .reconstruct import (
     write_sweep_csv,
 )
 from .verifier import lemma1_residual, smooth_corpus, verify_carleman
+# build_d is unused here; perfbench/traced_cli.py hooks this name
 from .weight import WeightPlan, build_d, plan_parameters, plan_report, region_family
 
 __all__ = [
@@ -147,7 +149,7 @@ class ExperimentConfig:
             nt=int(gb["nt"]),
         )
 
-    def weight_plan(self, geometry: CylinderGeometry):
+    def weight_plan(self, geometry: CylinderGeometry) -> WeightPlan:
         wb = self._block("weight")
         has_window = "D0" in wb
         has_region = "region" in wb
@@ -159,20 +161,19 @@ class ExperimentConfig:
         options = {key: float(wb[key]) for key in ("lam", "margin", "delta0") if key in wb}
         if has_window:
             lo, hi = (float(v) for v in wb["D0"])
-            return plan_parameters(build_d(geometry), (lo, hi), **options)
+            return plan_parameters(geometry, (lo, hi), **options)
         if "delta0" in wb:
             raise ValidationError(
                 "delta0 applies to the explicit 'D0' form; the collar search sets its own time level"
             )
         rb = wb["region"]
-        fam = region_family(
+        return region_family(
             geometry,
             float(rb["delta1"]),
             float(rb["x0_prime"]),
             None if rb.get("epsilon0") is None else float(rb["epsilon0"]),
             **options,
         )
-        return fam.plan
 
     def _profile(self, factory, spec: Mapping) -> object:
         params = dict(spec.get("params", {}))
@@ -220,11 +221,27 @@ def _refuse_constant(literal: str):
     raise ValidationError(f"config is not valid JSON: non-standard literal {literal} refused")
 
 
+def _finite(kind: type):
+    # json.loads reads 1e999 as inf, and an integer past the float range
+    # overflows where the config converts it to a float
+    def parse(literal: str):
+        if not math.isfinite(float(literal)):
+            raise ValidationError(f"config rejected: number literal {literal} overflows a float")
+        return kind(literal)
+
+    return parse
+
+
 def load_config(path) -> ExperimentConfig:
     """Read, parse, and schema-validate a configuration file."""
     data = Path(path).read_bytes()
     try:
-        raw = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
+        raw = json.loads(
+            data.decode("utf-8"),
+            parse_constant=_refuse_constant,
+            parse_float=_finite(float),
+            parse_int=_finite(int),
+        )
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -313,6 +313,34 @@ def _validate_instance(inst: ProblemInstance, trace_tol: float):
         )
 
 
+def _validated_instance(
+    u: ScalarField,
+    f: ScalarField,
+    R: ScalarField,
+    p0: ScalarField,
+    provenance: dict,
+    trace_tol: float,
+) -> ProblemInstance:
+    """The instance of ``u`` with its lateral data and summaries, once it passes the checks."""
+    inst = ProblemInstance(
+        geometry=u.geometry,
+        u=u,
+        f=f,
+        R=R,
+        p0=p0,
+        data=make_bundle(u),
+        d_of_u=math.nan,
+        apriori_bound=math.nan,
+        provenance=provenance,
+    )
+    _validate_instance(inst, trace_tol)
+    return replace(
+        inst,
+        d_of_u=compute_data_functional(inst),
+        apriori_bound=compute_apriori_bound(inst),
+    )
+
+
 def make_instance(geometry: CylinderGeometry, recipe: Recipe) -> ProblemInstance:
     """Build a manufactured instance on the physical (non-extended) cylinder.
 
@@ -370,24 +398,7 @@ def make_instance(geometry: CylinderGeometry, recipe: Recipe) -> ProblemInstance
     f = ScalarField(geometry, fv, FieldKind.CROSS_SECTION_TIME)
     p0 = ScalarField(geometry, p0v, FieldKind.CROSS_SECTION_TIME)
 
-    bundle = make_bundle(u)
-    inst = ProblemInstance(
-        geometry=geometry,
-        u=u,
-        f=f,
-        R=R,
-        p0=p0,
-        data=bundle,
-        d_of_u=math.nan,
-        apriori_bound=math.nan,
-        provenance=recipe.provenance(),
-    )
-    _validate_instance(inst, trace_tol=1e-12)
-    return replace(
-        inst,
-        d_of_u=compute_data_functional(inst),
-        apriori_bound=compute_apriori_bound(inst),
-    )
+    return _validated_instance(u, f, R, p0, recipe.provenance(), trace_tol=1e-12)
 
 
 def add_noise(inst: ProblemInstance, level: float, seed: int) -> ProblemInstance:
@@ -444,8 +455,7 @@ def coefficient_reduction(
             raise ValidationError(f"{name} must have kind {kind.name}, got {fld.kind.name}")
         if fld.geometry != v_p.geometry:
             raise ValidationError(f"{name} lives on a different geometry than v_p")
-    g = v_p.geometry
-    if g.extended:
+    if v_p.geometry.extended:
         raise ValidationError("coefficient reduction runs on the physical cylinder")
 
     scale = max(v_p.max_abs(), v_q.max_abs(), 1e-30)
@@ -467,25 +477,8 @@ def coefficient_reduction(
             f"|v_q| drops to {face_min:.3e} on x_n = 0, below the floor alpha0 = {alpha0:g}"
         )
 
-    u = v_p - v_q
-    f = p - q
-    inst = ProblemInstance(
-        geometry=g,
-        u=u,
-        f=f,
-        R=v_q,
-        p0=p,
-        data=make_bundle(u),
-        d_of_u=math.nan,
-        apriori_bound=math.nan,
-        provenance={"kind": "coefficient_reduction", "alpha0": alpha0},
-    )
-    _validate_instance(inst, trace_tol=1e-10)
-    return replace(
-        inst,
-        d_of_u=compute_data_functional(inst),
-        apriori_bound=compute_apriori_bound(inst),
-    )
+    provenance = {"kind": "coefficient_reduction", "alpha0": alpha0}
+    return _validated_instance(v_p - v_q, p - q, v_q, p, provenance, trace_tol=1e-10)
 
 
 # ---- scalar summaries -----------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "WeightPlan",
     "plan_parameters",
     "compute_sigmas",
-    "RegionFamily",
     "region_family",
     "DecayResult",
     "decay_integral",
@@ -55,10 +54,9 @@ def build_d(geometry: CylinderGeometry) -> ScalarField:
     of D away from the data side, and have a nonzero gradient.  On the
     interval D the distance to the endpoint opposite the data side meets all
     three by construction: it is 0 at that endpoint, grows linearly to the
-    width of D at the data side, and its slope is +1 or -1 everywhere.
+    width of D at the data side, and its slope is +1 or -1 everywhere.  It
+    depends on x' alone, so an extended geometry gives the same values.
     """
-    if geometry.extended:
-        raise ValidationError("weight base is planned on the physical geometry, not the extension")
     xp = geometry.axis_nodes("xp")
     if geometry.gamma_side is GammaSide.HI:
         vals = xp - geometry.d_lo
@@ -75,12 +73,12 @@ class WeightPlan:
     cross-section for ordinary plans, a collar near the data side for region
     plans).  ``D0_lo/hi`` is the observation subdomain, touching the data
     side of the window.  ``include_far_face`` records whether the window's
-    far face entered the ``sigma1`` maximization; region plans exclude it
-    because that face is interior to the physical cross-section.
+    far face entered the ``sigma1`` maximization: it does when the window
+    reaches the far end of the cross-section, and not for a collar, whose far
+    face is interior to the physical cross-section.
     """
 
     geometry: CylinderGeometry
-    d_values: ScalarField
     domain_lo: float
     domain_hi: float
     D0_lo: float
@@ -95,12 +93,7 @@ class WeightPlan:
     sigma0: float
     sigma1: float
     c0: float
-    include_far_face: bool = True
-
-
-def _interp_d(plan_d: ScalarField, xp: np.ndarray) -> np.ndarray:
-    src = plan_d.geometry.axis_nodes("xp")
-    return np.interp(xp, src, plan_d.values)
+    include_far_face: bool
 
 
 def _mask(nodes: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
@@ -120,7 +113,7 @@ def compute_sigmas(
     """
     g = geometry if geometry is not None else plan.geometry
     xp = g.axis_nodes("xp")
-    d = _interp_d(plan.d_values, xp)
+    d = build_d(g).values
     t = g.axis_nodes("t")
     xn = (g if g.extended else g.extend()).axis_nodes("xn")
     tol = 1e-9 * max(1.0, g.d_hi - g.d_lo, 2.0 * g.delta)
@@ -152,21 +145,21 @@ def compute_sigmas(
 
 
 def plan_parameters(
-    d: ScalarField,
+    geometry: CylinderGeometry,
     D0: tuple[float, float],
     *,
     delta0: float | None = None,
     lam: float = 1.0,
     margin: float = 1.1,
     domain: tuple[float, float] | None = None,
-    include_far_face: bool = True,
     warn_on_drift: bool = True,
 ) -> WeightPlan:
     """Select admissible Carleman parameters over a cross-section window.
 
     The steps, each guarded by an explicit check:
 
-    1. ``d0`` = min of d on the observation block, ``d1`` = max on the window.
+    1. ``d0`` = min of ``d = build_d(geometry)`` on the observation block,
+       ``d1`` = max on the window.
     2. ``delta0`` must satisfy ``delta0 < sqrt(d0/d1) * delta`` strictly;
        the default takes 99 percent of that bound.
     3. ``beta`` is the midpoint of its admissible open interval
@@ -178,9 +171,9 @@ def plan_parameters(
     6. ``sigma0 > sigma1`` must hold on the grid, and a one-step refinement
        must not move either level by more than 1 percent (else a warning).
     """
-    if d.kind is not FieldKind.CROSS_SECTION:
-        raise ValidationError(f"weight base must be a CROSS_SECTION field, got {d.kind.name}")
-    g = d.geometry
+    g = geometry
+    if g.extended:
+        raise ValidationError("weight base is planned on the physical geometry, not the extension")
     xp = g.axis_nodes("xp")
     tol = 1e-9 * max(1.0, g.d_hi - g.d_lo)
 
@@ -219,13 +212,9 @@ def plan_parameters(
     if mwin.sum() < 2 or md0.sum() < 2:
         raise ValidationError("planning window or observation subdomain holds fewer than two nodes")
 
-    d0 = float(np.min(d.values[md0]))
-    d1 = float(np.max(d.values[mwin]))
-    if d0 <= 0:
-        i = int(np.nonzero(md0)[0][np.argmin(d.values[md0])])
-        raise ValidationError(
-            f"weight base is not positive on the observation subdomain: d({xp[i]!r}) = {d.values[i]!r}"
-        )
+    d = build_d(g).values
+    d0 = float(np.min(d[md0]))
+    d1 = float(np.max(d[mwin]))
 
     delta = g.delta
     delta0_max = math.sqrt(d0 / d1) * delta
@@ -258,7 +247,6 @@ def plan_parameters(
 
     plan = WeightPlan(
         geometry=g,
-        d_values=d,
         domain_lo=dom_lo,
         domain_hi=dom_hi,
         D0_lo=lo0,
@@ -273,7 +261,7 @@ def plan_parameters(
         sigma0=math.nan,
         sigma1=math.nan,
         c0=math.nan,
-        include_far_face=include_far_face,
+        include_far_face=abs(far - (g.d_lo if hi_is_gamma else g.d_hi)) <= tol,
     )
     sigma0, sigma1, c0 = compute_sigmas(plan)
     if not sigma1 < sigma0:
@@ -297,16 +285,6 @@ def plan_parameters(
 # ---- family of shrinking observation regions --------------------------------
 
 
-@dataclass(frozen=True)
-class RegionFamily:
-    """A collar window near the data side admissible for a given time level."""
-
-    d_tilde: tuple[float, float]
-    d1: tuple[float, float]
-    epsilon: float
-    plan: WeightPlan
-
-
 def region_family(
     geometry: CylinderGeometry,
     delta1: float,
@@ -315,15 +293,16 @@ def region_family(
     *,
     lam: float = 1.0,
     margin: float = 1.1,
-) -> RegionFamily:
-    """Find the widest admissible collar for recovery up to time level delta1.
+) -> WeightPlan:
+    """Plan on the widest admissible collar for recovery up to time level delta1.
 
     Starting from ``epsilon0`` and halving, accept the first half-width
     ``eps`` whose collar ``D_tilde`` (width ``2 eps``) and inner block ``D1``
     (width ``eps``) satisfy ``(delta1/delta)^2 < d0/d1 < 1`` on grid nodes,
     then delegate parameter selection to :func:`plan_parameters` on that
-    window.  The window's far face is excluded from the ``sigma1`` sets since
-    it lies inside the physical cross-section.
+    window.  The plan's ``domain_lo/hi`` is ``D_tilde`` and its ``D0_lo/hi``
+    is ``D1``.  The collar stays inside the physical cross-section, so its
+    far face is left out of the ``sigma1`` sets.
     """
     span = geometry.d_hi - geometry.d_lo
     tol = 1e-9 * max(1.0, span)
@@ -341,7 +320,7 @@ def region_family(
     if not 0 < eps <= span:
         raise ValidationError(f"epsilon0 = {eps!r} must lie in (0, {span!r}]")
 
-    d_field = build_d(geometry)
+    d = build_d(geometry).values
     xp = geometry.axis_nodes("xp")
     ratio_floor = (delta1 / geometry.delta) ** 2
     hi_side = geometry.gamma_side is GammaSide.HI
@@ -363,20 +342,16 @@ def region_family(
             mwin = _mask(xp, window[0], window[1], tol)
             mblk = _mask(xp, block[0], block[1], tol)
             if mwin.sum() >= 2 and mblk.sum() >= 2:
-                dt0 = float(np.min(d_field.values[mblk]))
-                dt1 = float(np.max(d_field.values[mwin]))
-                if ratio_floor < dt0 / dt1 < 1.0:
-                    plan = plan_parameters(
-                        d_field,
+                if ratio_floor < float(np.min(d[mblk])) / float(np.max(d[mwin])) < 1.0:
+                    return plan_parameters(
+                        geometry,
                         block,
                         delta0=delta1,
                         lam=lam,
                         margin=margin,
                         domain=window,
-                        include_far_face=False,
                         warn_on_drift=False,
                     )
-                    return RegionFamily(d_tilde=window, d1=block, epsilon=eps, plan=plan)
         eps *= 0.5
 
 
@@ -399,7 +374,7 @@ def _check_same_extents(plan: WeightPlan, geometry: CylinderGeometry):
 def phi_field(plan: WeightPlan, geometry: CylinderGeometry) -> ScalarField:
     """The weight ``phi = exp(lam * psi)``, ``psi = d - alpha x_n^2 - beta t^2``, on a grid."""
     _check_same_extents(plan, geometry)
-    d = _interp_d(plan.d_values, geometry.axis_nodes("xp"))
+    d = build_d(geometry).values
     xn = geometry.axis_nodes("xn")
     t = geometry.axis_nodes("t")
     psi = (
@@ -437,7 +412,7 @@ def decay_integral(plan: WeightPlan, s: float, geometry: CylinderGeometry | None
     xp = g.axis_nodes("xp")
     tol = 1e-9 * max(1.0, g.d_hi - g.d_lo)
     mwin = _mask(xp, plan.domain_lo, plan.domain_hi, tol)
-    d = _interp_d(plan.d_values, xp)[mwin]
+    d = build_d(g).values[mwin]
     t = g.axis_nodes("t")
 
     base = np.exp(plan.lam * (d[:, None] - plan.beta * (t * t)[None, :]))

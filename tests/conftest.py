@@ -7,7 +7,7 @@ from carleman_lab.problems import (
     cross_time_profile,
     make_instance,
 )
-from carleman_lab.weight import build_d, plan_parameters
+from carleman_lab.weight import plan_parameters
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +21,7 @@ def worked_geometry():
 
 @pytest.fixture(scope="session")
 def worked_plan(worked_geometry):
-    d = build_d(worked_geometry)
-    return plan_parameters(d, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
+    return plan_parameters(worked_geometry, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ from carleman_lab.reconstruct import (
     write_sweep_csv,
 )
 from carleman_lab.verifier import lemma1_residual, smooth_corpus, verify_carleman
-from carleman_lab.weight import build_d, decay_integral, plan_parameters
+from carleman_lab.weight import decay_integral, plan_parameters
 
 NOISE_LEVELS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 SWEEP_SEED = 0
@@ -240,8 +240,7 @@ def test_criterion_5_oracle_trace_reconstruction(worked_geometry, quartic_recipe
 def test_criterion_6_lateral_noiseless_accuracy(quartic_recipe, capsys):
     g = interval_geometry(33, 33, 33)
     inst = make_instance(g, quartic_recipe)
-    d = build_d(g)
-    plan = plan_parameters(d, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
+    plan = plan_parameters(g, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
     f_oracle = oracle_trace_reconstruct(inst.u, inst.R)
 
     gaps = []

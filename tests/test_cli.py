@@ -206,6 +206,18 @@ def test_plan_command_reproduces_worked_values(tmp_path):
     assert record["config_hash"] == load_config(path).config_hash
 
 
+def test_plan_command_writes_the_region_collar(tmp_path):
+    cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
+    cfg["weight"] = {"region": {"delta1": 0.1, "x0_prime": 1.0}}
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "plan", "--quiet") == 0
+    record = load_plan_record((tmp_path / "out" / "plan.txt").read_text())
+    assert record["include_far_face"] is False
+    assert (record["domain_lo"], record["domain_hi"]) == (0.5, 1.0)
+    assert (record["D0_lo"], record["D0_hi"]) == (0.75, 1.0)
+    assert record["delta0"] == 0.1
+
+
 def test_verify_command_tables_roundtrip(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "verify", "--quiet") == 0
@@ -430,15 +442,25 @@ def test_exit_1_on_rejected_config(tmp_path, capsys):
     assert "delta0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        pytest.param("NaN", "non-standard literal NaN refused", id="nan"),
+        pytest.param("Infinity", "non-standard literal Infinity refused", id="inf"),
+        pytest.param("-Infinity", "non-standard literal -Infinity refused", id="-inf"),
+        # json.loads reads these as +-inf, or as an int no float can hold
+        pytest.param("1e999", "number literal 1e999 overflows a float", id="1e999"),
+        pytest.param("-1e999", "number literal -1e999 overflows a float", id="-1e999"),
+        pytest.param("9" * 400, f"number literal {'9' * 400} overflows", id="400-digit-int"),
+    ],
+)
+def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, literal, message):
     cfg = base_config(tmp_path / "out")
-    cfg["verify"]["c_cap"] = value
-    path = write_config(tmp_path, cfg)  # json.dumps writes NaN, Infinity, -Infinity
-    literal = json.dumps(value)
-    assert literal in path.read_text()
+    cfg["verify"]["c_cap"] = "LITERAL"
+    path = write_config(tmp_path, cfg)
+    path.write_text(path.read_text().replace('"LITERAL"', literal))
     assert cli("--config", path, "--command", "verify") == 1
-    assert f"non-standard literal {literal} refused" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -53,14 +53,13 @@ from carleman_lab.reconstruct import (
     stability_sweep,
     write_sweep_csv,
 )
-from carleman_lab.weight import build_d, plan_parameters
+from carleman_lab.weight import plan_parameters
 
 SWEEP_LEVELS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
 def make_plan(geometry):
-    d = build_d(geometry)
-    return plan_parameters(d, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
+    return plan_parameters(geometry, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
 
 
 @pytest.fixture(scope="module")

@@ -44,14 +44,17 @@ def rel(a, b):
 
 def test_explicit_interval_base_both_sides():
     # the paper's conditions on d, on the nodes: zero at the endpoint opposite
-    # the data side, and strictly monotone, hence positive everywhere else
+    # the data side, and strictly monotone, hence positive everywhere else;
+    # d depends on x' alone, but the planner works on the physical geometry
     for side, far, gamma, sign in ((GammaSide.HI, 0, -1, 1.0), (GammaSide.LO, -1, 0, -1.0)):
         g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, side, 21, 9, 11)
         d = build_d(g).values
         assert d[far] == 0.0 and d[gamma] == 1.0
         assert np.all(sign * np.diff(d) > 0.0)
+        assert build_d(g.extend()).values.tobytes() == d.tobytes()
+        D0 = (0.5, 1.0) if side is GammaSide.HI else (0.0, 0.5)
         with pytest.raises(ValidationError, match="physical geometry"):
-            build_d(g.extend())
+            plan_parameters(g.extend(), D0, delta0=0.7)
 
 
 # ---- parameter selection ------------------------------------------------------
@@ -68,8 +71,7 @@ def test_plan_matches_hand_derived_values(worked_plan):
 
 def test_plan_mirrors_exactly_on_the_other_data_side():
     g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.LO, 21, 17, 21)
-    d = build_d(g)
-    plan = plan_parameters(d, (0.0, 0.5), delta0=0.7, lam=1.0, margin=1.1)
+    plan = plan_parameters(g, (0.0, 0.5), delta0=0.7, lam=1.0, margin=1.1)
     assert rel(plan.beta, BETA) < 1e-12
     assert rel(plan.sigma0, SIGMA0) < 1e-12
     assert plan.sigma1 == SIGMA1
@@ -95,47 +97,30 @@ def test_derived_inequalities_hold_strictly(worked_plan):
 
 
 def test_delta0_default_takes_most_of_the_bound(worked_geometry):
-    d = build_d(worked_geometry)
-    plan = plan_parameters(d, (0.5, 1.0))
+    plan = plan_parameters(worked_geometry, (0.5, 1.0))
     assert rel(plan.delta0, 0.99 * DELTA0_MAX) < 1e-14
 
 
 def test_delta0_at_or_above_the_bound_is_rejected(worked_geometry):
-    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="delta0") as e:
-        plan_parameters(d, (0.5, 1.0), delta0=0.75)
+        plan_parameters(worked_geometry, (0.5, 1.0), delta0=0.75)
     assert repr(DELTA0_MAX) in str(e.value)
     with pytest.raises(ValidationError, match="delta0"):
-        plan_parameters(d, (0.5, 1.0), delta0=DELTA0_MAX)
+        plan_parameters(worked_geometry, (0.5, 1.0), delta0=DELTA0_MAX)
 
 
 def test_observation_block_must_touch_the_data_side(worked_geometry):
-    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="touch the data side"):
-        plan_parameters(d, (0.5, 0.9), delta0=0.7)
+        plan_parameters(worked_geometry, (0.5, 0.9), delta0=0.7)
     with pytest.raises(ValidationError, match="strictly away from the far end"):
-        plan_parameters(d, (0.0, 1.0), delta0=0.5)
+        plan_parameters(worked_geometry, (0.0, 1.0), delta0=0.5)
 
 
 def test_margin_and_lam_are_validated(worked_geometry):
-    d = build_d(worked_geometry)
     with pytest.raises(ValidationError, match="margin"):
-        plan_parameters(d, (0.5, 1.0), delta0=0.7, margin=1.0)
+        plan_parameters(worked_geometry, (0.5, 1.0), delta0=0.7, margin=1.0)
     with pytest.raises(ValidationError, match="lam"):
-        plan_parameters(d, (0.5, 1.0), delta0=0.7, lam=0.0)
-
-
-def test_weight_positivity_failure_names_the_node():
-    from carleman_lab.geometry import FieldKind, ScalarField
-
-    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 21, 9, 11)
-    vals = np.linspace(0.0, 1.0, 21).copy()
-    vals[10] = 0.0
-    # bypass build_d on purpose: the planner must catch this on its own
-    d = ScalarField(g, vals, FieldKind.CROSS_SECTION)
-    with pytest.raises(ValidationError, match="not positive on the observation") as e:
-        plan_parameters(d, (0.4, 1.0), delta0=0.1)
-    assert "0.5" in str(e.value)
+        plan_parameters(worked_geometry, (0.5, 1.0), delta0=0.7, lam=0.0)
 
 
 def test_aligned_plan_is_stable_under_refinement(worked_plan):
@@ -146,9 +131,8 @@ def test_aligned_plan_is_stable_under_refinement(worked_plan):
 
 
 def test_misaligned_observation_corner_warns(worked_geometry):
-    d = build_d(worked_geometry)
     with pytest.warns(UserWarning, match="refine the grid or align"):
-        plan_parameters(d, (0.5231, 1.0), delta0=0.7)
+        plan_parameters(worked_geometry, (0.5231, 1.0), delta0=0.7)
 
 
 def test_sigma_levels_scale_as_expected_with_lam(worked_plan):
@@ -162,18 +146,29 @@ def test_sigma_levels_scale_as_expected_with_lam(worked_plan):
 
 
 def test_region_family_accepts_large_collar_for_small_delta1(worked_geometry):
-    fam = region_family(worked_geometry, 0.1, 1.0)
-    assert fam.epsilon == 0.25
-    assert fam.d_tilde == (0.5, 1.0)
-    assert fam.d1 == (0.75, 1.0)
-    assert fam.plan.sigma1 < fam.plan.sigma0
-    assert fam.plan.delta0 == 0.1
-    assert not fam.plan.include_far_face
+    plan = region_family(worked_geometry, 0.1, 1.0)
+    assert (plan.domain_lo, plan.domain_hi) == (0.5, 1.0)
+    assert (plan.D0_lo, plan.D0_hi) == (0.75, 1.0)
+    assert plan.sigma1 < plan.sigma0
+    assert plan.delta0 == 0.1
+    assert not plan.include_far_face
+
+
+def test_region_family_on_the_lo_side_mirrors_the_hi_collar(worked_geometry):
+    hi = region_family(worked_geometry, 0.1, 1.0)
+    g = dataclasses.replace(worked_geometry, gamma_side=GammaSide.LO)
+    lo = region_family(g, 0.1, 0.0)
+    assert (lo.domain_lo, lo.domain_hi) == (0.0, 0.5)
+    assert (lo.D0_lo, lo.D0_hi) == (0.0, 0.25)
+    assert not lo.include_far_face
+    for key in ("sigma0", "sigma1", "c0"):
+        assert rel(getattr(lo, key), getattr(hi, key)) < 1e-12
 
 
 def test_region_family_epsilon_monotone_in_delta1():
     g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 81, 9, 11)
-    eps = [region_family(g, f * g.delta, 1.0).epsilon for f in (0.5, 0.8, 0.95)]
+    plans = [region_family(g, f * g.delta, 1.0) for f in (0.5, 0.8, 0.95)]
+    eps = [p.D0_hi - p.D0_lo for p in plans]
     assert eps[0] >= eps[1] >= eps[2]
     assert eps[2] < eps[0]
 
