@@ -10,9 +10,14 @@ equations are solved by preconditioned conjugate gradients after Jacobi
 column scaling; the preconditioner is a Cholesky factorization of the normal
 matrix, which the squared conditioning of the sideways problem makes
 necessary (unpreconditioned iterations stall).  The unknowns are numbered in
-a tensor-grid order that keeps the normal matrix a narrow band, so LAPACK's
-band Cholesky (``cholesky_banded``) factors it and the factor's storage,
-(half-bandwidth + 1) * unknowns doubles, is known before it is allocated.
+a tensor-grid order, x' slowest, that keeps the normal matrix a narrow band.
+Only the one-sided x' stencils at the two x' faces reach three slabs of x'
+nodes, so the first and the last two slabs are eliminated first as dense
+heads (LAPACK's ``dpotrf``); each head's Schur update lands in one corner of
+the remaining band, whose half-bandwidth is then about two slabs instead of
+three, and LAPACK's band Cholesky (``cholesky_banded``) factors that band.
+The factor's storage, (half-bandwidth + 1) * band unknowns plus four dense
+head blocks of doubles, is known before it is allocated.
 
 The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
@@ -137,8 +142,8 @@ class Regularization:
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``cauchy_weight`` and ``face_weight`` scale
-    the data-side and zero-trace row blocks; ``max_factor_gb`` caps the band
-    factor's storage in GB (1e9 bytes).
+    the data-side and zero-trace row blocks; ``max_factor_gb`` caps the
+    factor's storage, band and heads, in GB (1e9 bytes).
     """
 
     tikhonov_weight: float
@@ -286,9 +291,10 @@ def _band_order(geometry: CylinderGeometry) -> np.ndarray:
     """Band position of each unknown of z = (u, f), indexed in z's own order.
 
     x_n varies fastest, f(x', t) takes one extra x_n slot right after
-    u(x', :, t), then t varies and x' is slowest.  Every stencil of the
-    normal matrix then stays within about 3 * nt * (nx_n + 1) positions of
-    the diagonal, the half-bandwidth of its band Cholesky factor.
+    u(x', :, t), then t varies and x' is slowest, one slab of
+    nt * (nx_n + 1) positions per x' node.  Every stencil of the normal
+    matrix then stays within about three slabs of the diagonal, and within
+    two slabs away from the first and the last two.
     """
     g = geometry
     pos = np.arange(g.nx_prime * g.nt * (g.nx_n + 1)).reshape(g.nx_prime, g.nt, g.nx_n + 1)
@@ -401,24 +407,82 @@ def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 class _BandCholesky:
-    """Upper band Cholesky factor in LAPACK storage; ``solve`` applies its inverse."""
+    """Upper Cholesky factor of a band with dense heads; ``solve`` applies its inverse.
 
-    def __init__(self, cb: np.ndarray):
+    ``cb`` is an upper band factor in LAPACK storage.  ``heads`` is empty or
+    holds two dense heads of h unknowns each, eliminated ahead of the band:
+    the first at the start of the unknowns, the second at their end, each as
+    a pair (U_k, W_k) from ``_eliminate_head``.  In the order (head 1,
+    head 2, band) the factor is the upper triangle
+    [[U_1, 0, W_1], [0, U_2, W_2], [0, 0, U_B]], with W_1 on the band's first
+    h columns, W_2 on its last h and U_B = ``cb``.
+    """
+
+    def __init__(self, cb: np.ndarray, heads: tuple = ()):
         self.cb = cb
+        self.heads = heads
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the inverse to the columns of an n x k block; F-ordered result.
 
-        One column goes to LAPACK's ``dpbtrs``: its BLAS-2 sweep beats the
-        blocked solve's fixed costs there, and it keeps a single solve's bytes.
+        The band part of one column goes to LAPACK's ``dpbtrs``: its BLAS-2
+        sweep beats the blocked solve's fixed costs there, and it keeps a
+        single solve's bytes.
         """
         from scipy.linalg import cho_solve_banded
+        from scipy.linalg.blas import dtrsm
+
+        def band_solve(rb):
+            if rb.shape[1] == 1:
+                return cho_solve_banded((self.cb, False), rb, check_finite=False)
+            return _blocked_band_solve(self.cb, rb)
 
         with _one_blas_thread():
-            if r.shape[1] == 1:
-                return cho_solve_banded((self.cb, False), r, check_finite=False)
-            x = _blocked_band_solve(self.cb, r)
-        return np.asfortranarray(x)
+            if not self.heads:
+                return np.asfortranarray(band_solve(r))
+            (u1, w1), (u2, w2) = self.heads
+            h = len(u1)
+            # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k
+            y1 = dtrsm(1.0, u1, r[:h], trans_a=1)
+            y2 = dtrsm(1.0, u2, r[-h:], trans_a=1)
+            rb = r[h:-h].copy(order="F")
+            rb[:h] -= w1.T @ y1
+            rb[-h:] -= w2.T @ y2
+            xb = band_solve(rb)
+            # backward: x_k = U_k^-1 (y_k - W_k x_B at the head's end of the band)
+            x = np.empty(r.shape, order="F")
+            x[h:-h] = xb
+            y1 -= w1 @ xb[:h]
+            y2 -= w2 @ xb[-h:]
+            x[:h] = dtrsm(1.0, u1, y1, overwrite_b=1)
+            x[-h:] = dtrsm(1.0, u2, y2, overwrite_b=1)
+        return x
+
+
+def _eliminate_head(ab: np.ndarray, a: np.ndarray, c: np.ndarray, corner: int) -> tuple:
+    """Eliminate a dense head ahead of the band ``ab``; return (U, W).
+
+    U = chol(a) for the head's own block and W = U^-T c for its coupling c
+    with the h = len(c) band unknowns from ``corner`` on; the upper triangle
+    of W^T W is subtracted from that h x h diagonal block of ``ab``, LAPACK
+    upper band storage (U[i, j] at ab[b + i - j, j], h <= b + 1).  Both
+    inputs must be F-ordered; they are overwritten.  A head that is not
+    positive definite raises LinAlgError, as ``cholesky_banded`` does.
+    """
+    import scipy.linalg
+    from scipy.linalg.blas import dsyrk, dtrsm
+
+    u, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"dpotrf info = {info}: a {len(a)}-unknown head is not positive definite"
+        )
+    w = dtrsm(1.0, u, c, trans_a=1, overwrite_b=1)
+    g = dsyrk(1.0, w, trans=1)
+    b = ab.shape[0] - 1
+    for j in range(len(g)):
+        ab[b - j :, corner + j] -= g[: j + 1, j]
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -443,17 +507,26 @@ class LateralOperator:
     of the factorization still enforces ``cg_tol`` in exact arithmetic terms.
 
     The columns are renumbered once into the order of ``_band_order``, so the
-    scaled matrix, the normal matrix, its upper band Cholesky factor and the
-    CG iterates all live in band order and the solvers map the result back.
+    scaled matrix, the normal matrix, its Cholesky factor and the CG iterates
+    all live in band order and the solvers map the result back.  The factor
+    (see ``_BandCholesky``) first eliminates two dense heads of
+    h = 2 * nt * (nx_n + 1) unknowns each, the first two and the last two x'
+    slabs, whose one-sided face stencils would otherwise set the band's
+    width.  Each head couples only with the h band unknowns at its own end,
+    so its Schur update W^T W is subtracted from that h x h corner of the
+    band, and one band Cholesky of half-bandwidth about h factors the rest.
+    Below six x' slabs the two heads would couple with each other; there are
+    no heads then, and the band is the whole normal matrix.
     ``solve_many`` solves several bundles as one block under lockstep CG and
-    applies the factor to the block with a blocked triangular solve; ``solve``
-    is ``solve_many`` on one bundle, whose single column goes through
-    LAPACK's ``dpbtrs``.  The factorization and the CG solves run on one
-    thread of scipy's OpenBLAS and of numpy's (see ``_one_blas_thread``).
-    A grid whose band, ``(half_bandwidth + 1) * unknowns * 8`` bytes, exceeds
-    ``reg.max_factor_gb`` is refused with ValidationError before the band is
-    allocated; a matrix LAPACK finds not positive definite, or a band that
-    does not fit in memory, raises SolverError.
+    applies the factor to the block with a blocked triangular solve on the
+    band; ``solve`` is ``solve_many`` on one bundle, whose single column goes
+    through LAPACK's ``dpbtrs``.  The factorization and the CG solves run on
+    one thread of scipy's OpenBLAS and of numpy's (see ``_one_blas_thread``).
+    A grid whose factor, ``((half_bandwidth + 1) * k + 4 * h**2) * 8`` bytes
+    for k band unknowns, exceeds ``reg.max_factor_gb`` is refused with
+    ValidationError before anything is allocated; a head or band LAPACK finds
+    not positive definite, or a factor that does not fit in memory, raises
+    SolverError.
     """
 
     def __init__(
@@ -483,24 +556,46 @@ class LateralOperator:
         normal = (self._a_scaled.T @ self._a_scaled).tocsr()
         self._normal = normal
         n = normal.shape[0]
-        upper = sp.triu(normal, format="coo")
-        offsets = upper.col - upper.row
-        b = self.half_bandwidth = int(offsets.max())
-        band_gb = (b + 1) * n * 8 / 1e9
-        if band_gb > reg.max_factor_gb:
+        # the one-sided x' stencils at the two x' faces couple slab 0 with
+        # slab 3 and slab nx'-1 with slab nx'-4; with the first and the last
+        # two slabs taken out as dense heads, the rest is a band of about two
+        # slabs.  Below six slabs the heads would couple with each other.
+        h = 2 * geometry.nt * (geometry.nx_n + 1) if geometry.nx_prime >= 6 else 0
+        k = n - 2 * h
+        # the band's lower triangle by rows is its upper triangle by columns
+        sub = normal[h : n - h]
+        rows = np.repeat(np.arange(k), np.diff(sub.indptr))
+        cols = sub.indices - h
+        inner = (cols >= 0) & (cols <= rows)
+        rows, cols = rows[inner], cols[inner]
+        # the corner updates fill each head's h x h corner of the band
+        b = self.half_bandwidth = max(int((rows - cols).max()), h - 1)
+        factor_gb = ((b + 1) * k + 4 * h * h) * 8 / 1e9
+        if factor_gb > reg.max_factor_gb:
             raise ValidationError(
-                f"the band factor of the {n}-unknown normal matrix needs {band_gb:.3g} GB "
+                f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
                 f"(half-bandwidth {b}), above max_factor_gb = {reg.max_factor_gb!r}"
             )
         try:
-            # LAPACK upper band storage, column-major so the factor overwrites it
-            ab = np.zeros((b + 1, n), order="F")
-            ab[b - offsets, upper.col] = upper.data
-            # no finiteness check, which would take a boolean copy of the band:
-            # a NaN passes through the factor and stops CG at its first step
+            # LAPACK upper band storage, column-major so the factor overwrites
+            # it: U[i, j] at flat offset b + i + j*b
+            ab = np.zeros((b + 1, k), order="F")
+            ab.reshape(-1, order="F")[b + cols + rows * b] = sub.data[inner]
+            del sub, rows, cols, inner
+            heads = []
             with _one_blas_thread():
+                if h:
+                    for head, near, corner in (
+                        (slice(0, h), slice(h, 2 * h), 0),
+                        (slice(n - h, n), slice(n - 2 * h, n - h), k - h),
+                    ):
+                        own = normal[head, head].toarray(order="F")
+                        coupling = normal[head, near].toarray(order="F")
+                        heads.append(_eliminate_head(ab, own, coupling, corner))
+                # no finiteness check, which would take a boolean copy of the
+                # band: a NaN passes through the factor and stops CG at its first step
                 cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-            self._factor = _BandCholesky(cb)
+            self._factor = _BandCholesky(cb, tuple(heads))
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(

@@ -322,8 +322,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     "command, name", [("reconstruct", "reconstruction.npz"), ("sweep", "sweep.csv")]
 )
 def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, name):
-    # half-bandwidth 1,170: wide enough that threaded OpenBLAS products inside
-    # the factorization and the blocked solves would round differently
+    # heads of 756 unknowns and a band of half-bandwidth 756: wide enough that
+    # threaded OpenBLAS products inside the factorization and the blocked
+    # solves would round differently
     cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
     del cfg["verify"]
     path = write_config(tmp_path, cfg)
@@ -490,6 +491,27 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert err.startswith("error: factorization of the ")
     assert type(exc).__name__ in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "outcome, name",
+    [("info", "LinAlgError"), (np.linalg.LinAlgError("not positive definite"), "LinAlgError"),
+     (MemoryError(), "MemoryError")],
+)
+def test_exit_2_when_a_head_factor_fails(tmp_path, monkeypatch, capsys, outcome, name):
+    # the dense head factor either reports LAPACK's info > 0 or raises
+    def fail(a, **kwargs):
+        if outcome == "info":
+            return a, 7
+        raise outcome
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", "reconstruct") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factorization of the ")
+    assert "normal matrix failed" in err and name in err
     assert "Traceback" not in err
 
 

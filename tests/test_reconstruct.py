@@ -15,6 +15,7 @@ import dataclasses
 import io
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -315,11 +316,11 @@ def test_cg_stops_on_non_finite_values(small_operator, monkeypatch, rhs, message
         small_operator._pcg(block)
 
 
-def _per_column(cb):
-    """A preconditioner that applies ``cb`` one column at a time with LAPACK."""
+def _per_column(factor):
+    """A preconditioner that applies ``factor`` one column at a time."""
 
     def solve(r):
-        cols = [cho_solve_banded((cb, False), col, check_finite=False) for col in r.T]
+        cols = [factor.solve(np.asfortranarray(col[:, None]))[:, 0] for col in r.T]
         return np.asfortranarray(np.column_stack(cols))
 
     return types.SimpleNamespace(solve=solve)
@@ -336,7 +337,7 @@ def test_lockstep_columns_match_their_single_solves(small_instance, small_plan):
     coarser = LateralOperator(
         inst.geometry, small_plan, inst.p0, inst.R, Regularization(tikhonov_weight=1e-6)
     )
-    op._factor = _per_column(coarser._factor.cb)
+    op._factor = _per_column(coarser._factor)
     zero = ScalarField.zeros(inst.geometry, FieldKind.AXIAL_TIME)
     silent = dataclasses.replace(inst.data, **{name: zero for name in BUNDLE_CHANNELS})
     bundles = [silent, add_noise(inst, 0.1, seed=1).data, inst.data]
@@ -419,14 +420,36 @@ def test_the_numpy_blas_thread_pin_is_active():
         put(before)
 
 
-def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
-    op = small_operator
-    normal = op._normal.toarray()
-    # LAPACK upper band storage: cb[b + i - j, j] = U[i, j]
+def _dense_factor(op):
+    """The factor's blocks as one dense upper triangle, in the order (heads, band).
+
+    Returns it with the permutation of the band-order unknowns it factors.
+    """
+    factor, n = op._factor, op._normal.shape[0]
     b = op.half_bandwidth
-    upper = sp.dia_matrix((op._factor.cb, b - np.arange(b + 1)), shape=normal.shape).toarray()
-    assert np.linalg.norm(upper.T @ upper - normal) <= 1e-12 * np.linalg.norm(normal)
-    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry, op.reg)
+    k = factor.cb.shape[1]
+    # LAPACK upper band storage: cb[b + i - j, j] = U[i, j]
+    band = sp.dia_matrix((factor.cb, b - np.arange(b + 1)), shape=(k, k)).toarray()
+    if not factor.heads:
+        return band, np.arange(n)
+    (u1, w1), (u2, w2) = factor.heads
+    h1, h2 = len(u1), len(u2)
+    upper = np.zeros((n, n))
+    upper[:h1, :h1] = u1
+    upper[h1 : h1 + h2, h1 : h1 + h2] = u2
+    upper[:h1, h1 + h2 : h1 + h2 + w1.shape[1]] = w1
+    upper[h1 : h1 + h2, n - w2.shape[1] :] = w2
+    upper[h1 + h2 :, h1 + h2 :] = band
+    order = np.concatenate([np.arange(h1), np.arange(n - h2, n), np.arange(h1, n - h2)])
+    return upper, order
+
+
+def _check_factor(op, r):
+    normal = op._normal.toarray()
+    upper, order = _dense_factor(op)
+    assert np.array_equal(upper, np.triu(upper))
+    permuted = normal[np.ix_(order, order)]
+    assert np.linalg.norm(upper.T @ upper - permuted) <= 1e-12 * np.linalg.norm(normal)
     got = op._factor.solve(r[:, None])[:, 0]
     assert np.linalg.norm(normal @ got - r) <= 1e-10 * np.linalg.norm(r)
     # cond(normal) is about 2e9 at mu = 1e-6, so two exact solvers agree to
@@ -435,9 +458,48 @@ def test_band_factor_solves_the_normal_equations(small_operator, small_instance)
     assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
+def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
+    op = small_operator
+    assert len(op._factor.heads) == 2
+    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry, op.reg)
+    _check_factor(op, r)
+
+
+@pytest.mark.parametrize("nx_prime, heads", [(5, 0), (6, 2)])
+def test_the_heads_start_at_six_slabs(quartic_recipe, sweep_reg, nx_prime, heads):
+    # at six slabs the band is two slabs wide, and both heads' corner
+    # updates cover all of it
+    g = CylinderGeometry(
+        d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
+        gamma_side=GammaSide.HI, nx_prime=nx_prime, nx_n=9, nt=9,
+    )
+    inst = make_instance(g, quartic_recipe)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
+        plan = make_plan(g)
+    op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
+    slab = g.nt * (g.nx_n + 1)
+    assert len(op._factor.heads) == heads
+    assert op._factor.cb.shape[1] == (nx_prime - 2 * heads) * slab
+    r = op._a_scaled.T @ _lateral_rhs(inst.data, g, op.reg)
+    _check_factor(op, r)
+
+
 def test_band_order_keeps_the_band_narrow(worked_operator):
-    # 3 * nt * (nx_n + 1) = 1,134 at 21x17x21, plus the x_n and t reach
+    # 3 * nt * (nx_n + 1) = 1,134 at 21x17x21, plus the x_n and t reach, is
+    # the bound without heads; the heads leave 756 (see the next test)
     assert worked_operator.half_bandwidth <= 1170
+
+
+@pytest.mark.parametrize("side, d0", [(GammaSide.HI, (0.5, 1.0)), (GammaSide.LO, (0.0, 0.5))])
+def test_the_heads_leave_a_band_of_two_slabs(worked_geometry, quartic_recipe, sweep_reg, side, d0):
+    # without the first and the last two x' slabs the band reaches exactly
+    # two slabs, 2 * nt * (nx_n + 1) = 756 at 21x17x21
+    g = dataclasses.replace(worked_geometry, gamma_side=side)
+    inst = make_instance(g, quartic_recipe)
+    plan = plan_parameters(g, d0, delta0=0.7, lam=1.0, margin=1.1)
+    op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
+    assert op.half_bandwidth <= 2 * g.nt * (g.nx_n + 1) == 756
 
 
 def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_plan, monkeypatch):
@@ -445,10 +507,12 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
         raise AssertionError("factored a grid above the size limit")
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
-    # 2,028 unknowns, half-bandwidth 492: 493 * 2028 * 8 bytes
-    with pytest.raises(ValidationError, match=r"needs 0\.008 GB \(half-bandwidth 492\)"):
+    # 2,028 unknowns, heads of 2 * 13 * 12 = 312 and a band of the other
+    # 1,404 at half-bandwidth 312: (313 * 1404 + 4 * 312^2) * 8 bytes
+    with pytest.raises(ValidationError, match=r"needs 0\.00663 GB \(half-bandwidth 312\)"):
         LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
 
 
