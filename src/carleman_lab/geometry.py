@@ -296,18 +296,33 @@ _STENCILS = {
 }
 
 
+def _mirrored(first: tuple, order: int) -> tuple:
+    """Last-row taps mirroring the first row's: reversed, sign flipped for odd orders."""
+    sign = -1.0 if order % 2 else 1.0
+    return tuple(sign * c for c in reversed(first))
+
+
 def _stencil(order: int, h: float):
     """Denominator, interior taps, first-row and last-row taps of ``order``."""
     if order not in _STENCILS:
         raise ValidationError(f"derivative order must be 1 or 2, got {order}")
     denominator, interior, first = _STENCILS[order]
-    sign = -1.0 if order % 2 else 1.0
-    return denominator(h), interior, first, tuple(sign * c for c in reversed(first))
+    return denominator(h), interior, first, _mirrored(first, order)
+
+
+def _end_rows(b: np.ndarray, out: np.ndarray, den: float, first: tuple, order: int) -> None:
+    """Write the one-sided end rows along axis 0: ``first`` on nodes 0, 1, ...
+    of ``b``, its mirror on nodes ..., -2, -1, each divided by ``den``."""
+    for row, step, taps in ((0, 1, first), (-1, -1, _mirrored(first, order)[::-1])):
+        acc = taps[0] * b[row]
+        for k in range(1, len(taps)):
+            acc = acc + taps[k] * b[row + step * k]
+        out[row] = acc / den
 
 
 def diff_array(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
     """Second-order derivative of a nodal array along ``axis``."""
-    den, (left, center, _), first, last = _stencil(order, h)
+    den, (left, center, _), first, _ = _stencil(order, h)
     b = np.moveaxis(a, axis, 0)
     out = np.empty_like(b)
     # the outer pair first, so the stencil is bitwise symmetric under mirroring
@@ -315,11 +330,7 @@ def diff_array(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray
     if center:
         inner += center * b[1:-1]
     out[1:-1] = inner / den
-    for row, step, taps in ((0, 1, first), (-1, -1, last[::-1])):
-        acc = taps[0] * b[row]
-        for k in range(1, len(taps)):
-            acc = acc + taps[k] * b[row + step * k]
-        out[row] = acc / den
+    _end_rows(b, out, den, first, order)
     return np.moveaxis(out, 0, axis)
 
 

@@ -16,20 +16,22 @@ nodes, so the first and the last two slabs are eliminated first as dense
 heads (LAPACK's ``dpotrf``); each head's Schur update lands in one corner of
 the remaining band, whose half-bandwidth is then about two slabs instead of
 three, and LAPACK's band Cholesky (``cholesky_banded``) factors that band.
-The factor's storage, (half-bandwidth + 1) * band unknowns plus four dense
-head blocks of doubles, is known before it is allocated.
+``_BandCholesky`` builds all of this from the normal matrix; the factor's
+storage, (half-bandwidth + 1) * band unknowns plus four dense head blocks of
+doubles, is known before it is allocated.
 
 The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
 sweep leans on that to rerun the solver across noise levels and fit an
 empirical Holder exponent from the decreasing part of the error curve.  It
 solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: conjugate gradients
-run in lockstep over the block, and the factor is applied to the whole block
-by a blocked band triangular solve (BLAS-3 ``dgemm`` and ``dtrsm`` on
-zero-copy windows of the band), which streams the band once per block
-instead of once per bundle.  The factorization and the solves run on one
-thread of scipy's OpenBLAS and of numpy's, so their rounding does not depend
-on the BLAS thread count.
+run in lockstep over the block, column by column in array arithmetic, and
+the factor is applied to the whole block by a blocked band triangular solve
+(BLAS-3 ``dgemm`` and ``dtrsm`` on zero-copy windows of the band), which
+streams the band once per block instead of once per bundle.  A single
+bundle takes the same path as a block of one.  The factorization and the
+solves run on one thread of scipy's OpenBLAS and of numpy's, so their
+rounding does not depend on the BLAS thread count.
 
 scipy is imported on first use, by the operator build and the band solves,
 so a command that never builds an operator never loads it.
@@ -41,6 +43,7 @@ import ctypes
 import functools
 import importlib
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
@@ -143,7 +146,8 @@ class Regularization:
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``cauchy_weight`` and ``face_weight`` scale
     the data-side and zero-trace row blocks; ``max_factor_gb`` caps the
-    factor's storage, band and heads, in GB (1e9 bytes).
+    factor's storage, band and heads, in GB (1e9 bytes).  The row weights
+    must be finite and ``cg_maxit`` an integer.
     """
 
     tikhonov_weight: float
@@ -163,10 +167,10 @@ class Regularization:
             raise ValidationError(f"carleman_s must be nonnegative, got {self.carleman_s!r}")
         if not (0 < self.cg_tol < 1):
             raise ValidationError(f"cg_tol must lie in (0, 1), got {self.cg_tol!r}")
-        if self.cg_maxit < 1:
-            raise ValidationError(f"cg_maxit must be at least 1, got {self.cg_maxit!r}")
-        if not (self.cauchy_weight > 0 and self.face_weight > 0):
-            raise ValidationError("cauchy_weight and face_weight must be positive")
+        if not (isinstance(self.cg_maxit, numbers.Integral) and self.cg_maxit >= 1):
+            raise ValidationError(f"cg_maxit must be an integer >= 1, got {self.cg_maxit!r}")
+        if not (0 < self.cauchy_weight < math.inf and 0 < self.face_weight < math.inf):
+            raise ValidationError("cauchy_weight and face_weight must be positive and finite")
         if not self.max_factor_gb > 0:
             raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
 
@@ -347,9 +351,10 @@ def _one_blas_thread():
 
     Threaded ``dgemm`` rounds differently from the serial one, and a threaded
     dot product of more than 10,000 entries sums in another order, so without
-    the pin the factor, the blocked solves and the CG dot products would
-    depend on the thread count.  A library whose thread functions are not
-    exported runs unpinned.
+    the pin the factor and its application (scipy's BLAS for the band and the
+    heads' triangles, numpy's for the heads' products) would depend on the
+    thread count.  A library whose thread functions are not exported runs
+    unpinned.
     """
     apis = [api for api in map(_openblas_threads, _OPENBLAS_SUFFIX) if api is not None]
     before = [get() for get, _ in apis]
@@ -375,7 +380,8 @@ def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
     the backward pass U x = w is right-looking, and ``dtrsm`` solves the
     nb x nb diagonal blocks.  The window entries with j - i > b lie outside
     the band; the view wraps them into the neighbouring column, so one small
-    product with that triangle cancels their contribution.
+    product with that triangle cancels their contribution.  Returns x
+    F-ordered, one contiguous column per right-hand side.
     """
     from scipy.linalg.blas import dgemm, dtrsm
 
@@ -403,86 +409,102 @@ def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
             dgemm(-1.0, xs, w, beta=1.0, c=x[lo:s].T, trans_b=1, overwrite_c=1)
             tail = x[lo : lo + len(wrapped)].T
             dgemm(1.0, xs, wrapped, beta=1.0, c=tail, trans_b=1, overwrite_c=1)
-    return x
+    return np.asfortranarray(x)
 
 
 class _BandCholesky:
-    """Upper Cholesky factor of a band with dense heads; ``solve`` applies its inverse.
+    """Upper Cholesky factor of a band-ordered normal matrix; ``solve`` applies its inverse.
 
-    ``cb`` is an upper band factor in LAPACK storage.  ``heads`` is empty or
-    holds two dense heads of h unknowns each, eliminated ahead of the band:
-    the first at the start of the unknowns, the second at their end, each as
-    a pair (U_k, W_k) from ``_eliminate_head``.  In the order (head 1,
-    head 2, band) the factor is the upper triangle
-    [[U_1, 0, W_1], [0, U_2, W_2], [0, 0, U_B]], with W_1 on the band's first
-    h columns, W_2 on its last h and U_B = ``cb``.
+    Built from the n x n normal matrix (CSR) and a head size h.  With h > 0
+    the first and the last h unknowns are two dense heads, each coupled only
+    with the h band unknowns at its own end: ``dpotrf`` gives U_k = chol(A_k),
+    ``dtrsm`` W_k = U_k^-T C_k, and the upper triangle of W_k^T W_k
+    (``dsyrk``) is subtracted from that h x h corner of the band before
+    ``cholesky_banded`` factors it.  In the order (head 1, head 2, band) the
+    factor is [[U_1, 0, W_1], [0, U_2, W_2], [0, 0, U_B]], U_B = ``cb`` in
+    LAPACK upper band storage, which only this class and
+    ``_blocked_band_solve`` know.  A factor whose storage,
+    ``((half_bandwidth + 1) * (n - 2h) + 4 * h**2) * 8`` bytes, exceeds
+    ``max_gb`` GB is refused with ValidationError before it is allocated; a
+    head or band that is not positive definite raises LinAlgError.
     """
 
-    def __init__(self, cb: np.ndarray, heads: tuple = ()):
-        self.cb = cb
-        self.heads = heads
+    def __init__(self, normal: sp.csr_matrix, h: int, max_gb: float):
+        import scipy.linalg
+        from scipy.linalg.blas import dsyrk, dtrsm
+
+        n = normal.shape[0]
+        k = n - 2 * h
+        # the band's lower triangle by rows is its upper triangle by columns
+        sub = normal[h : n - h]
+        rows = np.repeat(np.arange(k), np.diff(sub.indptr))
+        cols = sub.indices - h
+        inner = (cols >= 0) & (cols <= rows)
+        rows, cols = rows[inner], cols[inner]
+        # the corner updates fill each head's h x h corner of the band
+        b = self.half_bandwidth = max(int((rows - cols).max()), h - 1)
+        factor_gb = ((b + 1) * k + 4 * h * h) * 8 / 1e9
+        if factor_gb > max_gb:
+            raise ValidationError(
+                f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
+                f"(half-bandwidth {b}), above max_factor_gb = {max_gb!r}"
+            )
+        # LAPACK upper band storage, column-major so the factor overwrites
+        # it: U[i, j] at ab[b + i - j, j], flat offset b + i + j*b
+        ab = np.zeros((b + 1, k), order="F")
+        ab.reshape(-1, order="F")[b + cols + rows * b] = sub.data[inner]
+        del sub, rows, cols, inner
+        self.heads = []
+        # each head with the band unknowns it couples with and their corner of the band
+        ends = (
+            (slice(0, h), slice(h, 2 * h), 0),
+            (slice(n - h, n), slice(n - 2 * h, n - h), k - h),
+        )
+        for head, near, corner in ends if h else ():
+            own = normal[head, head].toarray(order="F")
+            u, info = scipy.linalg.lapack.dpotrf(own, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dpotrf info = {info}: a {h}-unknown head is not positive definite"
+                )
+            w = dtrsm(1.0, u, normal[head, near].toarray(order="F"), trans_a=1, overwrite_b=1)
+            g = dsyrk(1.0, w, trans=1)
+            for j in range(h):
+                ab[b - j :, corner + j] -= g[: j + 1, j]
+            del g  # so the band factor does not run beside an h x h update
+            self.heads.append((u, w))
+        # no finiteness check, which would take a boolean copy of the band: a
+        # NaN passes through the factor and stops CG at its first step
+        self.cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the inverse to the columns of an n x k block; F-ordered result.
-
-        The band part of one column goes to LAPACK's ``dpbtrs``: its BLAS-2
-        sweep beats the blocked solve's fixed costs there, and it keeps a
-        single solve's bytes.
-        """
-        from scipy.linalg import cho_solve_banded
+        """Apply the inverse to the columns of an n x k block, any k; F-ordered result."""
         from scipy.linalg.blas import dtrsm
 
-        def band_solve(rb):
-            if rb.shape[1] == 1:
-                return cho_solve_banded((self.cb, False), rb, check_finite=False)
-            return _blocked_band_solve(self.cb, rb)
-
-        with _one_blas_thread():
-            if not self.heads:
-                return np.asfortranarray(band_solve(r))
-            (u1, w1), (u2, w2) = self.heads
-            h = len(u1)
-            # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k
-            y1 = dtrsm(1.0, u1, r[:h], trans_a=1)
-            y2 = dtrsm(1.0, u2, r[-h:], trans_a=1)
-            rb = r[h:-h].copy(order="F")
-            rb[:h] -= w1.T @ y1
-            rb[-h:] -= w2.T @ y2
-            xb = band_solve(rb)
-            # backward: x_k = U_k^-1 (y_k - W_k x_B at the head's end of the band)
-            x = np.empty(r.shape, order="F")
-            x[h:-h] = xb
-            y1 -= w1 @ xb[:h]
-            y2 -= w2 @ xb[-h:]
-            x[:h] = dtrsm(1.0, u1, y1, overwrite_b=1)
-            x[-h:] = dtrsm(1.0, u2, y2, overwrite_b=1)
+        if not self.heads:
+            return _blocked_band_solve(self.cb, r)
+        (u1, w1), (u2, w2) = self.heads
+        h = len(u1)
+        # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k
+        y1 = dtrsm(1.0, u1, r[:h], trans_a=1)
+        y2 = dtrsm(1.0, u2, r[-h:], trans_a=1)
+        rb = r[h:-h].copy(order="F")
+        rb[:h] -= w1.T @ y1
+        rb[-h:] -= w2.T @ y2
+        xb = _blocked_band_solve(self.cb, rb)
+        # backward: x_k = U_k^-1 (y_k - W_k x_B at the head's end of the band)
+        x = np.empty(r.shape, order="F")
+        x[h:-h] = xb
+        y1 -= w1 @ xb[:h]
+        y2 -= w2 @ xb[-h:]
+        x[:h] = dtrsm(1.0, u1, y1, overwrite_b=1)
+        x[-h:] = dtrsm(1.0, u2, y2, overwrite_b=1)
         return x
 
 
-def _eliminate_head(ab: np.ndarray, a: np.ndarray, c: np.ndarray, corner: int) -> tuple:
-    """Eliminate a dense head ahead of the band ``ab``; return (U, W).
-
-    U = chol(a) for the head's own block and W = U^-T c for its coupling c
-    with the h = len(c) band unknowns from ``corner`` on; the upper triangle
-    of W^T W is subtracted from that h x h diagonal block of ``ab``, LAPACK
-    upper band storage (U[i, j] at ab[b + i - j, j], h <= b + 1).  Both
-    inputs must be F-ordered; they are overwritten.  A head that is not
-    positive definite raises LinAlgError, as ``cholesky_banded`` does.
-    """
-    import scipy.linalg
-    from scipy.linalg.blas import dsyrk, dtrsm
-
-    u, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"dpotrf info = {info}: a {len(a)}-unknown head is not positive definite"
-        )
-    w = dtrsm(1.0, u, c, trans_a=1, overwrite_b=1)
-    g = dsyrk(1.0, w, trans=1)
-    b = ab.shape[0] - 1
-    for j in range(len(g)):
-        ab[b - j :, corner + j] -= g[: j + 1, j]
-    return u, w
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise dot products as numpy's pairwise sums: the same bits at any block width."""
+    return np.sum(a * b, axis=0)
 
 
 @dataclass(frozen=True)
@@ -506,27 +528,23 @@ class LateralOperator:
     enough that unpreconditioned iterations make no headway, while CG on top
     of the factorization still enforces ``cg_tol`` in exact arithmetic terms.
 
-    The columns are renumbered once into the order of ``_band_order``, so the
-    scaled matrix, the normal matrix, its Cholesky factor and the CG iterates
-    all live in band order and the solvers map the result back.  The factor
-    (see ``_BandCholesky``) first eliminates two dense heads of
-    h = 2 * nt * (nx_n + 1) unknowns each, the first two and the last two x'
-    slabs, whose one-sided face stencils would otherwise set the band's
-    width.  Each head couples only with the h band unknowns at its own end,
-    so its Schur update W^T W is subtracted from that h x h corner of the
-    band, and one band Cholesky of half-bandwidth about h factors the rest.
-    Below six x' slabs the two heads would couple with each other; there are
-    no heads then, and the band is the whole normal matrix.
-    ``solve_many`` solves several bundles as one block under lockstep CG and
-    applies the factor to the block with a blocked triangular solve on the
-    band; ``solve`` is ``solve_many`` on one bundle, whose single column goes
-    through LAPACK's ``dpbtrs``.  The factorization and the CG solves run on
-    one thread of scipy's OpenBLAS and of numpy's (see ``_one_blas_thread``).
-    A grid whose factor, ``((half_bandwidth + 1) * k + 4 * h**2) * 8`` bytes
-    for k band unknowns, exceeds ``reg.max_factor_gb`` is refused with
-    ValidationError before anything is allocated; a head or band LAPACK finds
-    not positive definite, or a factor that does not fit in memory, raises
-    SolverError.
+    The build assembles the matrix, renumbers its columns once into the order
+    of ``_band_order``, scales them, forms the normal matrix and hands it to
+    ``_BandCholesky``, so the scaled matrix, the normal matrix, its factor
+    and the CG iterates all live in band order and the solvers map the result
+    back.  The factor's two dense heads are the first two and the last two x'
+    slabs, h = 2 * nt * (nx_n + 1) unknowns each, whose one-sided face
+    stencils would otherwise set the band's width; below six x' slabs the two
+    heads would couple with each other, so there are none and the band is
+    the whole normal matrix.  ``solve_many`` solves several bundles as one
+    block under lockstep CG, and every application of the factor, to one
+    column or to a block, runs the blocked triangular solve on the band;
+    ``solve`` is ``solve_many`` on one bundle.  The factorization and the CG
+    solves run on one thread of scipy's OpenBLAS and of numpy's (see
+    ``_one_blas_thread``).  A grid whose factor exceeds ``reg.max_factor_gb``
+    is refused with ValidationError before anything is allocated; a head or
+    band LAPACK finds not positive definite, or a factor that does not fit in
+    memory, raises SolverError.
     """
 
     def __init__(
@@ -537,7 +555,6 @@ class LateralOperator:
         R: ScalarField,
         reg: Regularization,
     ):
-        import scipy.linalg
         import scipy.sparse as sp
 
         self.geometry = geometry
@@ -553,53 +570,19 @@ class LateralOperator:
         col_norms[col_norms == 0.0] = 1.0
         self._col_norms = col_norms
         self._a_scaled = (a @ sp.diags(1.0 / col_norms)).tocsr()
-        normal = (self._a_scaled.T @ self._a_scaled).tocsr()
-        self._normal = normal
-        n = normal.shape[0]
+        self._normal = (self._a_scaled.T @ self._a_scaled).tocsr()
         # the one-sided x' stencils at the two x' faces couple slab 0 with
         # slab 3 and slab nx'-1 with slab nx'-4; with the first and the last
         # two slabs taken out as dense heads, the rest is a band of about two
         # slabs.  Below six slabs the heads would couple with each other.
         h = 2 * geometry.nt * (geometry.nx_n + 1) if geometry.nx_prime >= 6 else 0
-        k = n - 2 * h
-        # the band's lower triangle by rows is its upper triangle by columns
-        sub = normal[h : n - h]
-        rows = np.repeat(np.arange(k), np.diff(sub.indptr))
-        cols = sub.indices - h
-        inner = (cols >= 0) & (cols <= rows)
-        rows, cols = rows[inner], cols[inner]
-        # the corner updates fill each head's h x h corner of the band
-        b = self.half_bandwidth = max(int((rows - cols).max()), h - 1)
-        factor_gb = ((b + 1) * k + 4 * h * h) * 8 / 1e9
-        if factor_gb > reg.max_factor_gb:
-            raise ValidationError(
-                f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
-                f"(half-bandwidth {b}), above max_factor_gb = {reg.max_factor_gb!r}"
-            )
         try:
-            # LAPACK upper band storage, column-major so the factor overwrites
-            # it: U[i, j] at flat offset b + i + j*b
-            ab = np.zeros((b + 1, k), order="F")
-            ab.reshape(-1, order="F")[b + cols + rows * b] = sub.data[inner]
-            del sub, rows, cols, inner
-            heads = []
             with _one_blas_thread():
-                if h:
-                    for head, near, corner in (
-                        (slice(0, h), slice(h, 2 * h), 0),
-                        (slice(n - h, n), slice(n - 2 * h, n - h), k - h),
-                    ):
-                        own = normal[head, head].toarray(order="F")
-                        coupling = normal[head, near].toarray(order="F")
-                        heads.append(_eliminate_head(ab, own, coupling, corner))
-                # no finiteness check, which would take a boolean copy of the
-                # band: a NaN passes through the factor and stops CG at its first step
-                cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-            self._factor = _BandCholesky(cb, tuple(heads))
+                self._factor = _BandCholesky(self._normal, h, reg.max_factor_gb)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(
-                f"factorization of the {n}-unknown normal matrix failed "
+                f"factorization of the {self._normal.shape[0]}-unknown normal matrix failed "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
@@ -607,58 +590,61 @@ class LateralOperator:
         """Lockstep preconditioned CG on the normal equations for an n x k block.
 
         Each column is its own CG run: its own step sizes, convergence test and
-        residual history, computed with the same vector arithmetic as a
-        one-column solve.  A converged column leaves the block; the others
-        share each normal product and each application of the factor.  Takes
-        ownership of the F-ordered ``rhs``; returns the solutions, each
-        column's iteration count and its residual norms.
+        residual history, computed by column-wise array arithmetic that gives
+        a column the same bits as a one-column solve.  A converged column
+        leaves the block; the others share each normal product and each
+        application of the factor.  Takes ownership of the F-ordered ``rhs``;
+        returns the solutions, each column's iteration count and its residual
+        norms.
         """
         tol, maxit = self.reg.cg_tol, self.reg.cg_maxit
         y = np.zeros(rhs.shape, order="F")
-        norm0 = [float(np.linalg.norm(rhs[:, j])) for j in range(rhs.shape[1])]
-        histories = [[nrm] for nrm in norm0]
+        norm0 = np.sqrt(_column_dots(rhs, rhs))
+        histories = [[float(nrm)] for nrm in norm0]
         iterations = [0] * len(norm0)
-        cols = [j for j, nrm in enumerate(norm0) if nrm != 0.0]  # active, in block order
-        if not cols:
+        cols = np.flatnonzero(norm0)  # active, in block order
+        if not cols.size:
             return y, iterations, histories
-        r = rhs if len(cols) == len(norm0) else np.asfortranarray(rhs[:, cols])
+        r = rhs if cols.size == len(norm0) else np.asfortranarray(rhs[:, cols])
         z = self._factor.solve(r)
         p = z
-        rho = [float(r[:, c] @ z[:, c]) for c in range(len(cols))]
+        rho = _column_dots(r, z)
         for it in range(1, maxit + 1):
             q = np.asfortranarray(self._normal @ p)
-            done = []
-            for c, j in enumerate(cols):
-                pq = float(p[:, c] @ q[:, c])
-                if not 0.0 < pq < math.inf:  # false for NaN too
-                    raise SolverError(
-                        f"conjugate gradients broke down at iteration {it}: p.q = {pq!r} "
-                        "is not a positive finite number"
-                    )
-                alpha = rho[c] / pq
-                y[:, j] += alpha * p[:, c]
-                r[:, c] -= alpha * q[:, c]
-                res = float(np.linalg.norm(r[:, c]))
-                if not math.isfinite(res):
-                    raise SolverError(
-                        f"conjugate gradients broke down at iteration {it}: residual norm {res!r}"
-                    )
-                histories[j].append(res)
-                if res <= tol * norm0[j]:
+            pq = _column_dots(p, q)
+            broken = ~((0.0 < pq) & (pq < math.inf))  # true for NaN too
+            if broken.any():
+                raise SolverError(
+                    f"conjugate gradients broke down at iteration {it}: "
+                    f"p.q = {float(pq[broken][0])!r} is not a positive finite number"
+                )
+            alpha = rho / pq
+            y[:, cols] += alpha * p
+            r -= alpha * q
+            res = np.sqrt(_column_dots(r, r))
+            broken = ~np.isfinite(res)
+            if broken.any():
+                raise SolverError(
+                    f"conjugate gradients broke down at iteration {it}: "
+                    f"residual norm {float(res[broken][0])!r}"
+                )
+            for j, value in zip(cols, res):
+                histories[j].append(float(value))
+            done = res <= tol * norm0[cols]
+            if done.any():
+                for j in cols[done]:
                     iterations[j] = it
-                    done.append(c)
-            if done:
-                keep = [c for c in range(len(cols)) if c not in done]
-                if not keep:
+                if done.all():
                     return y, iterations, histories
-                cols, rho = [cols[c] for c in keep], [rho[c] for c in keep]
+                keep = ~done
+                cols, rho = cols[keep], rho[keep]
                 r, p = np.asfortranarray(r[:, keep]), np.asfortranarray(p[:, keep])
             del q  # so the factor's result can take its memory
             z = self._factor.solve(r)
-            for c in range(len(cols)):
-                rho_new = float(r[:, c] @ z[:, c])
-                p[:, c] = z[:, c] + (rho_new / rho[c]) * p[:, c]
-                rho[c] = rho_new
+            rho_new = _column_dots(r, z)
+            p *= rho_new / rho
+            p += z
+            rho = rho_new
         worst = max(histories[j][-1] / norm0[j] for j in cols)
         raise SolverError(
             f"conjugate gradients did not converge in {maxit} iterations; "

@@ -36,6 +36,7 @@ from .geometry import (
     FieldKind,
     NormKind,
     ScalarField,
+    _end_rows,
     axis_weights,
     diff_array,
     discrete_norm,  # unused here; perfbench/traced_cli.py hooks this name
@@ -133,34 +134,25 @@ def _face_weights_1d(geometry: CylinderGeometry, axis: str) -> np.ndarray:
     return axis_weights(geometry.axis_count(axis), geometry.spacing(axis))
 
 
-def _d1_sharp(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central first derivative with fourth-order one-sided end rows.
+# Fourth-order one-sided first rows by derivative order: (denominator, taps
+# on nodes 0, 1, ...); the last row mirrors the first as in ``_STENCILS``.
+_SHARP_ENDS = {
+    1: (lambda h: h, (-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25)),
+    2: (lambda h: h * h, (15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0)),
+}
+
+
+def _sharp(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """Central derivative of ``order`` with fourth-order one-sided end rows.
 
     The identity residual is itself a second-order quantity; the standard
     second-order end rows would leak third-order boundary-strip errors into
     it and blur the measured convergence rate, so the end rows here are two
     orders better than the interior rows of ``diff_array``.
     """
-    d = diff_array(arr, axis, h, 1)
-    b, out = np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0)
-    out[0] = (-25.0 / 12.0 * b[0] + 4.0 * b[1] - 3.0 * b[2] + 4.0 / 3.0 * b[3] - 0.25 * b[4]) / h
-    out[-1] = (25.0 / 12.0 * b[-1] - 4.0 * b[-2] + 3.0 * b[-3] - 4.0 / 3.0 * b[-4] + 0.25 * b[-5]) / h
-    return d
-
-
-def _d2_sharp(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central second derivative with fourth-order one-sided end rows."""
-    d = diff_array(arr, axis, h, 2)
-    b, out = np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0)
-    h2 = h * h
-    out[0] = (
-        15.0 / 4.0 * b[0] - 77.0 / 6.0 * b[1] + 107.0 / 6.0 * b[2]
-        - 13.0 * b[3] + 61.0 / 12.0 * b[4] - 5.0 / 6.0 * b[5]
-    ) / h2
-    out[-1] = (
-        15.0 / 4.0 * b[-1] - 77.0 / 6.0 * b[-2] + 107.0 / 6.0 * b[-3]
-        - 13.0 * b[-4] + 61.0 / 12.0 * b[-5] - 5.0 / 6.0 * b[-6]
-    ) / h2
+    d = diff_array(arr, axis, h, order)
+    denominator, first = _SHARP_ENDS[order]
+    _end_rows(np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0), denominator(h), first, order)
     return d
 
 
@@ -183,11 +175,11 @@ def lemma1_residual(w: ScalarField) -> Lemma1Result:
 
     h_xp = g.spacing("xp")
     h_xn = g.spacing("xn")
-    wx = _d1_sharp(w.values, h_xp, 0)
-    wy = _d1_sharp(w.values, h_xn, 1)
-    wxx = _d2_sharp(w.values, h_xp, 0)
-    wyy = _d2_sharp(w.values, h_xn, 1)
-    wxy = _d1_sharp(wx, h_xn, 1)
+    wx = _sharp(w.values, h_xp, 0, 1)
+    wy = _sharp(w.values, h_xn, 1, 1)
+    wxx = _sharp(w.values, h_xp, 0, 2)
+    wyy = _sharp(w.values, h_xn, 1, 2)
+    wxy = _sharp(wx, h_xn, 1, 1)
     lap = wxx + wyy
 
     wq = quadrature_weights(g, FieldKind.SPACE_ONLY)

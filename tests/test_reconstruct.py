@@ -190,6 +190,10 @@ def test_oracle_rejects_bad_inputs(worked_geometry, quartic_instance, small_inst
         ({"tikhonov_weight": 1e-8, "cauchy_weight": 0.0}, "must be positive"),
         ({"tikhonov_weight": 1e-8, "face_weight": -2.0}, "must be positive"),
         ({"tikhonov_weight": 1e-8, "max_factor_gb": 0.0}, "max_factor_gb"),
+        # accepted once, these failed only at the factor or the first solve
+        ({"tikhonov_weight": 1e-8, "cauchy_weight": math.inf}, "must be positive and finite"),
+        ({"tikhonov_weight": 1e-8, "face_weight": math.inf}, "must be positive and finite"),
+        ({"tikhonov_weight": 1e-8, "cg_maxit": 2.5}, "cg_maxit must be an integer"),
     ],
 )
 def test_regularization_rejects_bad_parameters(kwargs, message):
@@ -352,6 +356,22 @@ def test_lockstep_columns_match_their_single_solves(small_instance, small_plan):
         assert np.array_equal(got.u_hat.values, want.u_hat.values)
 
 
+@pytest.mark.parametrize("n", [7, 8192, 8193, 20412])
+def test_column_dots_give_a_column_the_same_bits_at_any_width(n):
+    # lockstep CG relies on this: a column's dot products do not see its neighbours
+    rng = np.random.default_rng(n)
+    a, b = (np.asfortranarray(rng.standard_normal((n, 16))) for _ in range(2))
+    block = reconstruct._column_dots(a, b)
+    for j in range(16):
+        column = slice(j, j + 1)
+        alone = reconstruct._column_dots(a[:, column].copy("F"), b[:, column].copy("F"))
+        assert alone[0] == block[j]
+        # the loop's dot product sums in another order; each lies within
+        # n * eps * sum|a_i b_i| of the exact sum
+        bound = 2 * n * np.finfo(float).eps * np.abs(a[:, j] * b[:, j]).sum()
+        assert abs(block[j] - a[:, j] @ b[:, j]) <= bound
+
+
 def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
     bundles = [add_noise(small_instance, level, seed=2).data for level in (0.1, 0.0, 1e-3)]
     for got, want in zip(small_operator.solve_many(bundles), map(small_operator.solve, bundles)):
@@ -385,10 +405,21 @@ def _spd_band(n, b, seed):
 def test_blocked_solve_matches_lapack(n, b, k, seed):
     cb = cholesky_banded(_spd_band(n, b, seed))
     r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
-    got = reconstruct._BandCholesky(cb).solve(r)
+    got = reconstruct._blocked_band_solve(cb, r)
     want = cho_solve_banded((cb, False), r)
     assert got.shape == (n, k) and got.flags.f_contiguous
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solves_never_call_lapack_band_solve(small_instance, small_operator, monkeypatch):
+    # one column and a block both go through the blocked band solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve called cho_solve_banded")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
+    bundles = [add_noise(small_instance, level, seed=2).data for level in (0.1, 1e-3)]
+    assert small_operator.solve(bundles[0]).iterations == 1
+    assert [sol.iterations for sol in small_operator.solve_many(bundles)] == [1, 1]
 
 
 def test_the_blas_thread_pin_is_active():
@@ -426,7 +457,7 @@ def _dense_factor(op):
     Returns it with the permutation of the band-order unknowns it factors.
     """
     factor, n = op._factor, op._normal.shape[0]
-    b = op.half_bandwidth
+    b = factor.half_bandwidth
     k = factor.cb.shape[1]
     # LAPACK upper band storage: cb[b + i - j, j] = U[i, j]
     band = sp.dia_matrix((factor.cb, b - np.arange(b + 1)), shape=(k, k)).toarray()
@@ -488,7 +519,7 @@ def test_the_heads_start_at_six_slabs(quartic_recipe, sweep_reg, nx_prime, heads
 def test_band_order_keeps_the_band_narrow(worked_operator):
     # 3 * nt * (nx_n + 1) = 1,134 at 21x17x21, plus the x_n and t reach, is
     # the bound without heads; the heads leave 756 (see the next test)
-    assert worked_operator.half_bandwidth <= 1170
+    assert worked_operator._factor.half_bandwidth <= 1170
 
 
 @pytest.mark.parametrize("side, d0", [(GammaSide.HI, (0.5, 1.0)), (GammaSide.LO, (0.0, 0.5))])
@@ -499,7 +530,7 @@ def test_the_heads_leave_a_band_of_two_slabs(worked_geometry, quartic_recipe, sw
     inst = make_instance(g, quartic_recipe)
     plan = plan_parameters(g, d0, delta0=0.7, lam=1.0, margin=1.1)
     op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
-    assert op.half_bandwidth <= 2 * g.nt * (g.nx_n + 1) == 756
+    assert op._factor.half_bandwidth <= 2 * g.nt * (g.nx_n + 1) == 756
 
 
 def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_plan, monkeypatch):
