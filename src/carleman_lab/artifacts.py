@@ -1,10 +1,13 @@
-"""The two artifact formats every command writes, and their loaders.
+"""Two of the three artifact formats the commands write, and their loaders.
 
 * Table CSV: one header line, one line per row with floats in ``repr`` form
   (rereading reproduces them bit for bit), then a ``key=value`` footer
   block; LF line endings on every platform.
 * Archive: a ``.npz`` of little-endian float64 arrays plus a ``meta``
   member holding a JSON document.
+
+The third is ``plan.txt``: ``key = value`` lines, written by
+``weight.plan_report`` and read by ``weight.load_plan_record``.
 
 The loaders raise ValidationError on any input they cannot read; only a
 failure to read the file itself escapes as OSError.

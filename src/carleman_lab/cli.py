@@ -13,14 +13,13 @@ inequality table plus identity residual table), ``make-instance``
 (manufactured problem archive), ``reconstruct`` (lateral solve of the
 noiseless instance), ``sweep`` (noise ladder CSV), ``all`` (the pipeline in
 that order).  Exit codes: 0 success, 1 configuration or validation failure,
-2 solver failure (factorization, CG breakdown or non-convergence), 3
-filesystem trouble.
+2 solver failure (factorization, CG breakdown or non-convergence) or running
+out of memory, 3 filesystem trouble.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import math
@@ -90,8 +89,6 @@ _SOLVER_OPTIONS: Mapping[str, type] = {
     "carleman_s": float,
     "cg_tol": float,
     "cg_maxit": int,
-    "cauchy_weight": float,
-    "face_weight": float,
     "max_factor_gb": float,
 }
 
@@ -120,13 +117,6 @@ class ExperimentConfig:
         """Hash of the effective configuration (canonical JSON, SHA-256)."""
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        if "instance" not in self.raw:
-            raise ValidationError("seed override needs an instance block in the config")
-        raw = copy.deepcopy(self.raw)
-        raw["instance"]["seed"] = int(seed)
-        return ExperimentConfig(raw=raw)
 
     def _block(self, name: str) -> dict:
         if name not in self.raw:
@@ -166,14 +156,7 @@ class ExperimentConfig:
             raise ValidationError(
                 "delta0 applies to the explicit 'D0' form; the collar search sets its own time level"
             )
-        rb = wb["region"]
-        return region_family(
-            geometry,
-            float(rb["delta1"]),
-            float(rb["x0_prime"]),
-            None if rb.get("epsilon0") is None else float(rb["epsilon0"]),
-            **options,
-        )
+        return region_family(geometry, float(wb["region"]["delta1"]), **options)
 
     def _profile(self, factory, spec: Mapping) -> object:
         params = dict(spec.get("params", {}))
@@ -466,9 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--command", required=True, choices=COMMANDS, help="pipeline stage to run")
     parser.add_argument("--out", default=None, help="output directory (overrides the config)")
-    parser.add_argument(
-        "--seed-override", type=int, default=None, help="replace the instance seed"
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
@@ -482,8 +462,6 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config)
-        if args.seed_override is not None:
-            cfg = cfg.with_seed(args.seed_override)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir())
         out_dir.mkdir(parents=True, exist_ok=True)
         written = run(args.command, cfg, out_dir, quiet=args.quiet)
@@ -494,6 +472,11 @@ def main(argv=None) -> int:
         return 1
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # outside the factor, whose own MemoryError arrives as a SolverError
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,6 +123,10 @@ def _ct_constant(value=1.0):
     )
 
 
+def _ct_one():
+    return _ct_constant()
+
+
 def _ct_exp_cos():
     return (
         lambda xp, t: np.exp(-t) * np.cos(xp),
@@ -148,7 +152,7 @@ def _ct_cos_cos(omega=1.0):
 
 
 CROSS_TIME_PROFILES = {
-    "one": _ct_constant,
+    "one": _ct_one,
     "constant": _ct_constant,
     "exp_cos": _ct_exp_cos,
     "two_plus_sin": _ct_two_plus_sin,

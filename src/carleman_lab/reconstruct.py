@@ -144,18 +144,15 @@ class Regularization:
 
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
-    plain Tikhonov formulation); ``cauchy_weight`` and ``face_weight`` scale
-    the data-side and zero-trace row blocks; ``max_factor_gb`` caps the
-    factor's storage, band and heads, in GB (1e9 bytes).  The row weights
-    must be finite and ``cg_maxit`` an integer.
+    plain Tikhonov formulation); ``max_factor_gb`` caps the factor's
+    storage, band and heads, in GB (1e9 bytes).  ``cg_maxit`` must be an
+    integer.
     """
 
     tikhonov_weight: float
     carleman_s: float = 0.0
     cg_tol: float = 1e-8
     cg_maxit: int = 10000
-    cauchy_weight: float = 100.0
-    face_weight: float = 100.0
     max_factor_gb: float = 4.0
 
     def __post_init__(self):
@@ -169,10 +166,12 @@ class Regularization:
             raise ValidationError(f"cg_tol must lie in (0, 1), got {self.cg_tol!r}")
         if not (isinstance(self.cg_maxit, numbers.Integral) and self.cg_maxit >= 1):
             raise ValidationError(f"cg_maxit must be an integer >= 1, got {self.cg_maxit!r}")
-        if not (0 < self.cauchy_weight < math.inf and 0 < self.face_weight < math.inf):
-            raise ValidationError("cauchy_weight and face_weight must be positive and finite")
         if not self.max_factor_gb > 0:
             raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
+
+
+# weight of the data-side Cauchy rows and of the zero-trace rows at x_n = 0
+_BOUNDARY_ROW_WEIGHT = 100.0
 
 
 def _unit_row(n: int, idx: int) -> sp.csr_matrix:
@@ -250,7 +249,7 @@ def _lateral_matrix(
     # Cauchy mismatch rows, one block per recorded channel: the channel's
     # derivative steps applied to y = dxn(u) in order, then the data-side trace
     w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
-    cauchy_scale = sp.diags(math.sqrt(reg.cauchy_weight) * w_face)
+    cauchy_scale = sp.diags(math.sqrt(_BOUNDARY_ROW_WEIGHT) * w_face)
     for steps in BUNDLE_CHANNELS.values():
         op = dxn_v
         for step in steps:
@@ -259,7 +258,7 @@ def _lateral_matrix(
 
     # zero Cauchy data at the x_n = 0 face
     w0 = np.sqrt(quadrature_weights(g, FieldKind.CROSS_SECTION_TIME).ravel())
-    face_scale = sp.diags(math.sqrt(reg.face_weight) * w0)
+    face_scale = sp.diags(math.sqrt(_BOUNDARY_ROW_WEIGHT) * w0)
     blocks.append([face_scale @ t_zero, None])
     blocks.append([face_scale @ (t_zero @ dxn_v), None])
 
@@ -272,9 +271,7 @@ def _lateral_matrix(
     return sp.bmat(blocks, format="csr")
 
 
-def _lateral_rhs(
-    bundle: BoundaryBundle, geometry: CylinderGeometry, reg: Regularization
-) -> np.ndarray:
+def _lateral_rhs(bundle: BoundaryBundle, geometry: CylinderGeometry) -> np.ndarray:
     """Right-hand side matching the row layout of ``_lateral_matrix``."""
     if bundle.y.geometry != geometry:
         raise ValidationError("bundle grid does not match the reconstruction grid")
@@ -282,7 +279,7 @@ def _lateral_rhs(
     nq = g.nx_prime * g.nx_n * g.nt
     nf = g.nx_prime * g.nt
     w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
-    sqrt_wc = math.sqrt(reg.cauchy_weight)
+    sqrt_wc = math.sqrt(_BOUNDARY_ROW_WEIGHT)
     rhs = [np.zeros(nq)]
     for name in BUNDLE_CHANNELS:
         rhs.append(sqrt_wc * w_face * getattr(bundle, name).values.ravel())
@@ -667,7 +664,7 @@ class LateralOperator:
         bundles = list(bundles)
         rhs = np.empty((self._normal.shape[0], len(bundles)), order="F")
         for j, bundle in enumerate(bundles):
-            rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry, self.reg)
+            rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry)
         with _one_blas_thread():
             y, iterations, histories = self._pcg(rhs)
         g = self.geometry

@@ -109,9 +109,11 @@ def compute_sigmas(
     ``D0 x {x_n = 0} x [-delta0, delta0]``, sigma1 the maximum over the
     terminal faces, the axial ends, and (unless excluded) the window's far
     lateral face, and c0 the minimum of ``exp(lam * (d - beta t^2))`` over
-    the whole window.  Extrema are over grid nodes.
+    the whole window.  Extrema are over grid nodes, so the grid must have the
+    plan's extents.
     """
     g = geometry if geometry is not None else plan.geometry
+    _check_same_extents(plan, g)
     xp = g.axis_nodes("xp")
     d = build_d(g).values
     t = g.axis_nodes("t")
@@ -288,19 +290,18 @@ def plan_parameters(
 def region_family(
     geometry: CylinderGeometry,
     delta1: float,
-    x0_prime: float,
-    epsilon0: float | None = None,
     *,
     lam: float = 1.0,
     margin: float = 1.1,
 ) -> WeightPlan:
     """Plan on the widest admissible collar for recovery up to time level delta1.
 
-    Starting from ``epsilon0`` and halving, accept the first half-width
-    ``eps`` whose collar ``D_tilde`` (width ``2 eps``) and inner block ``D1``
-    (width ``eps``) satisfy ``(delta1/delta)^2 < d0/d1 < 1`` on grid nodes,
-    then delegate parameter selection to :func:`plan_parameters` on that
-    window.  The plan's ``domain_lo/hi`` is ``D_tilde`` and its ``D0_lo/hi``
+    The collar is anchored at the data-side endpoint of the cross-section,
+    the paper's x0'.  Starting from a quarter of the cross-section and
+    halving, accept the first half-width ``eps`` whose collar ``D_tilde``
+    (width ``2 eps``) and inner block ``D1`` (width ``eps``) satisfy
+    ``(delta1/delta)^2 < d0/d1 < 1`` on grid nodes, then delegate parameter
+    selection to :func:`plan_parameters` on that window.  The plan's ``domain_lo/hi`` is ``D_tilde`` and its ``D0_lo/hi``
     is ``D1``.  The collar stays inside the physical cross-section, so its
     far face is left out of the ``sigma1`` sets.
     """
@@ -311,14 +312,8 @@ def region_family(
             f"recovery time level delta1 = {delta1!r} must lie strictly inside (0, {geometry.delta!r})"
         )
     gamma = geometry.gamma_coord
-    if abs(x0_prime - gamma) > tol:
-        raise ValidationError(
-            f"x0_prime = {x0_prime!r} must be the data-side endpoint at {gamma!r}"
-        )
     h = geometry.spacing("xp")
-    eps = 0.25 * span if epsilon0 is None else float(epsilon0)
-    if not 0 < eps <= span:
-        raise ValidationError(f"epsilon0 = {eps!r} must lie in (0, {span!r}]")
+    eps = 0.25 * span
 
     d = build_d(geometry).values
     xp = geometry.axis_nodes("xp")

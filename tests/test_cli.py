@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from carleman_lab import __version__, cli as cli_module
+from carleman_lab import __version__, cli as cli_module, reconstruct as reconstruct_module
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
     LEMMA1_CSV_HEADER,
@@ -107,7 +107,7 @@ def test_config_requires_geometry_block(tmp_path):
 
 def test_weight_block_needs_exactly_one_form(tmp_path):
     cfg = base_config(tmp_path)
-    cfg["weight"]["region"] = {"delta1": 0.1, "x0_prime": 1.0}
+    cfg["weight"]["region"] = {"delta1": 0.1}
     both = load_config(write_config(tmp_path, cfg, "both.json"))
     with pytest.raises(ValidationError, match="exactly one"):
         both.weight_plan(both.geometry())
@@ -119,7 +119,7 @@ def test_weight_block_needs_exactly_one_form(tmp_path):
 
 def test_weight_region_form_builds_a_plan(tmp_path):
     cfg = base_config(tmp_path, geometry=WORKED_GEOMETRY)
-    cfg["weight"] = {"region": {"delta1": 0.1, "x0_prime": 1.0}}
+    cfg["weight"] = {"region": {"delta1": 0.1}}
     loaded = load_config(write_config(tmp_path, cfg))
     plan = loaded.weight_plan(loaded.geometry())
     assert plan.delta0 == 0.1
@@ -128,7 +128,7 @@ def test_weight_region_form_builds_a_plan(tmp_path):
 
 def test_delta0_rejected_with_region_form(tmp_path):
     cfg = base_config(tmp_path, geometry=WORKED_GEOMETRY)
-    cfg["weight"] = {"region": {"delta1": 0.1, "x0_prime": 1.0}, "delta0": 0.1}
+    cfg["weight"] = {"region": {"delta1": 0.1}, "delta0": 0.1}
     loaded = load_config(write_config(tmp_path, cfg))
     with pytest.raises(ValidationError, match="delta0"):
         loaded.weight_plan(loaded.geometry())
@@ -150,12 +150,14 @@ def test_recipe_rejects_foreign_parameter(tmp_path):
         loaded.recipe()
 
 
-def test_seed_override_requires_instance_block(tmp_path):
-    cfg = base_config(tmp_path)
-    del cfg["instance"]
-    loaded = load_config(write_config(tmp_path, cfg))
-    with pytest.raises(ValidationError, match="instance"):
-        loaded.with_seed(7)
+def test_profile_one_rejects_a_value(tmp_path, capsys):
+    # "one" evaluated to the given value while its provenance still named "one"
+    cfg = base_config(tmp_path / "out")
+    cfg["instance"]["recipe"]["f"]["params"] = {"value": 3}
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "make-instance") == 1
+    assert "profile 'one' rejected parameters ['value']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "instance.npz").exists()
 
 
 def test_solver_defaults_fill_in(tmp_path):
@@ -165,8 +167,6 @@ def test_solver_defaults_fill_in(tmp_path):
     assert reg.carleman_s == 0.0
     assert reg.cg_tol == 1e-8
     assert reg.cg_maxit == 10000
-    assert reg.cauchy_weight == 100.0
-    assert reg.face_weight == 100.0
     assert reg.max_factor_gb == 4.0
 
 
@@ -208,7 +208,7 @@ def test_plan_command_reproduces_worked_values(tmp_path):
 
 def test_plan_command_writes_the_region_collar(tmp_path):
     cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
-    cfg["weight"] = {"region": {"delta1": 0.1, "x0_prime": 1.0}}
+    cfg["weight"] = {"region": {"delta1": 0.1}}
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "plan", "--quiet") == 0
     record = load_plan_record((tmp_path / "out" / "plan.txt").read_text())
@@ -358,10 +358,12 @@ def test_a_dot_product_in_the_pin_does_not_depend_on_blas_threads():
 
 
 def test_seed_override_changes_rows_and_hash(tmp_path):
-    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    cfg = base_config(tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    cfg["instance"]["seed"] = 42
+    reseeded = write_config(tmp_path, cfg, "reseeded.json")
     assert cli("--config", path, "--command", "sweep", "--out", tmp_path / "a", "--quiet") == 0
-    assert cli("--config", path, "--command", "sweep", "--out", tmp_path / "c",
-               "--seed-override", 42, "--quiet") == 0
+    assert cli("--config", reseeded, "--command", "sweep", "--out", tmp_path / "c", "--quiet") == 0
     with open(tmp_path / "a" / "sweep.csv") as fh:
         rows_a, footer_a = load_sweep_csv(fh)
     with open(tmp_path / "c" / "sweep.csv") as fh:
@@ -470,6 +472,31 @@ def test_exit_1_on_argparse_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "block, key, args",
+    [
+        # the collar is anchored where gamma_side says and its search starts
+        # at a quarter of the cross-section; both boundary row weights are
+        # fixed; the seed is set in the instance block only
+        pytest.param("region", "x0_prime", (), id="x0_prime"),
+        pytest.param("region", "epsilon0", (), id="epsilon0"),
+        pytest.param("solver", "cauchy_weight", (), id="cauchy_weight"),
+        pytest.param("solver", "face_weight", (), id="face_weight"),
+        pytest.param(None, "--seed-override", ("--seed-override", 42), id="seed-override"),
+    ],
+)
+def test_exit_1_on_a_removed_key_or_flag(tmp_path, capsys, block, key, args):
+    cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
+    cfg["weight"] = {"region": {"delta1": 0.1}}
+    if block is not None:
+        target = cfg["weight"]["region"] if block == "region" else cfg[block]
+        target[key] = 1.0
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "plan", *args) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_2_on_solver_stall(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["solver"] = {"mu": 1e-6, "cg_tol": 1e-300, "cg_maxit": 2}
@@ -512,6 +539,25 @@ def test_exit_2_when_a_head_factor_fails(tmp_path, monkeypatch, capsys, outcome,
     err = capsys.readouterr().err
     assert err.startswith("error: factorization of the ")
     assert "normal matrix failed" in err and name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "module, name, command",
+    [pytest.param(reconstruct_module, "_lateral_matrix", "reconstruct", id="reconstruct"),
+     pytest.param(cli_module, "verify_carleman", "verify", id="verify")],
+)
+def test_exit_2_on_running_out_of_memory_outside_the_factor(
+    tmp_path, monkeypatch, capsys, module, name, command
+):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(module, name, exhaust)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 8.00 GiB")
     assert "Traceback" not in err
 
 

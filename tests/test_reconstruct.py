@@ -187,12 +187,8 @@ def test_oracle_rejects_bad_inputs(worked_geometry, quartic_instance, small_inst
         ({"tikhonov_weight": 1e-8, "cg_tol": 0.0}, "cg_tol"),
         ({"tikhonov_weight": 1e-8, "cg_tol": 1.0}, "cg_tol"),
         ({"tikhonov_weight": 1e-8, "cg_maxit": 0}, "cg_maxit"),
-        ({"tikhonov_weight": 1e-8, "cauchy_weight": 0.0}, "must be positive"),
-        ({"tikhonov_weight": 1e-8, "face_weight": -2.0}, "must be positive"),
         ({"tikhonov_weight": 1e-8, "max_factor_gb": 0.0}, "max_factor_gb"),
         # accepted once, these failed only at the factor or the first solve
-        ({"tikhonov_weight": 1e-8, "cauchy_weight": math.inf}, "must be positive and finite"),
-        ({"tikhonov_weight": 1e-8, "face_weight": math.inf}, "must be positive and finite"),
         ({"tikhonov_weight": 1e-8, "cg_maxit": 2.5}, "cg_maxit must be an integer"),
     ],
 )
@@ -208,7 +204,7 @@ def test_assembled_system_is_consistent_with_the_truth(small_instance, small_pla
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8)
     a = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
-    b = _lateral_rhs(inst.data, inst.geometry, reg)
+    b = _lateral_rhs(inst.data, inst.geometry)
     z_true = np.concatenate([inst.u.values.ravel(), inst.f.values.ravel()])
     resid = a @ z_true - b
     # the whole residual is finite-difference truncation plus the Tikhonov bias
@@ -492,7 +488,7 @@ def _check_factor(op, r):
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
     op = small_operator
     assert len(op._factor.heads) == 2
-    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry, op.reg)
+    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry)
     _check_factor(op, r)
 
 
@@ -512,7 +508,7 @@ def test_the_heads_start_at_six_slabs(quartic_recipe, sweep_reg, nx_prime, heads
     slab = g.nt * (g.nx_n + 1)
     assert len(op._factor.heads) == heads
     assert op._factor.cb.shape[1] == (nx_prime - 2 * heads) * slab
-    r = op._a_scaled.T @ _lateral_rhs(inst.data, g, op.reg)
+    r = op._a_scaled.T @ _lateral_rhs(inst.data, g)
     _check_factor(op, r)
 
 

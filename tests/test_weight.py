@@ -142,11 +142,18 @@ def test_sigma_levels_scale_as_expected_with_lam(worked_plan):
     assert s0 / s1 > worked_plan.sigma0 / worked_plan.sigma1
 
 
+def test_sigmas_refuse_a_grid_with_other_extents(worked_plan):
+    # on these nodes the levels came out as sigma0 = 1.665 < sigma1 = 2.718
+    other = CylinderGeometry(0.0, 2.0, 3.0, 1.0, GammaSide.LO, 21, 17, 21)
+    with pytest.raises(ValidationError, match="extents do not match"):
+        compute_sigmas(worked_plan, other)
+
+
 # ---- region family -------------------------------------------------------------
 
 
 def test_region_family_accepts_large_collar_for_small_delta1(worked_geometry):
-    plan = region_family(worked_geometry, 0.1, 1.0)
+    plan = region_family(worked_geometry, 0.1)
     assert (plan.domain_lo, plan.domain_hi) == (0.5, 1.0)
     assert (plan.D0_lo, plan.D0_hi) == (0.75, 1.0)
     assert plan.sigma1 < plan.sigma0
@@ -155,9 +162,9 @@ def test_region_family_accepts_large_collar_for_small_delta1(worked_geometry):
 
 
 def test_region_family_on_the_lo_side_mirrors_the_hi_collar(worked_geometry):
-    hi = region_family(worked_geometry, 0.1, 1.0)
+    hi = region_family(worked_geometry, 0.1)
     g = dataclasses.replace(worked_geometry, gamma_side=GammaSide.LO)
-    lo = region_family(g, 0.1, 0.0)
+    lo = region_family(g, 0.1)
     assert (lo.domain_lo, lo.domain_hi) == (0.0, 0.5)
     assert (lo.D0_lo, lo.D0_hi) == (0.0, 0.25)
     assert not lo.include_far_face
@@ -167,7 +174,7 @@ def test_region_family_on_the_lo_side_mirrors_the_hi_collar(worked_geometry):
 
 def test_region_family_epsilon_monotone_in_delta1():
     g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 81, 9, 11)
-    plans = [region_family(g, f * g.delta, 1.0) for f in (0.5, 0.8, 0.95)]
+    plans = [region_family(g, f * g.delta) for f in (0.5, 0.8, 0.95)]
     eps = [p.D0_hi - p.D0_lo for p in plans]
     assert eps[0] >= eps[1] >= eps[2]
     assert eps[2] < eps[0]
@@ -175,20 +182,15 @@ def test_region_family_epsilon_monotone_in_delta1():
 
 def test_region_family_rejects_bad_time_level(worked_geometry):
     with pytest.raises(ValidationError, match="delta1"):
-        region_family(worked_geometry, 1.0, 1.0)
+        region_family(worked_geometry, 1.0)
     with pytest.raises(ValidationError, match="delta1"):
-        region_family(worked_geometry, -0.1, 1.0)
-
-
-def test_region_family_requires_the_data_side_endpoint(worked_geometry):
-    with pytest.raises(ValidationError, match="data-side endpoint"):
-        region_family(worked_geometry, 0.5, 0.25)
+        region_family(worked_geometry, -0.1)
 
 
 def test_region_family_fails_when_grid_cannot_resolve_the_collar(worked_geometry):
     # delta1 = 0.95 needs a collar thinner than four cells of this grid
     with pytest.raises(ValidationError, match="no admissible collar"):
-        region_family(worked_geometry, 0.95, 1.0)
+        region_family(worked_geometry, 0.95)
 
 
 # ---- decay integral -------------------------------------------------------------
