@@ -13,8 +13,8 @@ inequality table plus identity residual table), ``make-instance``
 (manufactured problem archive), ``reconstruct`` (lateral solve of the
 noiseless instance), ``sweep`` (noise ladder CSV), ``all`` (the pipeline in
 that order).  Exit codes: 0 success, 1 configuration or validation failure,
-2 solver failure (factorization, CG breakdown or non-convergence) or running
-out of memory, 3 filesystem trouble.
+2 solver failure (a factorization, or a solve whose normal-equation residual
+misses ``cg_tol``) or running out of memory, 3 filesystem trouble.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ _VERIFY_DEFAULTS: Mapping[str, object] = {
 _SOLVER_OPTIONS: Mapping[str, type] = {
     "carleman_s": float,
     "cg_tol": float,
-    "cg_maxit": int,
     "max_factor_gb": float,
 }
 

@@ -14,5 +14,5 @@ class ValidationError(CarlemanLabError):
 
 
 class SolverError(CarlemanLabError):
-    """Raised when a solve fails: the band Cholesky factorization, a conjugate
-    gradients breakdown, or iterations that do not reach their tolerance."""
+    """Raised when a solve fails: the band Cholesky factorization, or a solution
+    whose relative normal-equation residual is above ``cg_tol`` or not finite."""

@@ -5,17 +5,19 @@ f * R = -dnn(u) at x_n = 0 and needs the full field, so it mainly serves as
 a convergence reference.  The lateral one sees only the boundary bundle and
 solves a regularized least-squares problem for the pair (u, f) jointly:
 PDE residual rows (optionally Carleman-weighted), Cauchy mismatch rows on
-the data side, zero-trace rows at x_n = 0, and Tikhonov rows.  The normal
-equations are solved by preconditioned conjugate gradients after Jacobi
-column scaling; the preconditioner is a Cholesky factorization of the normal
-matrix, which the squared conditioning of the sideways problem makes
-necessary (unpreconditioned iterations stall).  The unknowns are numbered in
-a tensor-grid order, x' slowest, that keeps the normal matrix a narrow band.
-Only the one-sided x' stencils at the two x' faces reach three slabs of x'
-nodes, so the first and the last two slabs are eliminated first as dense
-heads (LAPACK's ``dpotrf``); each head's Schur update lands in one corner of
-the remaining band, whose half-bandwidth is then about two slabs instead of
-three, and LAPACK's band Cholesky (``cholesky_banded``) factors that band.
+the data side, zero-trace rows at x_n = 0, and Tikhonov rows.  After Jacobi
+column scaling the normal equations are solved directly: a Cholesky
+factorization of the normal matrix is applied once, and each solution's
+normal residual is checked against ``cg_tol``.  The sideways problem squares
+its conditioning badly enough that iterations without the factor make no
+headway, while a Cholesky solve is backward stable and leaves a relative
+residual near rounding.  The unknowns are numbered in a tensor-grid order,
+x' slowest, that keeps the normal matrix a narrow band.  Only the one-sided
+x' stencils at the two x' faces reach three slabs of x' nodes, so the first
+and the last two slabs are eliminated first as dense heads (LAPACK's
+``dpotrf``); each head's Schur update lands in one corner of the remaining
+band, whose half-bandwidth is then about two slabs instead of three, and
+LAPACK's band Cholesky (``cholesky_banded``) factors that band.
 ``_BandCholesky`` builds all of this from the normal matrix; the factor's
 storage, (half-bandwidth + 1) * band unknowns plus four dense head blocks of
 doubles, is known before it is allocated.
@@ -24,14 +26,14 @@ The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
 sweep leans on that to rerun the solver across noise levels and fit an
 empirical Holder exponent from the decreasing part of the error curve.  It
-solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: conjugate gradients
-run in lockstep over the block, column by column in array arithmetic, and
-the factor is applied to the whole block by a blocked band triangular solve
-(BLAS-3 ``dgemm`` and ``dtrsm`` on zero-copy windows of the band), which
-streams the band once per block instead of once per bundle.  A single
-bundle takes the same path as a block of one.  The factorization and the
-solves run on one thread of scipy's OpenBLAS and of numpy's, so their
-rounding does not depend on the BLAS thread count.
+solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: the factor is
+applied to the whole block by a blocked band triangular solve (BLAS-3
+``dgemm`` and ``dtrsm`` on zero-copy windows of the band), which streams the
+band once per block instead of once per bundle, and the residual check runs
+column by column in array arithmetic.  A single bundle takes the same path
+as a block of one.  The factorization and the solves run on one thread of
+scipy's OpenBLAS and of numpy's, so their rounding does not depend on the
+BLAS thread count.
 
 scipy is imported on first use, by the operator build and the band solves,
 so a command that never builds an operator never loads it.
@@ -43,7 +45,6 @@ import ctypes
 import functools
 import importlib
 import math
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
@@ -145,14 +146,13 @@ class Regularization:
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``max_factor_gb`` caps the factor's
-    storage, band and heads, in GB (1e9 bytes).  ``cg_maxit`` must be an
-    integer.
+    storage, band and heads, in GB (1e9 bytes); ``cg_tol`` bounds the relative
+    normal residual of every solution.
     """
 
     tikhonov_weight: float
     carleman_s: float = 0.0
     cg_tol: float = 1e-8
-    cg_maxit: int = 10000
     max_factor_gb: float = 4.0
 
     def __post_init__(self):
@@ -164,8 +164,6 @@ class Regularization:
             raise ValidationError(f"carleman_s must be nonnegative, got {self.carleman_s!r}")
         if not (0 < self.cg_tol < 1):
             raise ValidationError(f"cg_tol must lie in (0, 1), got {self.cg_tol!r}")
-        if not (isinstance(self.cg_maxit, numbers.Integral) and self.cg_maxit >= 1):
-            raise ValidationError(f"cg_maxit must be an integer >= 1, got {self.cg_maxit!r}")
         if not self.max_factor_gb > 0:
             raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
 
@@ -303,7 +301,7 @@ def _band_order(geometry: CylinderGeometry) -> np.ndarray:
     return np.concatenate([u_pos.ravel(), pos[:, :, g.nx_n].ravel()])
 
 
-_SOLVE_BLOCK = 16  # bundles per lockstep solve in a sweep; bounds the block state
+_SOLVE_BLOCK = 16  # bundles per block solve in a sweep; bounds the block state
 # rows per diagonal block of the blocked triangular solve; 32-48 ran fastest
 # at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
 _BAND_BLOCK = 48
@@ -451,13 +449,12 @@ class _BandCholesky:
         ab = np.zeros((b + 1, k), order="F")
         ab.reshape(-1, order="F")[b + cols + rows * b] = sub.data[inner]
         del sub, rows, cols, inner
+        self.band = slice(h, n - h)
+        # (U_k, W_k, the head's unknowns, the corner of the band they couple with)
         self.heads = []
-        # each head with the band unknowns it couples with and their corner of the band
-        ends = (
-            (slice(0, h), slice(h, 2 * h), 0),
-            (slice(n - h, n), slice(n - 2 * h, n - h), k - h),
-        )
-        for head, near, corner in ends if h else ():
+        ends = ((slice(0, h), slice(0, h)), (slice(n - h, n), slice(k - h, k)))
+        for head, corner in ends if h else ():
+            near = slice(h + corner.start, h + corner.stop)
             own = normal[head, head].toarray(order="F")
             u, info = scipy.linalg.lapack.dpotrf(own, overwrite_a=1)
             if info != 0:
@@ -467,35 +464,31 @@ class _BandCholesky:
             w = dtrsm(1.0, u, normal[head, near].toarray(order="F"), trans_a=1, overwrite_b=1)
             g = dsyrk(1.0, w, trans=1)
             for j in range(h):
-                ab[b - j :, corner + j] -= g[: j + 1, j]
+                ab[b - j :, corner.start + j] -= g[: j + 1, j]
             del g  # so the band factor does not run beside an h x h update
-            self.heads.append((u, w))
+            self.heads.append((u, w, head, corner))
         # no finiteness check, which would take a boolean copy of the band: a
-        # NaN passes through the factor and stops CG at its first step
+        # NaN passes through the factor and fails the solve's residual check
         self.cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the inverse to the columns of an n x k block, any k; F-ordered result."""
         from scipy.linalg.blas import dtrsm
 
-        if not self.heads:
-            return _blocked_band_solve(self.cb, r)
-        (u1, w1), (u2, w2) = self.heads
-        h = len(u1)
-        # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k
-        y1 = dtrsm(1.0, u1, r[:h], trans_a=1)
-        y2 = dtrsm(1.0, u2, r[-h:], trans_a=1)
-        rb = r[h:-h].copy(order="F")
-        rb[:h] -= w1.T @ y1
-        rb[-h:] -= w2.T @ y2
+        # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k in
+        # the head's corner; at six slabs both corners are the whole band, so
+        # the heads go in order
+        ys = [dtrsm(1.0, u, r[head], trans_a=1) for u, _, head, _ in self.heads]
+        rb = r[self.band].copy(order="F")
+        for (_, w, _, corner), y in zip(self.heads, ys):
+            rb[corner] -= w.T @ y
         xb = _blocked_band_solve(self.cb, rb)
-        # backward: x_k = U_k^-1 (y_k - W_k x_B at the head's end of the band)
+        # backward: x_k = U_k^-1 (y_k - W_k x_B in the head's corner)
         x = np.empty(r.shape, order="F")
-        x[h:-h] = xb
-        y1 -= w1 @ xb[:h]
-        y2 -= w2 @ xb[-h:]
-        x[:h] = dtrsm(1.0, u1, y1, overwrite_b=1)
-        x[-h:] = dtrsm(1.0, u2, y2, overwrite_b=1)
+        x[self.band] = xb
+        for (u, w, head, corner), y in zip(self.heads, ys):
+            y -= w @ xb[corner]
+            x[head] = dtrsm(1.0, u, y, overwrite_b=1)
         return x
 
 
@@ -506,7 +499,12 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LateralSolution:
-    """Joint least-squares solution with its conjugate-gradient history."""
+    """Joint least-squares solution with its solve record.
+
+    ``iterations`` is 1, or 0 for an all-zero right-hand side, which is
+    solved by exact zeros; ``residual_history`` holds the norms of the
+    right-hand side b and of the normal residual b - N x, or only b's 0.0.
+    """
 
     u_hat: ScalarField
     f_hat: ScalarField
@@ -520,24 +518,24 @@ class LateralOperator:
     The matrix never sees the data bundle, so the normal equations are formed
     and factored once here and any number of bundles can be solved against
     the same factorization; a stability sweep reuses one operator for every
-    noise level.  The factorization serves as the preconditioner of conjugate
-    gradients on the normal equations: the sideways problem squares badly
-    enough that unpreconditioned iterations make no headway, while CG on top
-    of the factorization still enforces ``cg_tol`` in exact arithmetic terms.
+    noise level.  The factorization is exact, so one application of it solves
+    the normal equations; the normal residual of every solution is then
+    checked against ``cg_tol``, and a solution that misses it, or whose
+    residual is not finite, raises SolverError.
 
     The build assembles the matrix, renumbers its columns once into the order
     of ``_band_order``, scales them, forms the normal matrix and hands it to
     ``_BandCholesky``, so the scaled matrix, the normal matrix, its factor
-    and the CG iterates all live in band order and the solvers map the result
+    and the solutions all live in band order and the solvers map the result
     back.  The factor's two dense heads are the first two and the last two x'
     slabs, h = 2 * nt * (nx_n + 1) unknowns each, whose one-sided face
     stencils would otherwise set the band's width; below six x' slabs the two
     heads would couple with each other, so there are none and the band is
     the whole normal matrix.  ``solve_many`` solves several bundles as one
-    block under lockstep CG, and every application of the factor, to one
-    column or to a block, runs the blocked triangular solve on the band;
-    ``solve`` is ``solve_many`` on one bundle.  The factorization and the CG
-    solves run on one thread of scipy's OpenBLAS and of numpy's (see
+    block, and every application of the factor, to one column or to a block,
+    runs the blocked triangular solve on the band; ``solve`` is
+    ``solve_many`` on one bundle.  The factorization and the solves run on
+    one thread of scipy's OpenBLAS and of numpy's (see
     ``_one_blas_thread``).  A grid whose factor exceeds ``reg.max_factor_gb``
     is refused with ValidationError before anything is allocated; a head or
     band LAPACK finds not positive definite, or a factor that does not fit in
@@ -583,70 +581,32 @@ class LateralOperator:
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
-    def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray, list[int], list[list[float]]]:
-        """Lockstep preconditioned CG on the normal equations for an n x k block.
+    def _solve_block(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Solve the normal equations for an F-ordered n x k block and check the residuals.
 
-        Each column is its own CG run: its own step sizes, convergence test and
-        residual history, computed by column-wise array arithmetic that gives
-        a column the same bits as a one-column solve.  A converged column
-        leaves the block; the others share each normal product and each
-        application of the factor.  Takes ownership of the F-ordered ``rhs``;
-        returns the solutions, each column's iteration count and its residual
-        norms.
+        One application of the factor solves the nonzero columns; a zero
+        column stays exactly zero.  Each column's normal residual b - N x is
+        measured by column-wise array arithmetic that gives a column the same
+        bits as a one-column solve.  Returns the solutions and each column's
+        right-hand side and residual norms; raises SolverError if a relative
+        residual is above ``cg_tol`` or is not finite.
         """
-        tol, maxit = self.reg.cg_tol, self.reg.cg_maxit
-        y = np.zeros(rhs.shape, order="F")
         norm0 = np.sqrt(_column_dots(rhs, rhs))
-        histories = [[float(nrm)] for nrm in norm0]
-        iterations = [0] * len(norm0)
-        cols = np.flatnonzero(norm0)  # active, in block order
-        if not cols.size:
-            return y, iterations, histories
-        r = rhs if cols.size == len(norm0) else np.asfortranarray(rhs[:, cols])
-        z = self._factor.solve(r)
-        p = z
-        rho = _column_dots(r, z)
-        for it in range(1, maxit + 1):
-            q = np.asfortranarray(self._normal @ p)
-            pq = _column_dots(p, q)
-            broken = ~((0.0 < pq) & (pq < math.inf))  # true for NaN too
-            if broken.any():
-                raise SolverError(
-                    f"conjugate gradients broke down at iteration {it}: "
-                    f"p.q = {float(pq[broken][0])!r} is not a positive finite number"
-                )
-            alpha = rho / pq
-            y[:, cols] += alpha * p
-            r -= alpha * q
-            res = np.sqrt(_column_dots(r, r))
-            broken = ~np.isfinite(res)
-            if broken.any():
-                raise SolverError(
-                    f"conjugate gradients broke down at iteration {it}: "
-                    f"residual norm {float(res[broken][0])!r}"
-                )
-            for j, value in zip(cols, res):
-                histories[j].append(float(value))
-            done = res <= tol * norm0[cols]
-            if done.any():
-                for j in cols[done]:
-                    iterations[j] = it
-                if done.all():
-                    return y, iterations, histories
-                keep = ~done
-                cols, rho = cols[keep], rho[keep]
-                r, p = np.asfortranarray(r[:, keep]), np.asfortranarray(p[:, keep])
-            del q  # so the factor's result can take its memory
-            z = self._factor.solve(r)
-            rho_new = _column_dots(r, z)
-            p *= rho_new / rho
-            p += z
-            rho = rho_new
-        worst = max(histories[j][-1] / norm0[j] for j in cols)
-        raise SolverError(
-            f"conjugate gradients did not converge in {maxit} iterations; "
-            f"final relative normal residual {worst:.3e}"
-        )
+        cols = np.flatnonzero(norm0)
+        y = np.zeros(rhs.shape, order="F")
+        if cols.size:
+            y[:, cols] = self._factor.solve(rhs[:, cols])
+        r = np.asfortranarray(self._normal @ y)
+        np.subtract(rhs, r, out=r)
+        res = np.sqrt(_column_dots(r, r))
+        rel = res[cols] / norm0[cols]
+        missed = ~(rel <= self.reg.cg_tol)  # true for NaN too
+        if missed.any():
+            raise SolverError(
+                f"the solve missed cg_tol = {self.reg.cg_tol!r}: "
+                f"relative normal residual {float(rel[missed][0])!r}"
+            )
+        return y, norm0, res
 
     def solve(self, bundle: BoundaryBundle) -> LateralSolution:
         """Solve the joint least-squares problem for one data bundle."""
@@ -656,8 +616,8 @@ class LateralOperator:
     def solve_many(self, bundles: Iterable[BoundaryBundle]) -> Iterator[LateralSolution]:
         """Solve for several data bundles as one block; yield a solution per bundle.
 
-        All bundles go through one lockstep CG run (see ``_pcg``), so each step
-        applies the factor to the whole block at once.  The solutions are
+        The factor is applied to the whole block at once and each column's
+        residual is checked (see ``_solve_block``).  The solutions are
         yielded in bundle order and built on demand, so a caller that drops
         each one keeps a single solution's fields alive.
         """
@@ -666,10 +626,11 @@ class LateralOperator:
         for j, bundle in enumerate(bundles):
             rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry)
         with _one_blas_thread():
-            y, iterations, histories = self._pcg(rhs)
+            y, norm0, res = self._solve_block(rhs)
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
         for j in range(len(bundles)):
+            history = (float(norm0[j]), float(res[j])) if norm0[j] else (0.0,)
             z = (y[:, j] / self._col_norms)[self._band_pos]
             u_hat = ScalarField(
                 g, z[:nq].reshape(g.nx_prime, g.nx_n, g.nt), FieldKind.SPACE_TIME
@@ -680,8 +641,8 @@ class LateralOperator:
             yield LateralSolution(
                 u_hat=u_hat,
                 f_hat=f_hat,
-                iterations=iterations[j],
-                residual_history=tuple(histories[j]),
+                iterations=len(history) - 1,
+                residual_history=history,
             )
 
 
@@ -696,10 +657,10 @@ def lateral_reconstruct(
     """Recover (u, f) from the lateral bundle alone.
 
     Deterministic for fixed inputs: the system is assembled in a fixed row
-    order, Jacobi column scaling uses exact column norms, the factorization
-    and CG run on one thread of scipy's and numpy's OpenBLAS (where their
-    thread functions are exported) so they do not depend on the BLAS thread
-    count, and CG starts from zero.
+    order, Jacobi column scaling uses exact column norms, and the
+    factorization and the solve run on one thread of scipy's and numpy's
+    OpenBLAS (where their thread functions are exported) so they do not
+    depend on the BLAS thread count.
     """
     return LateralOperator(geometry, plan, p0, R, reg).solve(bundle)
 

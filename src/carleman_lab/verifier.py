@@ -479,8 +479,8 @@ def verify_carleman(
     if not g.extended:
         raise ValidationError("verification geometry must be extended")
     s_values = [float(s) for s in s_values]
-    if not s_values or sorted(s_values) != s_values:
-        raise ValidationError("s_values must be a nonempty increasing sequence")
+    if not s_values or any(b <= a for a, b in zip(s_values, s_values[1:])):
+        raise ValidationError("s_values must be a nonempty strictly increasing sequence")
     if not corpus:
         raise ValidationError("the corpus must hold at least one field")
     weights = _strength_terms(plan, g, s_values)

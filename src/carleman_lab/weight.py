@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import parse_float
 from .errors import ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -427,48 +428,40 @@ def decay_integral(plan: WeightPlan, s: float, geometry: CylinderGeometry | None
 # ---- serialization -----------------------------------------------------------
 
 _REPORT_HEADER = "carleman weight plan v1"
+# every key of the report, in its order, with the type it is written and read as
+_REPORT_KEYS = {
+    "geometry": str,
+    "gamma_side": str,
+    **dict.fromkeys(("d_lo", "d_hi", "ell", "delta"), float),
+    **dict.fromkeys(("nx_prime", "nx_n", "nt"), int),
+    **dict.fromkeys(
+        ("domain_lo", "domain_hi", "D0_lo", "D0_hi", "lam", "margin", "delta0",
+         "beta", "alpha", "d0", "d1", "sigma0", "sigma1", "c0"),
+        float,
+    ),
+    "include_far_face": bool,
+}
 
 
 def plan_report(plan: WeightPlan) -> str:
     """Serialize a plan as a key = value report; floats use repr round-trips."""
     g = plan.geometry
-    rows = [
-        ("geometry", g.fingerprint()),
-        ("gamma_side", g.gamma_side.value),
-        ("d_lo", g.d_lo),
-        ("d_hi", g.d_hi),
-        ("ell", g.ell),
-        ("delta", g.delta),
-        ("nx_prime", g.nx_prime),
-        ("nx_n", g.nx_n),
-        ("nt", g.nt),
-        ("domain_lo", plan.domain_lo),
-        ("domain_hi", plan.domain_hi),
-        ("D0_lo", plan.D0_lo),
-        ("D0_hi", plan.D0_hi),
-        ("lam", plan.lam),
-        ("margin", plan.margin),
-        ("delta0", plan.delta0),
-        ("beta", plan.beta),
-        ("alpha", plan.alpha),
-        ("d0", plan.d0),
-        ("d1", plan.d1),
-        ("sigma0", plan.sigma0),
-        ("sigma1", plan.sigma1),
-        ("c0", plan.c0),
-        ("include_far_face", plan.include_far_face),
-    ]
+    values = {**vars(g), **vars(plan)}
+    values.update(geometry=g.fingerprint(), gamma_side=g.gamma_side.value)
     lines = [_REPORT_HEADER]
-    for key, val in rows:
-        lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
+    for key, kind in _REPORT_KEYS.items():
+        val = values[key]
+        lines.append(f"{key} = {val!r}" if kind is float else f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
 
 def load_plan_record(text: str) -> dict:
     """Parse a plan report back into a dict of scalars (inverse of plan_report).
 
-    Values that are not numeric stay strings, so callers may append extra
-    bookkeeping lines (hashes, version tags) without breaking the round trip.
+    Each key of the report is parsed as the type it was written as, and a
+    value that does not parse raises ValidationError.  Other keys stay
+    strings, so callers may append extra bookkeeping lines (hashes, version
+    tags) without breaking the round trip.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _REPORT_HEADER:
@@ -478,20 +471,18 @@ def load_plan_record(text: str) -> dict:
         if " = " not in ln:
             raise ValidationError(f"malformed plan report line: {ln!r}")
         key, _, raw = ln.partition(" = ")
-        if key in ("geometry", "gamma_side"):
-            out[key] = raw
-        elif key in ("nx_prime", "nx_n", "nt"):
+        kind = _REPORT_KEYS.get(key, str)
+        if kind is float:
+            out[key] = parse_float(raw, f"plan report value {key}")
+        elif kind is int:
             try:
                 out[key] = int(raw)
             except ValueError:
                 raise ValidationError(f"malformed plan report line: {ln!r}") from None
-        elif key == "include_far_face":
+        elif kind is bool:
             if raw not in ("True", "False"):
                 raise ValidationError(f"malformed plan report line: {ln!r}")
             out[key] = raw == "True"
         else:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                out[key] = raw
+            out[key] = raw
     return out

@@ -259,6 +259,16 @@ def test_plan_record_rejects_a_malformed_count_or_flag(plan_text, line, junk):
         load_plan_record(plan_text.replace(line, junk))
 
 
+@pytest.mark.parametrize("key, junk", [("beta", "x{}"), ("lam", "1.0.0")])
+def test_plan_record_rejects_a_malformed_float(plan_text, key, junk):
+    # these loaded as the strings 'x1.0004...' and '1.0.0'
+    lines = plan_text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} = "))
+    lines[i] = f"{key} = {junk.format(lines[i].partition(' = ')[2])}"
+    with pytest.raises(ValidationError, match=f"plan report value {key} is not a number"):
+        load_plan_record("\n".join(lines))
+
+
 CONFIG = {
     "output_dir": "out",
     "geometry": {

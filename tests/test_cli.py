@@ -166,7 +166,6 @@ def test_solver_defaults_fill_in(tmp_path):
     assert reg.tikhonov_weight == 1e-6
     assert reg.carleman_s == 0.0
     assert reg.cg_tol == 1e-8
-    assert reg.cg_maxit == 10000
     assert reg.max_factor_gb == 4.0
 
 
@@ -445,6 +444,16 @@ def test_exit_1_on_rejected_config(tmp_path, capsys):
     assert "delta0" in capsys.readouterr().err
 
 
+def test_exit_1_on_a_repeated_strength(tmp_path, capsys):
+    # a repeated strength would write every member's row twice
+    cfg = base_config(tmp_path / "out")
+    cfg["verify"]["s_values"] = [5, 5]
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "verify") == 1
+    assert "s_values must be a nonempty strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "carleman_rows.csv").exists()
+
+
 @pytest.mark.parametrize(
     "literal, message",
     [
@@ -477,11 +486,13 @@ def test_exit_1_on_argparse_usage_error(tmp_path, capsys):
     [
         # the collar is anchored where gamma_side says and its search starts
         # at a quarter of the cross-section; both boundary row weights are
-        # fixed; the seed is set in the instance block only
+        # fixed; the solve applies the factor once, with no iteration cap;
+        # the seed is set in the instance block only
         pytest.param("region", "x0_prime", (), id="x0_prime"),
         pytest.param("region", "epsilon0", (), id="epsilon0"),
         pytest.param("solver", "cauchy_weight", (), id="cauchy_weight"),
         pytest.param("solver", "face_weight", (), id="face_weight"),
+        pytest.param("solver", "cg_maxit", (), id="cg_maxit"),
         pytest.param(None, "--seed-override", ("--seed-override", 42), id="seed-override"),
     ],
 )
@@ -499,10 +510,12 @@ def test_exit_1_on_a_removed_key_or_flag(tmp_path, capsys, block, key, args):
 
 def test_exit_2_on_solver_stall(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
-    cfg["solver"] = {"mu": 1e-6, "cg_tol": 1e-300, "cg_maxit": 2}
+    cfg["solver"] = {"mu": 1e-6, "cg_tol": 1e-300}
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "reconstruct") == 2
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: the solve missed cg_tol = 1e-300: relative normal residual ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -588,7 +601,7 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
 
 
 def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
-    # a NaN factor passes LAPACK unchecked and stops the lockstep CG at once
+    # a NaN factor passes LAPACK unchecked and fails the residual check
     def nan_factor(ab, **kwargs):
         return np.full_like(ab, np.nan)
 
@@ -596,7 +609,7 @@ def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: conjugate gradients broke down at iteration 1: p.q = nan")
+    assert err.startswith("error: the solve missed cg_tol = 1e-08: relative normal residual nan")
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 

@@ -277,6 +277,8 @@ def test_verify_rejects_bad_strength_grid(worked_plan):
         verify_carleman(worked_plan, corpus, (5.0, 2.0))
     with pytest.raises(ValidationError, match="increasing"):
         verify_carleman(worked_plan, corpus, ())
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        verify_carleman(worked_plan, corpus, [5.0, 5.0])
 
 
 def test_verify_refuses_an_empty_corpus_before_building_a_weight(worked_plan, monkeypatch):
