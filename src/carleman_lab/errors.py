@@ -15,4 +15,4 @@ class ValidationError(CarlemanLabError):
 
 class SolverError(CarlemanLabError):
     """Raised when a solve fails: the band Cholesky factorization, or a solution
-    whose relative normal-equation residual is above ``cg_tol`` or not finite."""
+    whose relative normal-equation residual is above 1e-8 or not finite."""

@@ -8,11 +8,11 @@ PDE residual rows (optionally Carleman-weighted), Cauchy mismatch rows on
 the data side, zero-trace rows at x_n = 0, and Tikhonov rows.  After Jacobi
 column scaling the normal equations are solved directly: a Cholesky
 factorization of the normal matrix is applied once, and each solution's
-normal residual is checked against ``cg_tol``.  The sideways problem squares
-its conditioning badly enough that iterations without the factor make no
-headway, while a Cholesky solve is backward stable and leaves a relative
-residual near rounding.  The unknowns are numbered in a tensor-grid order,
-x' slowest, that keeps the normal matrix a narrow band.  Only the one-sided
+relative normal residual is checked against ``_MAX_REL_NORMAL_RESIDUAL``.
+The sideways problem squares its conditioning badly enough that iterations
+without the factor make no headway, while a Cholesky solve is backward
+stable and leaves a relative residual near rounding.  The unknowns are
+numbered in a tensor-grid order, x' slowest, that keeps the normal matrix a narrow band.  Only the one-sided
 x' stencils at the two x' faces reach three slabs of x' nodes, so the first
 and the last two slabs are eliminated first as dense heads (LAPACK's
 ``dpotrf``); each head's Schur update lands in one corner of the remaining
@@ -112,9 +112,10 @@ def __getattr__(name: str):
 # ---- oracle reconstruction --------------------------------------------------------
 
 
-def oracle_trace_reconstruct(
-    u: ScalarField, R: ScalarField, r_min: float = 1e-8
-) -> ScalarField:
+_ORACLE_R_FLOOR = 1e-8  # smallest |R| on the x_n = 0 face that the oracle divides by
+
+
+def oracle_trace_reconstruct(u: ScalarField, R: ScalarField) -> ScalarField:
     """Recover f from the full field via the face identity f*R = -dnn(u).
 
     Uses the one-sided second-derivative stencil at x_n = 0, so the result
@@ -128,9 +129,9 @@ def oracle_trace_reconstruct(
         raise ValidationError("oracle reconstruction runs on the physical half-cylinder")
     r_face = trace(R, Face.XN_ZERO)
     floor = float(np.min(np.abs(r_face.values)))
-    if floor < r_min:
+    if floor < _ORACLE_R_FLOOR:
         raise ValidationError(
-            f"|R| drops to {floor:.3e} at the x_n = 0 face, below the floor {r_min:.3e}"
+            f"|R| drops to {floor:.3e} at the x_n = 0 face, below the floor {_ORACLE_R_FLOOR:.3e}"
         )
     unn_face = trace(dxn2(u), Face.XN_ZERO)
     return unn_face.with_values(-unn_face.values / r_face.values)
@@ -146,13 +147,11 @@ class Regularization:
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``max_factor_gb`` caps the factor's
-    storage, band and heads, in GB (1e9 bytes); ``cg_tol`` bounds the relative
-    normal residual of every solution.
+    storage, band and heads, in GB (1e9 bytes).
     """
 
     tikhonov_weight: float
     carleman_s: float = 0.0
-    cg_tol: float = 1e-8
     max_factor_gb: float = 4.0
 
     def __post_init__(self):
@@ -162,8 +161,6 @@ class Regularization:
             )
         if not (self.carleman_s >= 0 and math.isfinite(self.carleman_s)):
             raise ValidationError(f"carleman_s must be nonnegative, got {self.carleman_s!r}")
-        if not (0 < self.cg_tol < 1):
-            raise ValidationError(f"cg_tol must lie in (0, 1), got {self.cg_tol!r}")
         if not self.max_factor_gb > 0:
             raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
 
@@ -301,7 +298,12 @@ def _band_order(geometry: CylinderGeometry) -> np.ndarray:
     return np.concatenate([u_pos.ravel(), pos[:, :, g.nx_n].ravel()])
 
 
-_SOLVE_BLOCK = 16  # bundles per block solve in a sweep; bounds the block state
+# bundles per block solve in a sweep.  One block of all 161 levels of a
+# 21x17x21 sweep (one BLAS thread) raised peak RSS from 136 MB to 196 MB,
+# and its wider BLAS-3 solves rounded differently: sweep.csv changed bytes
+_SOLVE_BLOCK = 16
+# largest relative normal residual |b - N x| / |b| a solution may leave
+_MAX_REL_NORMAL_RESIDUAL = 1e-8
 # rows per diagonal block of the blocked triangular solve; 32-48 ran fastest
 # at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
 _BAND_BLOCK = 48
@@ -519,9 +521,9 @@ class LateralOperator:
     and factored once here and any number of bundles can be solved against
     the same factorization; a stability sweep reuses one operator for every
     noise level.  The factorization is exact, so one application of it solves
-    the normal equations; the normal residual of every solution is then
-    checked against ``cg_tol``, and a solution that misses it, or whose
-    residual is not finite, raises SolverError.
+    the normal equations; each solution's relative normal residual is then
+    checked against ``_MAX_REL_NORMAL_RESIDUAL``, and a solution that misses
+    it, or whose residual is not finite, raises SolverError.
 
     The build assembles the matrix, renumbers its columns once into the order
     of ``_band_order``, scales them, forms the normal matrix and hands it to
@@ -589,7 +591,7 @@ class LateralOperator:
         measured by column-wise array arithmetic that gives a column the same
         bits as a one-column solve.  Returns the solutions and each column's
         right-hand side and residual norms; raises SolverError if a relative
-        residual is above ``cg_tol`` or is not finite.
+        residual is above ``_MAX_REL_NORMAL_RESIDUAL`` or is not finite.
         """
         norm0 = np.sqrt(_column_dots(rhs, rhs))
         cols = np.flatnonzero(norm0)
@@ -600,10 +602,10 @@ class LateralOperator:
         np.subtract(rhs, r, out=r)
         res = np.sqrt(_column_dots(r, r))
         rel = res[cols] / norm0[cols]
-        missed = ~(rel <= self.reg.cg_tol)  # true for NaN too
+        missed = ~(rel <= _MAX_REL_NORMAL_RESIDUAL)  # true for NaN too
         if missed.any():
             raise SolverError(
-                f"the solve missed cg_tol = {self.reg.cg_tol!r}: "
+                f"the solve missed the residual bound {_MAX_REL_NORMAL_RESIDUAL!r}: "
                 f"relative normal residual {float(rel[missed][0])!r}"
             )
         return y, norm0, res

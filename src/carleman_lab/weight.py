@@ -12,8 +12,8 @@ observation region) and ``sigma1`` (ceiling on the uncontrolled boundary),
 whose gap drives the Hoelder stability exponent.
 
 All extrema are taken over grid nodes.  Configurations should place nodes on
-the region corners; the planner warns when a one-step refinement moves a
-tabulated level by more than 1 percent.
+the region corners; a planner given no window warns when a one-step
+refinement moves a tabulated level by more than 1 percent.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ def plan_parameters(
     lam: float = 1.0,
     margin: float = 1.1,
     domain: tuple[float, float] | None = None,
-    warn_on_drift: bool = True,
 ) -> WeightPlan:
     """Select admissible Carleman parameters over a cross-section window.
 
@@ -171,8 +170,8 @@ def plan_parameters(
        ``margin > 1``.
     5. The three strict domination inequalities implied by these choices are
        re-verified numerically.
-    6. ``sigma0 > sigma1`` must hold on the grid, and a one-step refinement
-       must not move either level by more than 1 percent (else a warning).
+    6. ``sigma0 > sigma1`` must hold on the grid, and without a ``domain``
+       a one-step refinement that moves either level by over 1 percent warns.
     """
     g = geometry
     if g.extended:
@@ -180,11 +179,9 @@ def plan_parameters(
     xp = g.axis_nodes("xp")
     tol = 1e-9 * max(1.0, g.d_hi - g.d_lo)
 
-    if domain is None:
-        domain = (g.d_lo, g.d_hi)
-    dom_lo, dom_hi = float(domain[0]), float(domain[1])
+    dom_lo, dom_hi = map(float, (g.d_lo, g.d_hi) if domain is None else domain)
     if not (g.d_lo - tol <= dom_lo < dom_hi <= g.d_hi + tol):
-        raise ValidationError(f"planning window {domain!r} is not inside the cross-section")
+        raise ValidationError(f"planning window {(dom_lo, dom_hi)!r} is not inside the cross-section")
 
     lo0, hi0 = float(D0[0]), float(D0[1])
     if not lo0 < hi0:
@@ -273,7 +270,7 @@ def plan_parameters(
         )
     plan = replace(plan, sigma0=sigma0, sigma1=sigma1, c0=c0)
 
-    if warn_on_drift:
+    if domain is None:
         s0r, s1r, _ = compute_sigmas(plan, plan.geometry.refine())
         for name, base, ref in (("sigma0", sigma0, s0r), ("sigma1", sigma1, s1r)):
             if abs(ref - base) > 0.01 * abs(base):
@@ -346,7 +343,6 @@ def region_family(
                         lam=lam,
                         margin=margin,
                         domain=window,
-                        warn_on_drift=False,
                     )
         eps *= 0.5
 
@@ -459,9 +455,9 @@ def load_plan_record(text: str) -> dict:
     """Parse a plan report back into a dict of scalars (inverse of plan_report).
 
     Each key of the report is parsed as the type it was written as, and a
-    value that does not parse raises ValidationError.  Other keys stay
-    strings, so callers may append extra bookkeeping lines (hashes, version
-    tags) without breaking the round trip.
+    value that does not parse, a missing key or a repeated one raises
+    ValidationError.  Other keys stay strings, so callers may append extra
+    bookkeeping lines (hashes, version tags) without breaking the round trip.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _REPORT_HEADER:
@@ -471,6 +467,8 @@ def load_plan_record(text: str) -> dict:
         if " = " not in ln:
             raise ValidationError(f"malformed plan report line: {ln!r}")
         key, _, raw = ln.partition(" = ")
+        if key in out:
+            raise ValidationError(f"plan report repeats the key {key!r}")
         kind = _REPORT_KEYS.get(key, str)
         if kind is float:
             out[key] = parse_float(raw, f"plan report value {key}")
@@ -485,4 +483,7 @@ def load_plan_record(text: str) -> dict:
             out[key] = raw == "True"
         else:
             out[key] = raw
+    missing = [key for key in _REPORT_KEYS if key not in out]
+    if missing:
+        raise ValidationError(f"plan report lacks the key {missing[0]!r}")
     return out

@@ -259,6 +259,19 @@ def test_plan_record_rejects_a_malformed_count_or_flag(plan_text, line, junk):
         load_plan_record(plan_text.replace(line, junk))
 
 
+def test_plan_record_refuses_a_report_cut_short(plan_text):
+    # a report cut before alpha loaded as 17 keys
+    cut = plan_text[: plan_text.index("alpha = ")]
+    with pytest.raises(ValidationError, match="plan report lacks the key 'alpha'"):
+        load_plan_record(cut)
+
+
+def test_plan_record_refuses_a_repeated_key(plan_text):
+    # the second line won
+    with pytest.raises(ValidationError, match="plan report repeats the key 'beta'"):
+        load_plan_record(plan_text + "beta = 2.0\n")
+
+
 @pytest.mark.parametrize("key, junk", [("beta", "x{}"), ("lam", "1.0.0")])
 def test_plan_record_rejects_a_malformed_float(plan_text, key, junk):
     # these loaded as the strings 'x1.0004...' and '1.0.0'

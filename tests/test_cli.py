@@ -5,8 +5,11 @@ whole file stays fast; the plan command uses the worked grid where the
 frozen parameter values hold exactly.
 """
 
+import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -29,8 +32,8 @@ from carleman_lab.cli import (
 )
 from carleman_lab.errors import ValidationError
 from carleman_lab.problems import load_instance
-from carleman_lab.reconstruct import load_sweep_csv
-from carleman_lab.weight import load_plan_record
+from carleman_lab.reconstruct import Regularization, load_sweep_csv
+from carleman_lab.weight import load_plan_record, plan_parameters
 
 WORKED_GEOMETRY = {
     "d_lo": 0.0, "d_hi": 1.0, "ell": 1.0, "delta": 1.0,
@@ -165,7 +168,6 @@ def test_solver_defaults_fill_in(tmp_path):
     reg = loaded.regularization()
     assert reg.tikhonov_weight == 1e-6
     assert reg.carleman_s == 0.0
-    assert reg.cg_tol == 1e-8
     assert reg.max_factor_gb == 4.0
 
 
@@ -176,6 +178,33 @@ def test_verify_settings_merge_defaults(tmp_path):
     assert vs["s_values"] == [2.0, 5.0]
     assert vs["corpus_seed"] == 11
     assert vs["c_cap"] == 10.0
+
+
+def _documented_defaults(node, path=()):
+    """Yield (key path, value) for each "Default X." that closes a description."""
+    for key, sub in node.get("properties", {}).items():
+        match = re.search(r"Default (.+)\.$", sub.get("description", ""))
+        if match:
+            yield path + (key,), json.loads(match.group(1))
+        yield from _documented_defaults(sub, path + (key,))
+
+
+def test_schema_documents_the_code_defaults():
+    planner = inspect.signature(plan_parameters).parameters
+    code = {
+        **{
+            ("solver", field.name): field.default
+            for field in dataclasses.fields(Regularization)
+            if field.default is not dataclasses.MISSING
+        },
+        **{("verify", key): value for key, value in cli_module._VERIFY_DEFAULTS.items()},
+        **{("weight", key): planner[key].default for key in ("lam", "margin")},
+    }
+    documented = dict(_documented_defaults(cli_module._schema()))
+    assert documented.keys() == code.keys()
+    for path, value in documented.items():
+        want = code[path]
+        assert value == (list(want) if isinstance(want, tuple) else want), path
 
 
 def test_missing_block_names_itself(tmp_path):
@@ -251,7 +280,8 @@ def test_reconstruct_archive_roundtrips(tmp_path):
     assert f_hat.shape == (13, 13)
     assert u_hat.shape == (13, 11, 13)
     assert meta["err_region"] <= meta["err_global"]
-    assert meta["iterations"] >= 1
+    assert 0.0 < meta["rel_residual"] <= reconstruct_module._MAX_REL_NORMAL_RESIDUAL
+    assert "iterations" not in meta
     assert meta["version"] == __version__
 
 
@@ -482,39 +512,42 @@ def test_exit_1_on_argparse_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "block, key, args",
+    "block, key, value, args",
     [
         # the collar is anchored where gamma_side says and its search starts
         # at a quarter of the cross-section; both boundary row weights are
-        # fixed; the solve applies the factor once, with no iteration cap;
-        # the seed is set in the instance block only
-        pytest.param("region", "x0_prime", (), id="x0_prime"),
-        pytest.param("region", "epsilon0", (), id="epsilon0"),
-        pytest.param("solver", "cauchy_weight", (), id="cauchy_weight"),
-        pytest.param("solver", "face_weight", (), id="face_weight"),
-        pytest.param("solver", "cg_maxit", (), id="cg_maxit"),
-        pytest.param(None, "--seed-override", ("--seed-override", 42), id="seed-override"),
+        # fixed; the solve applies the factor once, with no iteration cap,
+        # and its residual bound is fixed; the seed is set in the instance
+        # block only
+        pytest.param("region", "x0_prime", 1.0, (), id="x0_prime"),
+        pytest.param("region", "epsilon0", 1.0, (), id="epsilon0"),
+        pytest.param("solver", "cauchy_weight", 1.0, (), id="cauchy_weight"),
+        pytest.param("solver", "face_weight", 1.0, (), id="face_weight"),
+        pytest.param("solver", "cg_maxit", 1.0, (), id="cg_maxit"),
+        pytest.param("solver", "cg_tol", 1e-6, (), id="cg_tol"),
+        pytest.param(None, "--seed-override", None, ("--seed-override", 42), id="seed-override"),
     ],
 )
-def test_exit_1_on_a_removed_key_or_flag(tmp_path, capsys, block, key, args):
+def test_exit_1_on_a_removed_key_or_flag(tmp_path, capsys, block, key, value, args):
     cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
     cfg["weight"] = {"region": {"delta1": 0.1}}
     if block is not None:
         target = cfg["weight"]["region"] if block == "region" else cfg[block]
-        target[key] = 1.0
+        target[key] = value
     path = write_config(tmp_path, cfg)
     assert cli("--config", path, "--command", "plan", *args) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_2_on_solver_stall(tmp_path, capsys):
-    cfg = base_config(tmp_path / "out")
-    cfg["solver"] = {"mu": 1e-6, "cg_tol": 1e-300}
-    path = write_config(tmp_path, cfg)
+def test_exit_2_on_solver_stall(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(reconstruct_module, "_MAX_REL_NORMAL_RESIDUAL", 1e-300)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the solve missed cg_tol = 1e-300: relative normal residual ")
+    assert err.startswith(
+        "error: the solve missed the residual bound 1e-300: relative normal residual "
+    )
     assert "Traceback" not in err
 
 
@@ -609,7 +642,9 @@ def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the solve missed cg_tol = 1e-08: relative normal residual nan")
+    assert err.startswith(
+        "error: the solve missed the residual bound 1e-08: relative normal residual nan"
+    )
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
