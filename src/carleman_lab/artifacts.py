@@ -60,7 +60,11 @@ def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str
 
 
 def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], dict]:
-    """Parse a table CSV back into float rows plus the footer mapping."""
+    """Parse a table CSV back into float rows plus the footer mapping.
+
+    A footer line without a key, a repeated footer key and a table row after
+    the footer raise ValidationError naming the line.
+    """
     try:
         lines = stream.read().split("\n")
     except UnicodeDecodeError as exc:
@@ -77,8 +81,14 @@ def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], 
             continue
         if "=" in line and "," not in line:
             key, _, value = line.partition("=")
+            if not key:
+                raise ValidationError(f"CSV footer line {line!r} has no key")
+            if key in footer:
+                raise ValidationError(f"CSV footer line {line!r} repeats the key {key!r}")
             footer[key] = value
             continue
+        if footer:
+            raise ValidationError(f"CSV row {line!r} comes after the footer")
         parts = line.split(",")
         if len(parts) != ncols:
             raise ValidationError(f"malformed CSV row {line!r}")

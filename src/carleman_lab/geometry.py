@@ -11,6 +11,11 @@ interior, one-sided second-order stencils on the first and last node of the
 differentiation axis.  One coefficient table, ``_STENCILS``, drives both the
 array stencils (``diff_array``, behind ``diff``) and the sparse matrices of
 the lateral solver (``diff_matrix``).  All integrals are trapezoidal.
+
+One node rule picks the nodes of an interval, for the regions of
+``discrete_norm`` and for every node set of the weight planner:
+``CylinderGeometry.nodes_within`` keeps the nodes of an axis in ``[lo, hi]``
+with both ends widened by ``node_tolerance``, 1e-9 * max(1, axis span).
 """
 
 from __future__ import annotations
@@ -146,6 +151,18 @@ class CylinderGeometry:
     def spacing(self, axis: str) -> float:
         lo, hi, n = self._axis_extent(axis)
         return (hi - lo) / (n - 1)
+
+    def node_tolerance(self, axis: str) -> float:
+        """How far a point may miss a node or an interval end on ``axis`` and still meet it."""
+        lo, hi, _ = self._axis_extent(axis)
+        return 1e-9 * max(1.0, hi - lo)
+
+    def nodes_within(self, axis: str, lo: float, hi: float) -> slice:
+        """The nodes of ``axis`` in ``[lo, hi]``, both ends widened by ``node_tolerance``."""
+        nodes = self.axis_nodes(axis)
+        tol = self.node_tolerance(axis)
+        inside = np.nonzero((nodes >= lo - tol) & (nodes <= hi + tol))[0]
+        return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
     def shape(self, kind: FieldKind) -> tuple[int, ...]:
         return tuple(self.axis_count(a) for a in kind.axes)
@@ -452,8 +469,7 @@ def time_slice(u: ScalarField, t_value: float) -> ScalarField:
     """Restrict to the time node nearest ``t_value`` (must hit a node)."""
     nodes = u.geometry.axis_nodes("t")
     idx = int(np.argmin(np.abs(nodes - t_value)))
-    tol = 1e-9 * max(1.0, float(nodes[-1] - nodes[0]))
-    if abs(nodes[idx] - t_value) > tol:
+    if abs(nodes[idx] - t_value) > u.geometry.node_tolerance("t"):
         raise ValidationError(
             f"t = {t_value!r} is not a grid node (nearest node {nodes[idx]!r})"
         )
@@ -497,17 +513,15 @@ class Region:
 def _axis_selection(geometry: CylinderGeometry, axis: str, bounds) -> slice:
     if bounds is None:
         return slice(0, geometry.axis_count(axis))
-    nodes = geometry.axis_nodes(axis)
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValidationError(f"bad region bounds for axis {axis!r}: {bounds!r}")
-    tol = 1e-9 * max(1.0, float(nodes[-1] - nodes[0]))
-    inside = np.nonzero((nodes >= lo - tol) & (nodes <= hi + tol))[0]
-    if inside.size < 2:
+    sel = geometry.nodes_within(axis, lo, hi)
+    if sel.stop - sel.start < 2:
         raise ValidationError(
             f"empty region: fewer than two grid nodes fall in {bounds!r} along {axis!r}"
         )
-    return slice(int(inside[0]), int(inside[-1]) + 1)
+    return sel
 
 
 def _region_weights(

@@ -11,9 +11,12 @@ are dominated, and tabulates the weight levels ``sigma0`` (floor on the
 observation region) and ``sigma1`` (ceiling on the uncontrolled boundary),
 whose gap drives the Hoelder stability exponent.
 
-All extrema are taken over grid nodes.  Configurations should place nodes on
-the region corners; a planner given no window warns when a one-step
-refinement moves a tabulated level by more than 1 percent.
+All extrema are taken over grid nodes.  Every node set here (the window,
+``D0``, the time window ``[-delta0, delta0]``, each collar of the search) is
+picked by the node rule of ``geometry``, ``CylinderGeometry.nodes_within``,
+the rule ``discrete_norm`` applies to its regions.  Configurations should
+place nodes on the region corners; a planner given no window warns when a
+one-step refinement moves a tabulated level by more than 1 percent.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ __all__ = [
 ]
 
 
+def _d_at(geometry: CylinderGeometry, xp):
+    """``d`` at cross-section coordinates ``xp``: the distance to the far endpoint."""
+    if geometry.gamma_side is GammaSide.HI:
+        return xp - geometry.d_lo
+    return geometry.d_hi - xp
+
+
 def build_d(geometry: CylinderGeometry) -> ScalarField:
     """The cross-section weight base ``d``: the distance to the far endpoint.
 
@@ -58,12 +68,7 @@ def build_d(geometry: CylinderGeometry) -> ScalarField:
     width of D at the data side, and its slope is +1 or -1 everywhere.  It
     depends on x' alone, so an extended geometry gives the same values.
     """
-    xp = geometry.axis_nodes("xp")
-    if geometry.gamma_side is GammaSide.HI:
-        vals = xp - geometry.d_lo
-    else:
-        vals = geometry.d_hi - xp
-    return ScalarField(geometry, vals, FieldKind.CROSS_SECTION)
+    return ScalarField(geometry, _d_at(geometry, geometry.axis_nodes("xp")), FieldKind.CROSS_SECTION)
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,9 @@ class WeightPlan:
     include_far_face: bool
 
 
-def _mask(nodes: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
-    return (nodes >= lo - tol) & (nodes <= hi + tol)
+def _psi(plan: WeightPlan, d: np.ndarray, xn: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``psi = d - alpha x_n^2 - beta t^2`` on the tensor grid of ``d``, ``xn`` and ``t``."""
+    return d[:, None, None] - plan.alpha * (xn * xn)[None, :, None] - plan.beta * (t * t)[None, None, :]
 
 
 def compute_sigmas(
@@ -115,35 +121,26 @@ def compute_sigmas(
     """
     g = geometry if geometry is not None else plan.geometry
     _check_same_extents(plan, g)
-    xp = g.axis_nodes("xp")
     d = build_d(g).values
     t = g.axis_nodes("t")
     xn = (g if g.extended else g.extend()).axis_nodes("xn")
-    tol = 1e-9 * max(1.0, g.d_hi - g.d_lo, 2.0 * g.delta)
-
-    mwin = _mask(xp, plan.domain_lo, plan.domain_hi, tol)
-    md0 = _mask(xp, plan.D0_lo, plan.D0_hi, tol)
-    mt0 = np.abs(t) <= plan.delta0 + tol
-    if not mwin.any() or not md0.any() or not mt0.any():
+    dwin = d[g.nodes_within("xp", plan.domain_lo, plan.domain_hi)]
+    dobs = d[g.nodes_within("xp", plan.D0_lo, plan.D0_hi)]
+    tobs = t[g.nodes_within("t", -plan.delta0, plan.delta0)]
+    if not (dwin.size and dobs.size and tobs.size):
         raise ValidationError("sigma evaluation: a node set of the plan is empty on this grid")
 
-    tsq = t * t
-    xnsq = xn * xn
-    psi0 = float(np.min(d[md0][:, None] - plan.beta * tsq[None, mt0]))
-    c0_psi = float(np.min(d[mwin][:, None] - plan.beta * tsq[None, :]))
-
-    dwin = d[mwin]
-    cand = [
-        # terminal faces t = +-delta
-        float(np.max(dwin[:, None] - plan.alpha * xnsq[None, :] - plan.beta * g.delta**2)),
-        # axial ends x_n = +-ell
-        float(np.max(dwin[:, None] - plan.alpha * g.ell**2 - plan.beta * tsq[None, :])),
+    xn0 = np.zeros(1)
+    psi0 = float(np.min(_psi(plan, dobs, xn0, tobs)))
+    c0_psi = float(np.min(_psi(plan, dwin, xn0, t)))
+    faces = [
+        _psi(plan, dwin, xn, t[[0, -1]]),  # terminal faces t = +-delta
+        _psi(plan, dwin, xn[[0, -1]], t),  # axial ends x_n = +-ell
     ]
     if plan.include_far_face:
-        far = plan.domain_lo if g.gamma_side is GammaSide.HI else plan.domain_hi
-        d_far = float(np.interp(far, xp, d))
-        cand.append(float(np.max(d_far - plan.alpha * xnsq[:, None] - plan.beta * tsq[None, :])))
-    psi1 = max(cand)
+        # the far face is the window's node of least d
+        faces.append(_psi(plan, dwin.min(keepdims=True), xn, t))
+    psi1 = max(float(np.max(f)) for f in faces)
     return math.exp(plan.lam * psi0), math.exp(plan.lam * psi1), math.exp(plan.lam * c0_psi)
 
 
@@ -176,8 +173,7 @@ def plan_parameters(
     g = geometry
     if g.extended:
         raise ValidationError("weight base is planned on the physical geometry, not the extension")
-    xp = g.axis_nodes("xp")
-    tol = 1e-9 * max(1.0, g.d_hi - g.d_lo)
+    tol = g.node_tolerance("xp")
 
     dom_lo, dom_hi = map(float, (g.d_lo, g.d_hi) if domain is None else domain)
     if not (g.d_lo - tol <= dom_lo < dom_hi <= g.d_hi + tol):
@@ -186,17 +182,15 @@ def plan_parameters(
     lo0, hi0 = float(D0[0]), float(D0[1])
     if not lo0 < hi0:
         raise ValidationError(f"observation subdomain {D0!r} is degenerate")
-    hi_is_gamma = g.gamma_side is GammaSide.HI
-    near = dom_hi if hi_is_gamma else dom_lo
-    far = dom_lo if hi_is_gamma else dom_hi
-    touch = hi0 if hi_is_gamma else lo0
-    inner = lo0 if hi_is_gamma else hi0
+    # each interval's end of larger d faces the data side
+    far, near = sorted((dom_lo, dom_hi), key=lambda x: _d_at(g, x))
+    inner, touch = sorted((lo0, hi0), key=lambda x: _d_at(g, x))
     if abs(touch - near) > tol:
         raise ValidationError(
             "observation subdomain must touch the data side of the window "
             f"(got {touch!r}, data side at {near!r})"
         )
-    if abs(inner - far) <= tol or (hi_is_gamma and inner < far) or (not hi_is_gamma and inner > far):
+    if _d_at(g, inner) - _d_at(g, far) <= tol:
         raise ValidationError(
             "observation subdomain must stay strictly away from the far end "
             f"of the window at {far!r}"
@@ -207,14 +201,13 @@ def plan_parameters(
     if not (margin > 1.0 and math.isfinite(margin)):
         raise ValidationError(f"margin must exceed 1, got {margin!r}")
 
-    mwin = _mask(xp, dom_lo, dom_hi, tol)
-    md0 = _mask(xp, lo0, hi0, tol)
-    if mwin.sum() < 2 or md0.sum() < 2:
-        raise ValidationError("planning window or observation subdomain holds fewer than two nodes")
-
     d = build_d(g).values
-    d0 = float(np.min(d[md0]))
-    d1 = float(np.max(d[mwin]))
+    dwin = d[g.nodes_within("xp", dom_lo, dom_hi)]
+    dobs = d[g.nodes_within("xp", lo0, hi0)]
+    if dwin.size < 2 or dobs.size < 2:
+        raise ValidationError("planning window or observation subdomain holds fewer than two nodes")
+    d0 = float(np.min(dobs))
+    d1 = float(np.max(dwin))
 
     delta = g.delta
     delta0_max = math.sqrt(d0 / d1) * delta
@@ -261,7 +254,7 @@ def plan_parameters(
         sigma0=math.nan,
         sigma1=math.nan,
         c0=math.nan,
-        include_far_face=abs(far - (g.d_lo if hi_is_gamma else g.d_hi)) <= tol,
+        include_far_face=abs(_d_at(g, far)) <= tol,
     )
     sigma0, sigma1, c0 = compute_sigmas(plan)
     if not sigma1 < sigma0:
@@ -303,20 +296,18 @@ def region_family(
     is ``D1``.  The collar stays inside the physical cross-section, so its
     far face is left out of the ``sigma1`` sets.
     """
-    span = geometry.d_hi - geometry.d_lo
-    tol = 1e-9 * max(1.0, span)
     if not 0 < delta1 < geometry.delta:
         raise ValidationError(
             f"recovery time level delta1 = {delta1!r} must lie strictly inside (0, {geometry.delta!r})"
         )
     gamma = geometry.gamma_coord
+    # the collar grows from gamma toward the endpoint where d = 0
+    toward = -1.0 if _d_at(geometry, geometry.d_lo) == 0.0 else 1.0
     h = geometry.spacing("xp")
-    eps = 0.25 * span
+    eps = 0.25 * (geometry.d_hi - geometry.d_lo)
 
     d = build_d(geometry).values
-    xp = geometry.axis_nodes("xp")
     ratio_floor = (delta1 / geometry.delta) ** 2
-    hi_side = geometry.gamma_side is GammaSide.HI
 
     while True:
         if eps < 4.0 * h:
@@ -324,26 +315,21 @@ def region_family(
                 f"no admissible collar: epsilon fell below four grid cells ({4.0 * h!r}) "
                 f"before satisfying (delta1/delta)^2 = {ratio_floor!r} < d0/d1"
             )
-        if hi_side:
-            window = (gamma - 2.0 * eps, gamma)
-            block = (gamma - eps, gamma)
-        else:
-            window = (gamma, gamma + 2.0 * eps)
-            block = (gamma, gamma + eps)
-        inside = geometry.d_lo + tol < window[0] if hi_side else window[1] < geometry.d_hi - tol
-        if inside:
-            mwin = _mask(xp, window[0], window[1], tol)
-            mblk = _mask(xp, block[0], block[1], tol)
-            if mwin.sum() >= 2 and mblk.sum() >= 2:
-                if ratio_floor < float(np.min(d[mblk])) / float(np.max(d[mwin])) < 1.0:
-                    return plan_parameters(
-                        geometry,
-                        block,
-                        delta0=delta1,
-                        lam=lam,
-                        margin=margin,
-                        domain=window,
-                    )
+        # eps <= span/4 keeps the collar inside D, and eps >= 4h gives each
+        # node set at least five nodes
+        window = tuple(sorted((gamma, gamma + toward * 2.0 * eps)))
+        block = tuple(sorted((gamma, gamma + toward * eps)))
+        dwin = d[geometry.nodes_within("xp", *window)]
+        dblk = d[geometry.nodes_within("xp", *block)]
+        if ratio_floor < float(np.min(dblk)) / float(np.max(dwin)) < 1.0:
+            return plan_parameters(
+                geometry,
+                block,
+                delta0=delta1,
+                lam=lam,
+                margin=margin,
+                domain=window,
+            )
         eps *= 0.5
 
 
@@ -352,28 +338,14 @@ def region_family(
 
 def _check_same_extents(plan: WeightPlan, geometry: CylinderGeometry):
     p = plan.geometry
-    same = (
-        p.d_lo == geometry.d_lo
-        and p.d_hi == geometry.d_hi
-        and p.ell == geometry.ell
-        and p.delta == geometry.delta
-        and p.gamma_side is geometry.gamma_side
-    )
-    if not same:
+    if replace(geometry, nx_prime=p.nx_prime, nx_n=p.nx_n, nt=p.nt, extended=p.extended) != p:
         raise ValidationError("geometry extents do not match the plan's geometry")
 
 
 def phi_field(plan: WeightPlan, geometry: CylinderGeometry) -> ScalarField:
     """The weight ``phi = exp(lam * psi)``, ``psi = d - alpha x_n^2 - beta t^2``, on a grid."""
     _check_same_extents(plan, geometry)
-    d = build_d(geometry).values
-    xn = geometry.axis_nodes("xn")
-    t = geometry.axis_nodes("t")
-    psi = (
-        d[:, None, None]
-        - plan.alpha * (xn * xn)[None, :, None]
-        - plan.beta * (t * t)[None, None, :]
-    )
+    psi = _psi(plan, build_d(geometry).values, geometry.axis_nodes("xn"), geometry.axis_nodes("t"))
     return ScalarField(geometry, np.exp(plan.lam * psi), FieldKind.SPACE_TIME)
 
 
@@ -401,15 +373,11 @@ def decay_integral(plan: WeightPlan, s: float, geometry: CylinderGeometry | None
     xn = gx.axis_nodes("xn")
     w = axis_weights(gx.nx_n, gx.spacing("xn"))
 
-    xp = g.axis_nodes("xp")
-    tol = 1e-9 * max(1.0, g.d_hi - g.d_lo)
-    mwin = _mask(xp, plan.domain_lo, plan.domain_hi, tol)
-    d = build_d(g).values[mwin]
-    t = g.axis_nodes("t")
+    d = build_d(g).values[g.nodes_within("xp", plan.domain_lo, plan.domain_hi)]
 
-    base = np.exp(plan.lam * (d[:, None] - plan.beta * (t * t)[None, :]))
+    base = np.exp(plan.lam * _psi(plan, d, np.zeros(1), g.axis_nodes("t")))
     drop = np.exp(-plan.lam * plan.alpha * xn * xn) - 1.0  # <= 0
-    integrand = np.exp(2.0 * s * base[:, None, :] * drop[None, :, None])
+    integrand = np.exp(2.0 * s * base * drop[None, :, None])
     value = float(np.max(np.tensordot(w, integrand, axes=([0], [1]))))
 
     env = np.exp(-2.0 * s * plan.c0 * (1.0 - np.exp(-plan.lam * plan.alpha * xn * xn)))

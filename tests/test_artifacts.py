@@ -9,6 +9,7 @@ kind.  Runs are derandomized and bounded so the file stays fast.
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ def test_bad_cells_and_bad_theta_are_rejected():
         load_table_csv(io.StringIO(TABLE.replace("0.125", "0.1x5")), CARLEMAN_CSV_HEADER)
     with pytest.raises(ValidationError, match="theta_emp"):
         load_sweep_csv(io.StringIO(SWEEP.replace("theta_emp=0.75", "theta_emp=oops")))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each of these loaded: the last c_emp won, '=x' became the key '',
+        # and the late row joined the table
+        (TABLE + "c_emp=9.0\n", "line 'c_emp=9.0' repeats the key 'c_emp'"),
+        (TABLE + "=x\n", "line '=x' has no key"),
+        (TABLE + "2,3.0,0.5,0.25,1.0,0.5\n", "row '2,3.0,0.5,0.25,1.0,0.5' comes after the footer"),
+    ],
+    ids=["repeated_key", "empty_key", "row_after_footer"],
+)
+def test_table_csv_refuses_a_bad_footer(text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_table_csv(io.StringIO(text), CARLEMAN_CSV_HEADER)
 
 
 # ---- archives -----------------------------------------------------------------------

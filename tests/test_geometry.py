@@ -321,6 +321,18 @@ def test_region_norm_on_aligned_box_matches_subvolume():
     assert got == pytest.approx(np.sqrt(0.5 * 1.0), rel=1e-13)
 
 
+def test_node_rule_widens_both_ends_by_the_axis_tolerance():
+    # spans of 1 and 4: the tolerance is 1e-9 on xp and 4e-9 on the extended xn
+    g = small_geometry(nx_prime=21, ell=2.0)
+    assert g.node_tolerance("xp") == 1e-9
+    assert g.nodes_within("xp", 0.5 + 0.9e-9, 1.0) == slice(10, 21)
+    assert g.nodes_within("xp", 0.5 + 1.1e-9, 1.0 + 5.0) == slice(11, 21)
+    assert g.nodes_within("xp", 0.301, 0.349) == slice(0, 0)
+    gx = g.extend()
+    assert gx.node_tolerance("xn") == 4e-9
+    assert gx.nodes_within("xn", 3.5e-9, 2.0) == slice(gx.xn_zero_index, gx.nx_n)
+
+
 def test_empty_region_raises():
     g = small_geometry()
     u = ScalarField.zeros(g, FieldKind.SPACE_ONLY)

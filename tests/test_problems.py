@@ -12,7 +12,9 @@ from carleman_lab.geometry import (
     FieldKind,
     GammaSide,
     ScalarField,
+    dt,
     dxn2,
+    laplacian,
     trace,
 )
 from carleman_lab.problems import (
@@ -32,6 +34,7 @@ from carleman_lab.problems import (
     make_instance,
     residual_field,
     save_instance,
+    _validated_instance,
 )
 
 
@@ -125,6 +128,34 @@ def test_trace_identity_relates_source_to_second_derivative(worked_geometry, qua
     h = worked_geometry.spacing("xn")
     scale = quartic_instance.u.max_abs()
     assert np.max(np.abs(lhs - rhs)) <= 30 * h * h * max(scale, 1.0)
+
+
+def instance_of(g, a, r_scale=1.0):
+    """The instance of u = a(x_n) e^t, f = 1, p0 = 0, with R = r_scale (du/dt - Lap u)
+    on the discrete operator, so that r_scale = 1 leaves no PDE residual."""
+    u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: a(xn) * np.exp(t))
+    R = u.with_values(r_scale * (dt(u).values - laplacian(u).values))
+    one = ScalarField.constant(g, FieldKind.CROSS_SECTION_TIME, 1.0)
+    zero = ScalarField.zeros(g, FieldKind.CROSS_SECTION_TIME)
+    return _validated_instance(u, one, R, zero, {}, trace_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, r_scale, message",
+    [
+        (lambda xn: xn**2, 2.0, "PDE residual"),
+        (lambda xn: xn**2 + 1.0, 1.0, "solution trace at x_n = 0"),
+        (lambda xn: xn + xn**2, 1.0, "axial derivative trace at x_n = 0"),
+        # the one-sided second difference of x_n^3 is 0 at x_n = 0
+        (lambda xn: xn**3, 1.0, "source profile R vanishes"),
+    ],
+    ids=["residual", "trace", "axial_derivative", "r_vanishes"],
+)
+def test_each_instance_check_refuses_its_own_defect(worked_geometry, a, r_scale, message):
+    # each field breaks one check and passes the other three; u = x_n^2 e^t passes all
+    assert instance_of(worked_geometry, lambda xn: xn**2).d_of_u > 0.0
+    with pytest.raises(ValidationError, match=message):
+        instance_of(worked_geometry, a, r_scale)
 
 
 def test_make_instance_rejects_bad_axial_slope(worked_geometry):

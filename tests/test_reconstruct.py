@@ -557,24 +557,6 @@ def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instanc
         op.solve(quartic_instance.data)
 
 
-def test_mu_ladder_approaches_the_oracle(quartic_recipe):
-    # needs a grid fine enough that the smallest mu is not under-regularized
-    g = CylinderGeometry(
-        d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
-        gamma_side=GammaSide.HI, nx_prime=27, nx_n=27, nt=27,
-    )
-    inst = make_instance(g, quartic_recipe)
-    plan = make_plan(g)
-    f_orc = oracle_trace_reconstruct(inst.u, inst.R)
-    gaps = []
-    for mu in (1e-4, 1e-6, 1e-8):
-        sol = lateral_reconstruct(
-            inst.data, g, plan, inst.p0, inst.R, Regularization(tikhonov_weight=mu)
-        )
-        gaps.append(discrete_norm(f_orc.with_values(sol.f_hat.values - f_orc.values)))
-    assert gaps[0] > gaps[1] > gaps[2]
-
-
 def test_carleman_weight_helps_on_noisy_data(quartic_instance, worked_plan):
     inst = quartic_instance
     levels = (1e-1, 3e-2, 1e-2, 3e-3)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from carleman_lab.errors import ValidationError
-from carleman_lab.geometry import CylinderGeometry, GammaSide
+from carleman_lab.geometry import CylinderGeometry, FieldKind, GammaSide, ScalarField, discrete_norm
+from carleman_lab.reconstruct import stability_region
 from carleman_lab.weight import (
     build_d,
     compute_sigmas,
@@ -133,6 +134,25 @@ def test_aligned_plan_is_stable_under_refinement(worked_plan):
 def test_misaligned_observation_corner_warns(worked_geometry):
     with pytest.warns(UserWarning, match="refine the grid or align"):
         plan_parameters(worked_geometry, (0.5231, 1.0), delta0=0.7)
+
+
+@pytest.mark.filterwarnings("ignore:sigma0 moves")
+def test_sigma0_and_the_norm_region_take_the_planner_d0_nodes(worked_geometry):
+    # D0's inner corner sits 1.5e-9 past the node 0.5, beyond the node rule's
+    # 1e-9: sigma0 was once taken from d = 0.5 while the planner had d0 = 0.55
+    g = worked_geometry
+    plan = plan_parameters(g, (0.5 + 1.5e-9, 1.0))
+    assert plan.d0 == build_d(g).values[11]
+    t = g.axis_nodes("t")
+    tobs = t[np.abs(t) <= plan.delta0]
+    level = math.exp(plan.lam * np.min(plan.d0 - plan.beta * tobs**2))
+    assert rel(plan.sigma0, level) < 1e-14
+
+    region = stability_region(plan)
+    u = np.random.default_rng(0).random(g.shape(FieldKind.CROSS_SECTION_TIME))
+    u = ScalarField(g, u, FieldKind.CROSS_SECTION_TIME)
+    planner_nodes = dataclasses.replace(region, xp=(g.axis_nodes("xp")[11], plan.D0_hi))
+    assert discrete_norm(u, region) == discrete_norm(u, planner_nodes)
 
 
 def test_sigma_levels_scale_as_expected_with_lam(worked_plan):
