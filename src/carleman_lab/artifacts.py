@@ -44,12 +44,12 @@ def parse_float(text: str, what: str) -> float:
 def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str]) -> None:
     """CSV with repr floats and a key=value footer block, LF endings.
 
-    A footer key holding ``=``, or a key or value holding ``,`` or a line
-    break, would not read back as that entry, so it raises ValidationError
-    before anything is written.
+    An empty footer key, a key holding ``=``, or a key or value holding
+    ``,`` or a line break, would not read back as that entry, so it raises
+    ValidationError before anything is written.
     """
     for key, value in footer.items():
-        if "=" in key or any(c in f"{key}{value}" for c in ",\n\r"):
+        if not key or "=" in key or any(c in f"{key}{value}" for c in ",\n\r"):
             raise ValidationError(f"footer entry {key!r}: {value!r} would not read back")
     stream.write(header + "\n")
     for row in rows:

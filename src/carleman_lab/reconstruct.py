@@ -12,28 +12,34 @@ relative normal residual is checked against ``_MAX_REL_NORMAL_RESIDUAL``.
 The sideways problem squares its conditioning badly enough that iterations
 without the factor make no headway, while a Cholesky solve is backward
 stable and leaves a relative residual near rounding.  The unknowns are
-numbered in a tensor-grid order, x' slowest, that keeps the normal matrix a narrow band.  Only the one-sided
-x' stencils at the two x' faces reach three slabs of x' nodes, so the first
-and the last two slabs are eliminated first as dense heads (LAPACK's
-``dpotrf``); each head's Schur update lands in one corner of the remaining
-band, whose half-bandwidth is then about two slabs instead of three, and
-LAPACK's band Cholesky (``cholesky_banded``) factors that band.
-``_BandCholesky`` builds all of this from the normal matrix; the factor's
-storage, (half-bandwidth + 1) * band unknowns plus four dense head blocks of
-doubles, is known before it is allocated.
+numbered in a tensor-grid order, x' slowest, that keeps the normal matrix a
+narrow band.  Only the one-sided x' stencils at the two x' faces reach three
+slabs of x' nodes, so the first and the last two slabs are eliminated first
+as dense heads (LAPACK's ``dpotrf``); each head's Schur update lands in one
+corner of the remaining band, whose half-bandwidth is then two slabs instead
+of three.  No band unknown reaches past the two slabs in the middle of that
+band, so on a grid of ten or more x' slabs they are a separator that splits
+the factor into two arms, each a head plus its side of the band, factored
+at once on two workers (LAPACK's band Cholesky ``dpbtrf`` for the band);
+the separator's Schur complement is factored last.  ``_BandCholesky``
+builds all of this from the normal matrix; the factor's storage is known
+before it is allocated.  Every LAPACK and BLAS call goes through a ctypes
+binding of scipy's own routines (``_routine``), which releases the GIL.
 
 The matrix depends on the data bundle in no way, so ``LateralOperator``
 factors it once and solves any number of bundles against it; the stability
 sweep leans on that to rerun the solver across noise levels and fit an
 empirical Holder exponent from the decreasing part of the error curve.  It
 solves its levels in blocks of ``_SOLVE_BLOCK`` bundles: the factor is
-applied to the whole block by a blocked band triangular solve (BLAS-3
-``dgemm`` and ``dtrsm`` on zero-copy windows of the band), which streams the
-band once per block instead of once per bundle, and the residual check runs
-column by column in array arithmetic.  A single bundle takes the same path
-as a block of one.  The factorization and the solves run on one thread of
-scipy's OpenBLAS and of numpy's, so their rounding does not depend on the
-BLAS thread count.
+applied to the whole block by blocked band triangular solves (BLAS-3
+``dgemm`` and ``dtrsm`` on zero-copy windows of the band), which stream the
+band once per block instead of once per bundle, the two arms on two workers,
+and the residual check runs column by column in array arithmetic.  A single
+bundle takes the same path as a block of one.  The workers are one per CPU
+the process may run on, at most two, and the split does not depend on
+them, so one CPU and two give the same bits.  Every BLAS call runs on one
+thread of scipy's OpenBLAS (numpy's is pinned too), so the rounding does not
+depend on the BLAS thread count either.
 
 scipy is imported on first use, by the operator build and the band solves,
 so a command that never builds an operator never loads it.
@@ -147,7 +153,7 @@ class Regularization:
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
     plain Tikhonov formulation); ``max_factor_gb`` caps the factor's
-    storage, band and heads, in GB (1e9 bytes).
+    storage, band, separator and heads, in GB (1e9 bytes).
     """
 
     tikhonov_weight: float
@@ -304,9 +310,12 @@ def _band_order(geometry: CylinderGeometry) -> np.ndarray:
 _SOLVE_BLOCK = 16
 # largest relative normal residual |b - N x| / |b| a solution may leave
 _MAX_REL_NORMAL_RESIDUAL = 1e-8
-# rows per diagonal block of the blocked triangular solve; 32-48 ran fastest
+# rows per diagonal block of the blocked triangular solves; 32-48 ran fastest
 # at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
 _BAND_BLOCK = 48
+# x' slabs from which the factor splits into two arms and a separator: each
+# arm then keeps a head and at least the two band slabs the head couples with
+_SPLIT_SLABS = 10
 
 
 # symbol suffix of the thread functions of each package's vendored OpenBLAS:
@@ -348,10 +357,11 @@ def _one_blas_thread():
 
     Threaded ``dgemm`` rounds differently from the serial one, and a threaded
     dot product of more than 10,000 entries sums in another order, so without
-    the pin the factor and its application (scipy's BLAS for the band and the
-    heads' triangles, numpy's for the heads' products) would depend on the
-    thread count.  A library whose thread functions are not exported runs
-    unpinned.
+    the pin the factor and its application (scipy's BLAS, through
+    ``_routine``) and any numpy product inside the pin would depend on the
+    thread count.  The thread count is the library's, not the calling
+    thread's, so it holds on both workers.  A library whose thread functions
+    are not exported runs unpinned.
     """
     apis = [api for api in map(_openblas_threads, _OPENBLAS_SUFFIX) if api is not None]
     before = [get() for get, _ in apis]
@@ -364,133 +374,460 @@ def _one_blas_thread():
             put(count)
 
 
-def _blocked_band_solve(cb: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve U^T U x = r for an n x k block r, U upper band in LAPACK storage.
+# ---- LAPACK and BLAS without the GIL ----------------------------------------------
 
-    In that column-major storage U[i, j] sits at flat offset b + i + j*b, so
-    a strided view with strides (8, 8b) over the flat band is U itself, and
-    each window U[s-b:s, s:s+nb] above a diagonal block is an F-contiguous
-    matrix with leading dimension b that BLAS reads in place (only the
-    first windows, cut off at row 0, are copied).  Both passes work on x^T,
-    so every block row of x is F-contiguous too: the forward pass U^T w = r
-    subtracts from each block row its window's product with the rows above,
-    the backward pass U x = w is right-looking, and ``dtrsm`` solves the
-    nb x nb diagonal blocks.  The window entries with j - i > b lie outside
-    the band; the view wraps them into the neighbouring column, so one small
-    product with that triangle cancels their contribution.  Returns x
-    F-ordered, one contiguous column per right-hand side.
+# each routine's arguments, all passed by pointer: c a character, i an int,
+# d a double, p an array
+_ROUTINES = {
+    "dpotrf": "cipii",
+    "dpbtrf": "ciipii",
+    "dtrsm": "cccciidpipi",
+    "dsyrk": "cciidpidpi",
+    "dgemm": "cciiidpipidpi",
+}
+
+
+@functools.cache
+def _routine(name: str):
+    """scipy's LAPACK or BLAS routine ``name`` as a ctypes function.
+
+    scipy exports its routines as capsules in ``scipy.linalg.cython_lapack``
+    and ``cython_blas``.  A ctypes call through a capsule's pointer releases
+    the GIL while the routine runs, which scipy's f2py wrappers do not, so two
+    threads can factor and solve two arms at once.
     """
-    from scipy.linalg.blas import dgemm, dtrsm
+    from scipy.linalg import cython_blas, cython_lapack
 
-    b, n = cb.shape[0] - 1, cb.shape[1]
-    flat = cb.reshape(-1, order="F")
-    u = as_strided(flat[b:], shape=(n, n), strides=(8, 8 * b), writeable=False)
-    nb = max(1, min(_BAND_BLOCK, b))
-    x = np.array(r, order="C")
-    starts = range(0, n, nb)
-    for s in starts:
-        e, lo = min(s + nb, n), max(0, s - b)
-        xs = x[s:e].T
-        if lo < s:
-            w = u[lo:s, s:e]
-            wrapped = np.triu(w[: e - s], lo - s + b + 1)
-            dgemm(-1.0, x[lo:s].T, w, beta=1.0, c=xs, overwrite_c=1)
-            dgemm(1.0, x[lo : lo + len(wrapped)].T, wrapped, beta=1.0, c=xs, overwrite_c=1)
-        dtrsm(1.0, u[s:e, s:e], xs, side=1, overwrite_b=1)
-    for s in reversed(starts):
-        e, lo = min(s + nb, n), max(0, s - b)
-        xs = dtrsm(1.0, u[s:e, s:e], x[s:e].T, side=1, trans_a=1, overwrite_b=1)
-        if lo < s:
-            w = u[lo:s, s:e]
-            wrapped = np.triu(w[: e - s], lo - s + b + 1)
-            dgemm(-1.0, xs, w, beta=1.0, c=x[lo:s].T, trans_b=1, overwrite_c=1)
-            tail = x[lo : lo + len(wrapped)].T
-            dgemm(1.0, xs, wrapped, beta=1.0, c=tail, trans_b=1, overwrite_c=1)
-    return np.asfortranarray(x)
+    module = cython_lapack if name in ("dpotrf", "dpbtrf") else cython_blas
+    capsule = module.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    types = {
+        "c": ctypes.c_char_p,
+        "i": ctypes.POINTER(ctypes.c_int),
+        "d": ctypes.POINTER(ctypes.c_double),
+        "p": ctypes.c_void_p,
+    }
+    return ctypes.CFUNCTYPE(None, *(types[t] for t in _ROUTINES[name]))(address)
+
+
+@functools.cache
+def _int(value: int) -> ctypes.c_int:
+    """A C int holding ``value``; the cache keeps it alive for every call that reads it."""
+    return ctypes.c_int(value)
+
+
+@functools.cache
+def _double(value: float) -> ctypes.c_double:
+    """A C double holding ``value``, kept alive as ``_int``'s are."""
+    return ctypes.c_double(value)
+
+
+def _at(a: np.ndarray) -> tuple[int, int]:
+    """Address and leading dimension of a column-major array, or of a window into one.
+
+    The BLAS wrappers take their matrices as such pairs, so the blocked
+    solves step through a band by address arithmetic, without an array view
+    per call.
+    """
+    rows, cols = a.shape
+    if rows > 1 and a.strides[0] != 8:
+        raise ValueError(f"not a column-major window of doubles: strides {a.strides}")
+    return a.ctypes.data, max(1, a.strides[1] // 8 if cols > 1 else rows)
+
+
+def _dpotrf(a: np.ndarray, uplo: bytes = b"U") -> int:
+    """Cholesky factor of the square window ``a`` in its ``uplo`` triangle, in place; LAPACK's info."""
+    info = ctypes.c_int()
+    address, ld = _at(a)
+    _routine("dpotrf")(uplo, _int(a.shape[0]), address, _int(ld), info)
+    return info.value
+
+
+def _dpbtrf(ab: np.ndarray) -> int:
+    """Upper band Cholesky factor of F-ordered LAPACK band storage, in place; LAPACK's info."""
+    info = ctypes.c_int()
+    rows, n = ab.shape
+    _routine("dpbtrf")(b"U", _int(n), _int(rows - 1), ab.ctypes.data, _int(rows), info)
+    return info.value
+
+
+def _dtrsm(
+    m: int, n: int, a: tuple, b: tuple, *, side: bytes = b"L", uplo: bytes = b"U", trans: bytes = b"N"
+) -> None:
+    """The m x n b := op(a)^-1 b (side L) or b op(a)^-1 (side R), a triangular; in place."""
+    _routine("dtrsm")(
+        side, uplo, trans, b"N", _int(m), _int(n), _double(1.0),
+        a[0], _int(a[1]), b[0], _int(b[1]),
+    )
+
+
+def _dsyrk(n: int, k: int, alpha: float, a: tuple, c: tuple) -> None:
+    """Upper triangle of the n x n c := c + alpha a^T a, a being k x n; in place."""
+    _routine("dsyrk")(
+        b"U", b"T", _int(n), _int(k), _double(alpha), a[0], _int(a[1]), _double(1.0), c[0], _int(c[1])
+    )
+
+
+def _dgemm(
+    m: int,
+    n: int,
+    k: int,
+    alpha: float,
+    a: tuple,
+    b: tuple,
+    c: tuple,
+    *,
+    trans_a: bytes = b"N",
+    trans_b: bytes = b"N",
+) -> None:
+    """The m x n c := c + alpha op(a) op(b), k being the inner dimension; in place."""
+    _routine("dgemm")(
+        trans_a, trans_b, _int(m), _int(n), _int(k), _double(alpha),
+        a[0], _int(a[1]), b[0], _int(b[1]), _double(1.0), c[0], _int(c[1]),
+    )
+
+
+def _workers() -> int:
+    """Threads for the two arms: one per CPU this process may run on, at most two."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _run(tasks: list) -> list:
+    """Call each task and return their results in order.
+
+    With two tasks and two workers a helper thread runs the second while the
+    caller runs the first.  The helper is joined before this returns or
+    raises, and either task's exception propagates.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    if len(tasks) == 1 or _workers() == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(tasks[1])
+        return [tasks[0](), second.result()]
+
+
+# ---- the band factor --------------------------------------------------------------
+
+
+def _slice(positions: range) -> slice:
+    """The slice that picks ``positions``, a range of step 1 or -1, out of an axis."""
+    return slice(positions.start, positions.stop if positions.stop >= 0 else None, positions.step)
+
+
+def _local(positions: range, index: np.ndarray) -> np.ndarray:
+    """Place of each band-order index in ``positions`` (outside [0, len) if it is not there)."""
+    return (index - positions.start) * positions.step
+
+
+def _dense(
+    normal: sp.csr_matrix, rows: range, cols: range, out: np.ndarray, triangle: int = 0
+) -> None:
+    """Write normal[rows][:, cols] into ``out``, for ranges of step 1 or -1.
+
+    ``triangle`` 1 or -1 writes only the entries with i <= j or with i >= j.
+    """
+    lo = min(rows[0], rows[-1])
+    sub = normal[lo : max(rows[0], rows[-1]) + 1].tocoo()
+    i = _local(rows, sub.row.astype(np.intp) + lo)
+    j = _local(cols, sub.col.astype(np.intp))
+    keep = (j >= 0) & (j < len(cols)) & (triangle * (j - i) >= 0)
+    out[i[keep], j[keep]] = sub.data[keep]
+
+
+def _blocks(n: int, nb: int) -> list[tuple[int, int]]:
+    return [(s, min(s + nb, n)) for s in range(0, n, nb)]
+
+
+def _rows(address: int, width: int, i: int) -> tuple[int, int]:
+    """Rows i on of a C-ordered array ``width`` wide, as a column-major window of its transpose."""
+    return address + 8 * i * width, width
+
+
+class _Arm:
+    """One arm of the factor: dense heads, a band part and the part's coupling with the separator.
+
+    ``positions`` holds the band-order positions of the part's k unknowns
+    and then of the separator's s, in the arm's own order: a range of step
+    1, or of step -1 for the arm numbered from its far end.  ``ab`` is their
+    LAPACK upper band storage, (b + 1) x (k + s) with b = s, in which
+    U[i, j] = ab[b + i - j, j] sits at flat offset b + i + j*b, so that the
+    window from U[i, j] on is a column-major matrix with leading dimension b
+    (``_u``).  Each head is given as (its positions, its corner, the h x h
+    window its factor goes to, whether that factor is stored as the lower
+    L = U^T) and kept as (that window, the flag, W, positions, corner): U =
+    chol(own block), W = U^-T C with C its coupling with the h part unknowns
+    from ``corner`` on, and W^T W is subtracted from that corner of the band
+    before ``dpbtrf`` factors the part.
+
+    The part's coupling with the separator sits in the separator's columns
+    of ``ab``, rows k - s to k: by the band profile it is lower triangular
+    in that s x s window, and it is overwritten by W_S = U_tri^-T C_S,
+    U_tri the part factor's last triangle.  The upper triangle of the
+    separator's own diagonal block receives -W_S^T W_S.  A window over W_S
+    reads, above its diagonal, the same memory as that upper triangle, so
+    every product with W_S skips the entries above the diagonal: it
+    multiplies the rows below each block of ``_BAND_BLOCK`` columns in place
+    and the block's own lower triangle through a copy, cut once per factor
+    in ``diagonal``.  So are the triangles of the band part that the solve
+    cancels (``wrapped``).
+    """
+
+    def __init__(self, positions: range, s: int, b: int, heads: list[tuple]):
+        self.positions, self.s, self.b = positions, s, b
+        self.k = len(positions) - s
+        self.head_specs = heads
+        self.heads: list[tuple] = []
+        self.ab = np.zeros((b + 1, len(positions)), order="F")
+        self.u = as_strided(
+            self.ab.reshape(-1, order="F")[b:], shape=(len(positions),) * 2, strides=(8, 8 * b)
+        )
+        self.origin = self.ab.ctypes.data + 8 * b
+        self.starts = _blocks(self.k, max(1, min(_BAND_BLOCK, b)))
+        self.wrapped: list = []
+        self.diagonal: list = []
+
+    def _u(self, i: int, j: int) -> tuple[int, int]:
+        """The window of U from U[i, j] on, as (address, leading dimension)."""
+        return self.origin + 8 * (i + j * self.b), max(1, self.b)
+
+    def fill(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
+        """Write the normal matrix's entries N[i, j], i <= j band-order positions, that are ours.
+
+        The separator's own block is left out: the caller adds it once both
+        arms have sent their updates.
+        """
+        i, j = _local(self.positions, i), _local(self.positions, j)
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        mine = (i >= 0) & (j < len(self.positions)) & (i < self.k)
+        self.ab.reshape(-1, order="F")[self.b + i[mine] + j[mine] * self.b] = values[mine]
+
+    def factor(self, normal: sp.csr_matrix) -> None:
+        """Eliminate the heads, factor the band part and form the separator's update."""
+        k, s, b = self.k, self.s, self.b
+        for positions, corner, own, lower in self.head_specs:
+            h = len(positions)
+            uplo = b"L" if lower else b"U"
+            _dense(normal, positions, positions, own, -1 if lower else 1)
+            info = _dpotrf(own, uplo)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dpotrf info = {info}: a {h}-unknown head is not positive definite"
+                )
+            w = np.zeros((h, h), order="F")
+            _dense(normal, positions, self.positions[corner : corner + h], w)
+            _dtrsm(h, h, _at(own), _at(w), uplo=uplo, trans=b"N" if lower else b"T")
+            _dsyrk(h, h, -1.0, _at(w), self._u(corner, corner))
+            self.heads.append((own, lower, w, positions, corner))
+        info = _dpbtrf(self.ab[:, :k])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrf info = {info}: the band is not positive definite")
+        for s0, e in self.starts:
+            lo = max(0, s0 - b)
+            # entries with j - i > b lie outside the band: the window wraps them
+            # into the column before, and this triangle's product cancels them
+            tri = np.asfortranarray(np.triu(self.u[lo:s0, s0:e][: e - s0], lo - s0 + b + 1))
+            self.wrapped.append((tri, _at(tri)) if lo < s0 else None)
+        top = k - s  # the part's first row that couples with the separator
+        for q0, q1 in _blocks(s, _BAND_BLOCK):
+            nq, rest = q1 - q0, s - q1
+            _dtrsm(s - q0, nq, self._u(top + q0, top + q0), self._u(top + q0, k + q0), trans=b"T")
+            d = np.asfortranarray(np.tril(self.u[top + q0 : top + q1, k + q0 : k + q1]))
+            self.diagonal.append((d, _at(d)))
+            # the separator's columns J receive -(W_S^T W_S)[:q1, J], summed over
+            # the rows of W_S below the block and, through d, the block's own
+            w = self._u(top + q1, k + q0)
+            _dgemm(q0, nq, rest, -1.0, self._u(top + q1, k), w, self._u(k, k + q0), trans_a=b"T")
+            _dgemm(q0, nq, nq, -1.0, self._u(top + q0, k), _at(d), self._u(k, k + q0), trans_a=b"T")
+            _dsyrk(nq, rest, -1.0, w, self._u(k + q0, k + q0))
+            _dsyrk(nq, nq, -1.0, _at(d), self._u(k + q0, k + q0))
+
+    def forward(self, r: np.ndarray) -> tuple:
+        """The arm's half of U^T y = r: heads, then band part, then its separator update.
+
+        Returns the part's solution (C-ordered, one row per unknown), the
+        heads' and -W_S^T times the part's last s rows, the update this arm
+        sends the separator's right-hand side.
+        """
+        k, s, b, c = self.k, self.s, self.b, r.shape[1]
+        x = np.array(r[_slice(self.positions[:k])], order="C")
+        xa = x.ctypes.data
+        ys = []
+        for own, lower, w, positions, corner in self.heads:
+            h = len(positions)
+            y = np.array(r[_slice(positions)], order="F")
+            _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"N" if lower else b"T")
+            _dgemm(c, h, h, -1.0, _at(y), _at(w), _rows(xa, c, corner), trans_a=b"T")
+            ys.append(y)
+        for (s0, e), tri in zip(self.starts, self.wrapped):
+            lo, nq, xs = max(0, s0 - b), e - s0, _rows(xa, c, s0)
+            if lo < s0:
+                _dgemm(c, nq, s0 - lo, -1.0, _rows(xa, c, lo), self._u(lo, s0), xs)
+                _dgemm(c, nq, len(tri[0]), 1.0, _rows(xa, c, lo), tri[1], xs)
+            _dtrsm(c, nq, self._u(s0, s0), xs, side=b"R")
+        t = np.zeros((s, c))
+        ta, top = t.ctypes.data, k - s
+        for (q0, q1), (_, d) in zip(_blocks(s, _BAND_BLOCK), self.diagonal):
+            nq = q1 - q0
+            w = self._u(top + q1, k + q0)
+            _dgemm(c, nq, s - q1, -1.0, _rows(xa, c, top + q1), w, _rows(ta, c, q0))
+            _dgemm(c, nq, nq, -1.0, _rows(xa, c, top + q0), d, _rows(ta, c, q0))
+        return x, ys, t
+
+    def backward(self, state: tuple, x_sep: np.ndarray) -> tuple:
+        """The arm's half of U x = y, given the separator's solution (C-ordered) in the arm's order.
+
+        ``state`` is what ``forward`` returned; returns the part's and the
+        heads' solutions.
+        """
+        k, s, b = self.k, self.s, self.b
+        x, ys, _ = state
+        c = x.shape[1]
+        xa, sa, top = x.ctypes.data, x_sep.ctypes.data, k - s
+        for (q0, q1), (_, d) in zip(_blocks(s, _BAND_BLOCK), self.diagonal):
+            nq, known = q1 - q0, _rows(sa, c, q0)
+            w = self._u(top + q1, k + q0)
+            _dgemm(c, s - q1, nq, -1.0, known, w, _rows(xa, c, top + q1), trans_b=b"T")
+            _dgemm(c, nq, nq, -1.0, known, d, _rows(xa, c, top + q0), trans_b=b"T")
+        for (s0, e), tri in zip(reversed(self.starts), reversed(self.wrapped)):
+            lo, nq, xs = max(0, s0 - b), e - s0, _rows(xa, c, s0)
+            _dtrsm(c, nq, self._u(s0, s0), xs, side=b"R", trans=b"T")
+            if lo < s0:
+                _dgemm(c, s0 - lo, nq, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
+                _dgemm(c, len(tri[0]), nq, 1.0, xs, tri[1], _rows(xa, c, lo), trans_b=b"T")
+        for (own, lower, w, positions, corner), y in zip(self.heads, ys):
+            h = len(positions)
+            _dgemm(h, c, h, -1.0, _at(w), _rows(xa, c, corner), _at(y), trans_b=b"T")
+            _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"T" if lower else b"N")
+        return x, ys
 
 
 class _BandCholesky:
     """Upper Cholesky factor of a band-ordered normal matrix; ``solve`` applies its inverse.
 
-    Built from the n x n normal matrix (CSR) and a head size h.  With h > 0
-    the first and the last h unknowns are two dense heads, each coupled only
-    with the h band unknowns at its own end: ``dpotrf`` gives U_k = chol(A_k),
-    ``dtrsm`` W_k = U_k^-T C_k, and the upper triangle of W_k^T W_k
-    (``dsyrk``) is subtracted from that h x h corner of the band before
-    ``cholesky_banded`` factors it.  In the order (head 1, head 2, band) the
-    factor is [[U_1, 0, W_1], [0, U_2, W_2], [0, 0, U_B]], U_B = ``cb`` in
-    LAPACK upper band storage, which only this class and
-    ``_blocked_band_solve`` know.  A factor whose storage,
-    ``((half_bandwidth + 1) * (n - 2h) + 4 * h**2) * 8`` bytes, exceeds
-    ``max_gb`` GB is refused with ValidationError before it is allocated; a
-    head or band that is not positive definite raises LinAlgError.
+    Built from the n x n normal matrix (CSR) and the size m of one x' slab;
+    the grid alone sets the split.  From six slabs on, the first and the
+    last two slabs are dense heads of h = 2m unknowns, and the band between
+    them has half-bandwidth b = 2m.  The two heads share one (h + 1) x h
+    array: the first head's U fills its upper triangle, and the second
+    head's factor, stored as L = U^T, the lower triangle one row down.  From
+    ``_SPLIT_SLABS`` slabs on, the two slabs in the middle of the band are a
+    separator of s = 2m unknowns, which no other band unknown reaches
+    across, and the factor has two arms (see ``_Arm``): the left one holds
+    head 1 and the band to the separator's left, the right one head 2 and
+    the band to its right, numbered from the far end.  Each arm is factored
+    on its own worker (``_run``), and the caller then adds the separator's
+    block of the normal matrix to the left arm's update, subtracts the right
+    arm's, always in that order, and factors the result with ``dpotrf`` in
+    the left arm's storage.  Below that, one arm holds both heads and the
+    whole band, and there is no separator; below six slabs it has no heads
+    either.
+
+    In the order (left arm, right arm, separator) the factor is upper
+    triangular, so a solve runs the arms' forward halves, the separator,
+    and the arms' backward halves, each arm keeping all of the block's
+    columns, so a column's bits do not depend on the number of workers.  The
+    factor stores (b + 1) * (n - 2h + s) band entries, the separator's
+    columns once in each arm; up to nb = min(``_BAND_BLOCK``, b) cut
+    triangle entries per stored column; and 3 * h**2 + h head entries.  A
+    factor whose ``((b + 1 + nb) * (n - 2h + s) + 3 * h**2 + h) * 8`` bytes
+    exceed ``max_gb`` GB is refused with ValidationError before it is
+    allocated; a head, band part or separator that is not positive definite
+    raises LinAlgError.
     """
 
-    def __init__(self, normal: sp.csr_matrix, h: int, max_gb: float):
-        import scipy.linalg
-        from scipy.linalg.blas import dsyrk, dtrsm
-
+    def __init__(self, normal: sp.csr_matrix, slab: int, max_gb: float):
         n = normal.shape[0]
-        k = n - 2 * h
+        slabs = n // slab
+        h = 2 * slab if slabs >= 6 else 0
+        s = 2 * slab if slabs >= _SPLIT_SLABS else 0
         # the band's lower triangle by rows is its upper triangle by columns
         sub = normal[h : n - h]
-        rows = np.repeat(np.arange(k), np.diff(sub.indptr))
-        cols = sub.indices - h
-        inner = (cols >= 0) & (cols <= rows)
-        rows, cols = rows[inner], cols[inner]
-        # the corner updates fill each head's h x h corner of the band
-        b = self.half_bandwidth = max(int((rows - cols).max()), h - 1)
-        factor_gb = ((b + 1) * k + 4 * h * h) * 8 / 1e9
+        rows = np.repeat(np.arange(h, n - h), np.diff(sub.indptr))
+        cols = sub.indices.astype(np.intp)
+        inner = (cols >= h) & (cols <= rows)
+        cols, rows, values = cols[inner], rows[inner], sub.data[inner]
+        del sub, inner
+        # each head's update is written into an h x h window of the band, whose
+        # leading dimension b must be at least h; the stencils reach exactly
+        # two slabs between the heads, so b = s when there is a separator
+        b = self.half_bandwidth = max(int((rows - cols).max()), h)
+        nb = min(_BAND_BLOCK, b)
+        factor_gb = ((b + 1 + nb) * (n - 2 * h + s) + 3 * h * h + h) * 8 / 1e9
         if factor_gb > max_gb:
             raise ValidationError(
                 f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
                 f"(half-bandwidth {b}), above max_factor_gb = {max_gb!r}"
             )
-        # LAPACK upper band storage, column-major so the factor overwrites
-        # it: U[i, j] at ab[b + i - j, j], flat offset b + i + j*b
-        ab = np.zeros((b + 1, k), order="F")
-        ab.reshape(-1, order="F")[b + cols + rows * b] = sub.data[inner]
-        del sub, rows, cols, inner
-        self.band = slice(h, n - h)
-        # (U_k, W_k, the head's unknowns, the corner of the band they couple with)
-        self.heads = []
-        ends = ((slice(0, h), slice(0, h)), (slice(n - h, n), slice(k - h, k)))
-        for head, corner in ends if h else ():
-            near = slice(h + corner.start, h + corner.stop)
-            own = normal[head, head].toarray(order="F")
-            u, info = scipy.linalg.lapack.dpotrf(own, overwrite_a=1)
+        heads = np.zeros((h + 1, h), order="F")
+        first = (range(0, h), 0, heads[:h], False)
+        if s:
+            start = (2 + (slabs - 6) // 2) * slab  # the separator's first unknown
+            last = (range(n - 1, n - h - 1, -1), 0, heads[1:], True)
+            self.arms = [
+                _Arm(range(h, start + s), s, b, [first]),
+                _Arm(range(n - h - 1, start - 1, -1), s, b, [last]),
+            ]
+        else:
+            last = (range(n - h, n), n - 3 * h, heads[1:], True)
+            self.arms = [_Arm(range(h, n - h), 0, b, [first, last] if h else [])]
+        for arm in self.arms:
+            arm.fill(cols, rows, values)
+        left = self.arms[0]
+        self.sep = left.positions[left.k :]
+        own = _local(self.sep, cols) >= 0
+        own &= _local(self.sep, rows) < s
+        i, j, values = _local(self.sep, cols[own]), _local(self.sep, rows[own]), values[own]
+        del rows, cols
+        _run([functools.partial(arm.factor, normal) for arm in self.arms])
+        if s:
+            # the separator's block, minus the left arm's update, minus the
+            # right arm's, whose order runs the other way
+            u = left.u[left.k :, left.k :]
+            left.ab.reshape(-1, order="F")[b + (left.k + i) + (left.k + j) * b] += values
+            right = self.arms[1].u[-s:, -s:][::-1, ::-1].T
+            for q0, q1 in _blocks(s, _BAND_BLOCK):
+                u[:q0, q0:q1] += right[:q0, q0:q1]
+                square = u[q0:q1, q0:q1]
+                upper = np.triu(np.ones(square.shape, dtype=bool))
+                np.add(square, right[q0:q1, q0:q1], out=square, where=upper)
+            info = _dpotrf(u)
             if info != 0:
                 raise np.linalg.LinAlgError(
-                    f"dpotrf info = {info}: a {h}-unknown head is not positive definite"
+                    f"dpotrf info = {info}: the {s}-unknown separator is not positive definite"
                 )
-            w = dtrsm(1.0, u, normal[head, near].toarray(order="F"), trans_a=1, overwrite_b=1)
-            g = dsyrk(1.0, w, trans=1)
-            for j in range(h):
-                ab[b - j :, corner.start + j] -= g[: j + 1, j]
-            del g  # so the band factor does not run beside an h x h update
-            self.heads.append((u, w, head, corner))
-        # no finiteness check, which would take a boolean copy of the band: a
-        # NaN passes through the factor and fails the solve's residual check
-        self.cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            self.u_sep = _at(u)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the inverse to the columns of an n x k block, any k; F-ordered result."""
-        from scipy.linalg.blas import dtrsm
-
-        # forward: y_k = U_k^-T r_k, and the band's rhs loses W_k^T y_k in
-        # the head's corner; at six slabs both corners are the whole band, so
-        # the heads go in order
-        ys = [dtrsm(1.0, u, r[head], trans_a=1) for u, _, head, _ in self.heads]
-        rb = r[self.band].copy(order="F")
-        for (_, w, _, corner), y in zip(self.heads, ys):
-            rb[corner] -= w.T @ y
-        xb = _blocked_band_solve(self.cb, rb)
-        # backward: x_k = U_k^-1 (y_k - W_k x_B in the head's corner)
+        states = _run([functools.partial(arm.forward, r) for arm in self.arms])
         x = np.empty(r.shape, order="F")
-        x[self.band] = xb
-        for (u, w, head, corner), y in zip(self.heads, ys):
-            y -= w @ xb[corner]
-            x[head] = dtrsm(1.0, u, y, overwrite_b=1)
+        sep = _slice(self.sep)
+        x[sep] = r[sep]
+        for arm, (_, _, t) in zip(self.arms, states):
+            x[_slice(arm.positions[arm.k :])] += t
+        if len(self.sep):
+            xs = np.array(x[sep], order="C")
+            s, c = xs.shape
+            _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R")
+            _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R", trans=b"T")
+            x[sep] = xs
+        tasks = [
+            functools.partial(
+                arm.backward, state, np.array(x[_slice(arm.positions[arm.k :])], order="C")
+            )
+            for arm, state in zip(self.arms, states)
+        ]
+        for arm, (part, ys) in zip(self.arms, _run(tasks)):
+            x[_slice(arm.positions[: arm.k])] = part
+            for (_, _, _, positions, _), y in zip(arm.heads, ys):
+                x[_slice(positions)] = y
         return x
 
 
@@ -530,18 +867,21 @@ class LateralOperator:
     ``_BandCholesky``, so the scaled matrix, the normal matrix, its factor
     and the solutions all live in band order and the solvers map the result
     back.  The factor's two dense heads are the first two and the last two x'
-    slabs, h = 2 * nt * (nx_n + 1) unknowns each, whose one-sided face
-    stencils would otherwise set the band's width; below six x' slabs the two
-    heads would couple with each other, so there are none and the band is
-    the whole normal matrix.  ``solve_many`` solves several bundles as one
-    block, and every application of the factor, to one column or to a block,
-    runs the blocked triangular solve on the band; ``solve`` is
-    ``solve_many`` on one bundle.  The factorization and the solves run on
-    one thread of scipy's OpenBLAS and of numpy's (see
-    ``_one_blas_thread``).  A grid whose factor exceeds ``reg.max_factor_gb``
-    is refused with ValidationError before anything is allocated; a head or
-    band LAPACK finds not positive definite, or a factor that does not fit in
-    memory, raises SolverError.
+    slabs, 2 * nt * (nx_n + 1) unknowns each, whose one-sided face stencils
+    would otherwise set the band's width; below six x' slabs the two heads
+    would couple with each other, so there are none and the band is the
+    whole normal matrix.  From ten x' slabs on, the factor splits into two
+    arms and a separator of the two middle slabs, and the arms are factored
+    and applied on two workers (see ``_BandCholesky``).  ``solve_many``
+    solves several bundles as one block, and every application of the
+    factor, to one column or to a block, runs the blocked triangular solves
+    on the band; ``solve`` is ``solve_many`` on one bundle.  The
+    factorization and the solves run on one thread of scipy's OpenBLAS and
+    of numpy's (see ``_one_blas_thread``).  A grid whose factor exceeds
+    ``reg.max_factor_gb`` is refused with ValidationError before anything is
+    allocated; a head, band or separator LAPACK finds not positive definite,
+    or a factor that does not fit in memory, raises SolverError, whichever
+    worker meets it.
     """
 
     def __init__(
@@ -568,14 +908,10 @@ class LateralOperator:
         self._col_norms = col_norms
         self._a_scaled = (a @ sp.diags(1.0 / col_norms)).tocsr()
         self._normal = (self._a_scaled.T @ self._a_scaled).tocsr()
-        # the one-sided x' stencils at the two x' faces couple slab 0 with
-        # slab 3 and slab nx'-1 with slab nx'-4; with the first and the last
-        # two slabs taken out as dense heads, the rest is a band of about two
-        # slabs.  Below six slabs the heads would couple with each other.
-        h = 2 * geometry.nt * (geometry.nx_n + 1) if geometry.nx_prime >= 6 else 0
+        slab = geometry.nt * (geometry.nx_n + 1)
         try:
             with _one_blas_thread():
-                self._factor = _BandCholesky(self._normal, h, reg.max_factor_gb)
+                self._factor = _BandCholesky(self._normal, slab, reg.max_factor_gb)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(

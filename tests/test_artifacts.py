@@ -135,7 +135,7 @@ def test_damaged_sweep_csv_loads_or_is_rejected(spec):
 
 @pytest.mark.parametrize(
     "footer",
-    [{"note": "x,y"}, {"note": "x\ny"}, {"note": "x\ry"}, {"a,b": "1"}, {"a=b": "1"}],
+    [{"note": "x,y"}, {"note": "x\ny"}, {"note": "x\ry"}, {"a,b": "1"}, {"a=b": "1"}, {"": "x"}],
 )
 def test_footer_that_would_not_read_back_is_refused(footer):
     buf = io.StringIO()

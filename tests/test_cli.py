@@ -12,12 +12,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from carleman_lab import __version__, cli as cli_module, reconstruct as reconstruct_module
 from carleman_lab.cli import (
@@ -300,12 +300,14 @@ def _child_env(**overrides):
     return env
 
 
-def _run_at_blas_threads(path, out, threads, command="all"):
-    # a fresh interpreter, since OpenBLAS reads its thread count at load time
+def _run_at_blas_threads(path, out, threads, command="all", cpus=None):
+    # a fresh interpreter, since OpenBLAS reads its thread count at load time;
+    # ``cpus`` pins the child to those CPUs, which sets its factor's workers
     subprocess.run(
         [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
          "--command", command, "--out", str(out), "--quiet"],
         env=_child_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
     )
 
 
@@ -353,7 +355,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
 def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, name):
     # heads of 756 unknowns and a band of half-bandwidth 756: wide enough that
     # threaded OpenBLAS products inside the factorization and the blocked
-    # solves would round differently
+    # solves would round differently.  The grid splits into two arms, so a
+    # child pinned to one CPU factors and solves them on one worker
     cfg = base_config(tmp_path / "out", geometry=WORKED_GEOMETRY)
     del cfg["verify"]
     path = write_config(tmp_path, cfg)
@@ -361,6 +364,10 @@ def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, na
         _run_at_blas_threads(path, tmp_path / f"threads{threads}", threads, command)
     one, two = (tmp_path / f"threads{threads}" / name for threads in ("1", "2"))
     assert one.read_bytes() == two.read_bytes()
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) >= 2:  # on one CPU every run above had one worker already
+        _run_at_blas_threads(path, tmp_path / "one_cpu", "1", command, cpus={cpus[0]})
+        assert (tmp_path / "one_cpu" / name).read_bytes() == one.read_bytes()
 
 
 _DOT_IN_THE_PIN = """
@@ -415,7 +422,7 @@ def test_all_pipeline_emits_every_artifact(tmp_path):
 def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in (
-        (scipy.linalg, "cholesky_banded"),
+        (reconstruct_module, "_dpbtrf"),
         (cli_module, "plan_parameters"),
         (cli_module, "make_instance"),
     ):
@@ -426,7 +433,8 @@ def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "all", "--quiet") == 0
-    assert calls == {"cholesky_banded": 1, "plan_parameters": 1, "make_instance": 1}
+    # one factorization: one band factor per arm, and 13x11x13 has two arms
+    assert calls == {"_dpbtrf": 2, "plan_parameters": 1, "make_instance": 1}
 
 
 def test_all_matches_the_commands_run_one_at_a_time(tmp_path):
@@ -558,13 +566,42 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail)
+    monkeypatch.setattr(reconstruct_module, "_dpbtrf", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: factorization of the ")
     assert type(exc).__name__ in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="on one CPU the caller runs both arms"
+)
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("9-th leading minor not positive definite"), MemoryError()]
+)
+def test_exit_2_when_the_helper_threads_arm_fails(tmp_path, monkeypatch, capsys, exc):
+    # the right arm's band factor fails on the helper thread while the
+    # caller factors the left arm
+    band_factor, failed = reconstruct_module._dpbtrf, []
+
+    def fail_on_the_helper(ab):
+        if threading.current_thread() is threading.main_thread():
+            return band_factor(ab)
+        failed.append(threading.current_thread().name)
+        raise exc
+
+    monkeypatch.setattr(reconstruct_module, "_dpbtrf", fail_on_the_helper)
+    threads = threading.active_count()
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli("--config", path, "--command", "reconstruct") == 2
+    assert len(failed) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factorization of the ")
+    assert type(exc).__name__ in err
+    assert "Traceback" not in err
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize(
@@ -574,12 +611,12 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
 )
 def test_exit_2_when_a_head_factor_fails(tmp_path, monkeypatch, capsys, outcome, name):
     # the dense head factor either reports LAPACK's info > 0 or raises
-    def fail(a, **kwargs):
+    def fail(*args):
         if outcome == "info":
-            return a, 7
+            return 7
         raise outcome
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail)
+    monkeypatch.setattr(reconstruct_module, "_dpotrf", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
@@ -611,7 +648,7 @@ def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, ca
     def refuse(*args, **kwargs):
         raise AssertionError("factored before the levels were checked")
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(reconstruct_module, "_dpbtrf", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["instance"]["noise_levels"] = [0.1, 0.01, 0.001]
     path = write_config(tmp_path, cfg)
@@ -623,7 +660,7 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(reconstruct_module, "_dpbtrf", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["solver"]["max_factor_gb"] = 1e-3
     path = write_config(tmp_path, cfg)
@@ -635,10 +672,11 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
 
 def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
     # a NaN factor passes LAPACK unchecked and fails the residual check
-    def nan_factor(ab, **kwargs):
-        return np.full_like(ab, np.nan)
+    def nan_factor(ab):
+        ab[:] = np.nan
+        return 0
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", nan_factor)
+    monkeypatch.setattr(reconstruct_module, "_dpbtrf", nan_factor)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep") == 2
     err = capsys.readouterr().err

@@ -399,11 +399,18 @@ def _spd_band(n, b, seed):
 @example(n=300, b=299, k=17, seed=2)  # a band as wide as the matrix
 @example(n=40, b=90, k=2, seed=3)  # half-bandwidth above n - 1
 def test_blocked_solve_matches_lapack(n, b, k, seed):
-    cb = cholesky_banded(_spd_band(n, b, seed))
+    # one arm with no heads and no separator: the band factor through the
+    # binding, then the blocked forward and backward passes
+    ab = _spd_band(n, b, seed)
+    cb = cholesky_banded(ab)
+    arm = reconstruct._Arm(range(n), 0, b, [])
+    arm.ab[:] = ab
+    arm.factor(None)
+    assert np.array_equal(arm.ab, cb)
     r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
-    got = reconstruct._blocked_band_solve(cb, r)
+    got, _ = arm.backward(arm.forward(r), np.zeros((0, k)))
     want = cho_solve_banded((cb, False), r)
-    assert got.shape == (n, k) and got.flags.f_contiguous
+    assert got.shape == (n, k)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -448,26 +455,34 @@ def test_the_numpy_blas_thread_pin_is_active():
 
 
 def _dense_factor(op):
-    """The factor's blocks as one dense upper triangle, in the order (heads, band).
+    """The factor's blocks as one dense upper triangle.
 
-    Returns it with the permutation of the band-order unknowns it factors.
+    Its order is (left arm, right arm, separator), each arm's heads before
+    its band part; returns it with the band-order positions it factors.
     """
     factor, n = op._factor, op._normal.shape[0]
     b = factor.half_bandwidth
-    k = factor.cb.shape[1]
-    # LAPACK upper band storage: cb[b + i - j, j] = U[i, j]
-    band = sp.dia_matrix((factor.cb, b - np.arange(b + 1)), shape=(k, k)).toarray()
-    if not factor.heads:
-        return band, np.arange(n)
-    (u1, w1, *_), (u2, w2, *_) = factor.heads
-    h1, h2 = len(u1), len(u2)
+    order = []
+    for arm in factor.arms:
+        for *_, positions, _ in arm.heads:
+            order.extend(positions)
+        order.extend(arm.positions[: arm.k])
+    order = np.array(order + list(factor.sep))
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n)
     upper = np.zeros((n, n))
-    upper[:h1, :h1] = u1
-    upper[h1 : h1 + h2, h1 : h1 + h2] = u2
-    upper[:h1, h1 + h2 : h1 + h2 + w1.shape[1]] = w1
-    upper[h1 : h1 + h2, n - w2.shape[1] :] = w2
-    upper[h1 + h2 :, h1 + h2 :] = band
-    order = np.concatenate([np.arange(h1), np.arange(n - h2, n), np.arange(h1, n - h2)])
+    for a, arm in enumerate(factor.arms):
+        for own, lower, w, positions, corner in arm.heads:
+            rows = place[list(positions)]
+            upper[np.ix_(rows, rows)] = np.tril(own).T if lower else np.triu(own)
+            upper[np.ix_(rows, place[list(arm.positions[corner : corner + len(w)])])] = w
+        # LAPACK upper band storage: ab[b + i - j, j] = U[i, j]; the right
+        # arm's copy of the separator's block holds its update, not the factor
+        m = len(arm.positions)
+        band = sp.dia_matrix((arm.ab, b - np.arange(b + 1)), shape=(m, m)).toarray()
+        rows = m if a == 0 else arm.k
+        cols = place[list(arm.positions)]
+        upper[np.ix_(cols[:rows], cols)] = band[:rows]
     return upper, order
 
 
@@ -487,7 +502,7 @@ def _check_factor(op, r):
 
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
     op = small_operator
-    assert len(op._factor.heads) == 2
+    assert [len(arm.heads) for arm in op._factor.arms] == [1, 1]
     r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry)
     _check_factor(op, r)
 
@@ -506,8 +521,9 @@ def test_the_heads_start_at_six_slabs(quartic_recipe, sweep_reg, nx_prime, heads
         plan = make_plan(g)
     op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
     slab = g.nt * (g.nx_n + 1)
-    assert len(op._factor.heads) == heads
-    assert op._factor.cb.shape[1] == (nx_prime - 2 * heads) * slab
+    (arm,) = op._factor.arms
+    assert len(arm.heads) == heads
+    assert arm.ab.shape[1] == (nx_prime - 2 * heads) * slab
     r = op._a_scaled.T @ _lateral_rhs(inst.data, g)
     _check_factor(op, r)
 
@@ -533,13 +549,15 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+    monkeypatch.setattr(reconstruct, "_dpbtrf", refuse)
+    monkeypatch.setattr(reconstruct, "_dpotrf", refuse)
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
-    # 2,028 unknowns, heads of 2 * 13 * 12 = 312 and a band of the other
-    # 1,404 at half-bandwidth 312: (313 * 1404 + 4 * 312^2) * 8 bytes
-    with pytest.raises(ValidationError, match=r"needs 0\.00663 GB \(half-bandwidth 312\)"):
+    # 2,028 unknowns, heads of 2 * 13 * 12 = 312 sharing a 313 x 312 array
+    # beside their two couplings, a band of the other 1,404 at half-bandwidth
+    # 312 whose separator of 312 both arms store, and one cut triangle row of
+    # 48 per stored column: ((313 + 48) * (1404 + 312) + 3 * 312^2 + 312) * 8
+    with pytest.raises(ValidationError, match=r"needs 0\.00729 GB \(half-bandwidth 312\)"):
         LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
 
 
