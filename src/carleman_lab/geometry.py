@@ -337,18 +337,30 @@ def _end_rows(b: np.ndarray, out: np.ndarray, den: float, first: tuple, order: i
         out[row] = acc / den
 
 
-def diff_array(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
-    """Second-order derivative of a nodal array along ``axis``."""
+def diff_array(
+    a: np.ndarray, axis: int, h: float, order: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Second-order derivative of a nodal array along ``axis``.
+
+    With ``out`` the stencil is written there, in the same operations as into
+    a fresh array, so both give the same bits; ``out`` may not overlap ``a``.
+    """
     den, (left, center, _), first, _ = _stencil(order, h)
+    if out is None:
+        out = np.empty_like(a)
+    elif out.shape != a.shape:
+        raise ValidationError(f"stencil output of shape {out.shape} does not match {a.shape}")
+    elif np.shares_memory(out, a):
+        raise ValidationError("stencil output must not share memory with its input")
     b = np.moveaxis(a, axis, 0)
-    out = np.empty_like(b)
+    o = np.moveaxis(out, axis, 0)
     # the outer pair first, so the stencil is bitwise symmetric under mirroring
-    inner = b[2:] + b[:-2] if left > 0 else b[2:] - b[:-2]
+    (np.add if left > 0 else np.subtract)(b[2:], b[:-2], out=o[1:-1])
     if center:
-        inner += center * b[1:-1]
-    out[1:-1] = inner / den
-    _end_rows(b, out, den, first, order)
-    return np.moveaxis(out, 0, axis)
+        o[1:-1] += center * b[1:-1]
+    o[1:-1] /= den
+    _end_rows(b, o, den, first, order)
+    return out
 
 
 def diff_matrix(n: int, h: float, order: int = 1) -> sp.csr_matrix:
@@ -599,10 +611,10 @@ def discrete_norms(
         pieces += _surface_derivative_stack(
             stack, geometry, field_kind, second=(kind is NormKind.H2_SURFACE)
         )
-    totals = [0.0] * len(stack)
+    totals = np.zeros(len(stack))
     for p in pieces:
         q = p[(slice(None), *sels)]
         terms = w * q * q
-        for i in range(len(stack)):
-            totals[i] += float(np.sum(terms[i]))
+        # one row per field: each row is summed as np.sum sums that field alone
+        totals += terms.reshape(len(stack), -1).sum(axis=1)
     return [math.sqrt(total) for total in totals]

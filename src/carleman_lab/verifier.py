@@ -16,10 +16,16 @@ All weighted integrals are evaluated in shifted form: the weight is
 normalized by its maximum, so integrands stay inside (0, 1] and only the
 reported logarithms carry the (possibly huge) factor ``exp(2 s max phi)``.
 
-Over a corpus, the derivatives of each field are formed once per member and
-the weight once per strength; a (member, s) pair then costs two volume sums
-plus work on the faces.  The surface H2 norms of the weighted traces are
-formed once per member and face, on the stack of all strengths.
+Over a corpus, the weight is built once per run and stacked over the
+strengths, with the quadrature weights folded in.  Each member writes its
+derivatives and its four volume integrands (Hessian, gradient, value and
+heat residual squares) into one workspace kept for the run, so no member
+and no strength keeps a volume of its own.  A member's volume sums at every
+strength are then one product of the 4-row integrand stack with the weight
+stack, and its face sums one smaller product each.  That product order
+differs from summing each side alone, so the sums move in their trailing
+digits only (about 1e-14 relative).  The surface H2 norms of the weighted
+traces are formed once per member, on one stack per face shape.
 """
 
 from __future__ import annotations
@@ -41,11 +47,6 @@ from .geometry import (
     diff_array,
     discrete_norm,  # unused here; perfbench/traced_cli.py hooks this name
     discrete_norms,
-    dt,
-    dxn,
-    dxn2,
-    dxp,
-    dxp2,
     face_index,
     quadrature_weights,
     trace,
@@ -236,9 +237,9 @@ def _check_strength(s: float):
         raise ValidationError(f"weight strength s must be positive and finite, got {s!r}")
 
 
-def _p0_volume(p0: ScalarField | None, g: CylinderGeometry) -> np.ndarray:
+def _p0_volume(p0: ScalarField | None, g: CylinderGeometry) -> np.ndarray | None:
     if p0 is None:
-        return np.zeros((1, 1, 1))
+        return None
     if p0.kind is not FieldKind.CROSS_SECTION_TIME:
         raise ValidationError(f"p0 must be CROSS_SECTION_TIME, got {p0.kind.name}")
     if p0.values.shape != (g.nx_prime, g.nt):
@@ -251,98 +252,6 @@ def _lateral_traces(values: np.ndarray, g: CylinderGeometry) -> tuple:
     faces = [face_index(g, face) for face in _LATERAL_FACES]
     axes = FieldKind.SPACE_TIME.axes
     return tuple(np.take(values, idx, axis=axes.index(axis)) for axis, idx in faces)
-
-
-# The sides are split by what each piece depends on: _MemberTerms only on the
-# field, _StrengthTerms only on s.  Every hoisted array is the left operand of
-# the product the sides form, so ``(a * b) * E`` still multiplies in the same
-# order and every side keeps its bits.
-
-
-@dataclass(frozen=True)
-class _MemberTerms:
-    """The s-independent pieces of the weighted inequality for one field."""
-
-    wq: np.ndarray
-    hess: np.ndarray
-    grad: np.ndarray
-    usq: np.ndarray
-    heat_sq: np.ndarray  # wq * heat * heat
-    lateral: tuple  # per lateral face: (wf * (grad + ut^2), wf * u^2, trace of u)
-    terminal: tuple  # per end of the time window: (w * grad, w * u^2)
-
-
-def _member_terms(u: ScalarField, p0: ScalarField | None) -> _MemberTerms:
-    _check_field(u)
-    g = u.geometry
-    wq = quadrature_weights(g, FieldKind.SPACE_TIME)
-
-    ux_field = dxp(u)
-    ux = ux_field.values
-    un = dxn(u).values
-    ut = dt(u).values
-    uxx = dxp2(u).values
-    unn = dxn2(u).values
-    uxn = dxn(ux_field).values
-
-    hess = uxx * uxx + 2.0 * uxn * uxn + unn * unn
-    grad = ux * ux + un * un
-    usq = u.values**2
-    lap = uxx + unn
-    heat = ut - lap - _p0_volume(p0, g) * u.values
-
-    lateral = []
-    for face, gsq_f in zip(_LATERAL_FACES, _lateral_traces(grad + ut * ut, g)):
-        u_f = trace(u, face)
-        wf = quadrature_weights(g, u_f.kind)
-        lateral.append((wf * gsq_f, wf * (u_f.values * u_f.values), u_f))
-
-    w_sp = quadrature_weights(g, FieldKind.SPACE_ONLY)
-    terminal = tuple((w_sp * grad[:, :, it], w_sp * usq[:, :, it]) for it in (0, g.nt - 1))
-    return _MemberTerms(
-        wq=wq,
-        hess=hess,
-        grad=grad,
-        usq=usq,
-        heat_sq=wq * heat * heat,
-        lateral=tuple(lateral),
-        terminal=terminal,
-    )
-
-
-@dataclass(frozen=True)
-class _StrengthTerms:
-    """The weight at one strength, shifted by its maximum, on the volume and faces."""
-
-    s: float
-    E: np.ndarray  # exp(2 s (phi - max phi))
-    lateral_e: tuple  # E on each lateral face
-    lateral_eh: tuple  # exp(s (phi - max phi)) on each lateral face
-    terminal_e: tuple  # E at each end of the time window
-    log_scale: float
-
-
-def _strength_terms(plan: WeightPlan, g: CylinderGeometry, s_values) -> list[_StrengthTerms]:
-    for s in s_values:
-        _check_strength(s)
-    phi = phi_field(plan, g).values
-    phi_max = float(np.max(phi))
-    shifted = phi - phi_max
-    out = []
-    for s in s_values:
-        E = np.exp(2.0 * s * shifted)
-        Eh = np.exp(s * shifted)
-        out.append(
-            _StrengthTerms(
-                s=s,
-                E=E,
-                lateral_e=_lateral_traces(E, g),
-                lateral_eh=_lateral_traces(Eh, g),
-                terminal_e=(E[:, :, 0], E[:, :, g.nt - 1]),
-                log_scale=2.0 * s * phi_max,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -381,54 +290,149 @@ class CarlemanSides:
         return 0.0 if self.lhs == 0.0 else math.inf
 
 
-def _trace_h2(m: _MemberTerms, weights: list[_StrengthTerms]) -> list[float]:
-    """(1/s) surface H2 energy of u * exp(s (phi - max phi)) on the lateral faces, per s.
+def _face_kind(g: CylinderGeometry, face: Face) -> FieldKind:
+    """The kind of a SPACE_TIME field's trace on ``face``."""
+    dropped, _ = face_index(g, face)
+    return FieldKind(tuple(a for a in FieldKind.SPACE_TIME.axes if a != dropped))
 
-    Each face's weighted traces are stacked over the strengths, so its
-    derivatives are formed once; the faces are summed in ``_LATERAL_FACES`` order.
+
+def _products(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``out[i, k] = sum_v terms[i, v] * weights[k, v]``, in numpy's own loops.
+
+    With ``optimize`` off, einsum calls no BLAS and starts no thread, and each
+    entry carries the same bits however many rows ``weights`` has.
     """
-    energies = [0.0] * len(weights)
-    for f, (_, _, u_f) in enumerate(m.lateral):
-        stack = u_f.values * np.stack([w.lateral_eh[f] for w in weights])
-        norms = discrete_norms(u_f.geometry, u_f.kind, stack, kind=NormKind.H2_SURFACE)
-        for k, norm in enumerate(norms):
-            energies[k] += norm**2
-    return [energy / w.s for energy, w in zip(energies, weights)]
+    return np.einsum("iv,kv->ik", terms, weights)
 
 
-def _sides(m: _MemberTerms, w: _StrengthTerms, trace_h2: float) -> CarlemanSides:
-    s = w.s
-    E = w.E
-    lhs = float(np.sum(m.wq * ((m.hess / s) + s * m.grad + s**3 * m.usq) * E))
-    residual = float(np.sum(m.heat_sq * E))
+class _Sides:
+    """Both sides of the weighted inequality at fixed strengths, one field per call.
 
-    lateral_grad = 0.0
-    lateral_val = 0.0
-    for (gsq_f, usq_f, _), ef in zip(m.lateral, w.lateral_e):
-        lateral_grad += float(np.sum(gsq_f * ef))
-        lateral_val += float(np.sum(usq_f * ef))
-    lateral_grad *= s**3
-    lateral_val *= s**3
+    The weight is built and stacked over the strengths once:
+    ``we[k] = wq * exp(2 s_k (phi - max phi))`` on the volume, and the same
+    exponential times the face weights on the lateral faces and at the two
+    ends of the time window.  A call writes the field's six derivatives and
+    its four volume integrands into the workspace of the run (the only volume
+    it allocates is the passing center-tap product of an order-2 stencil),
+    and forms each family of sums as one product against the stacked weight.  The surface H2 norms of the weighted traces are
+    formed on one stack per face shape and summed in ``_LATERAL_FACES`` order.
+    """
 
-    terminal_grad = 0.0
-    terminal_val = 0.0
-    for (grad_t, usq_t), e_t in zip(m.terminal, w.terminal_e):
-        terminal_grad += float(np.sum(grad_t * e_t))
-        terminal_val += float(np.sum(usq_t * e_t))
-    terminal_grad *= s**3
-    terminal_val *= s**3
+    def __init__(self, plan: WeightPlan, g: CylinderGeometry, s_values, p0: ScalarField | None):
+        for s in s_values:
+            _check_strength(s)
+        self.g = g
+        self.s_values = tuple(float(s) for s in s_values)
+        self.p0 = _p0_volume(p0, g)
+        shape = g.shape(FieldKind.SPACE_TIME)
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        self.lateral = np.concatenate([f.ravel() for f in _lateral_traces(flat, g)])
+        self.terminal = np.concatenate([flat[:, :, it].ravel() for it in (0, g.nt - 1)])
+        w_lateral = np.concatenate(
+            [quadrature_weights(g, _face_kind(g, face)).ravel() for face in _LATERAL_FACES]
+        )
+        w_terminal = np.tile(quadrature_weights(g, FieldKind.SPACE_ONLY).ravel(), 2)
 
-    return CarlemanSides(
-        s=float(s),
-        lhs=lhs,
-        residual=residual,
-        lateral_grad=lateral_grad,
-        lateral_val=lateral_val,
-        trace_h2=trace_h2,
-        terminal_grad=terminal_grad,
-        terminal_val=terminal_val,
-        log_scale=w.log_scale,
-    )
+        phi = phi_field(plan, g).values
+        phi_max = float(np.max(phi))
+        shifted = phi - phi_max
+        wq = quadrature_weights(g, FieldKind.SPACE_TIME)
+        n = len(self.s_values)
+        self.log_scales = [2.0 * s * phi_max for s in self.s_values]
+        self.we = np.empty((n, *shape))
+        self.lateral_we = np.empty((n, self.lateral.size))
+        self.terminal_we = np.empty((n, self.terminal.size))
+        half = np.empty(shape)
+        half_traces = []
+        for k, s in enumerate(self.s_values):
+            e = self.we[k]
+            np.multiply(shifted, 2.0 * s, out=e)
+            np.exp(e, out=e)
+            np.multiply(w_lateral, np.take(e, self.lateral), out=self.lateral_we[k])
+            np.multiply(w_terminal, np.take(e, self.terminal), out=self.terminal_we[k])
+            e *= wq
+            np.multiply(shifted, s, out=half)
+            np.exp(half, out=half)
+            half_traces.append(_lateral_traces(half, g))
+        # exp(s (phi - max phi)) on each lateral face, stacked over the strengths
+        self.half = [np.stack(face) for face in zip(*half_traces)]
+        del phi, shifted, wq, half  # freed before the workspace is allocated
+
+        # ux, un, ut, uxx, unn, uxn and one scratch; then hess, grad, u^2, heat^2
+        self.derivatives = np.empty((7, *shape))
+        self.terms = np.empty((4, *shape))
+
+    def _trace_h2(self, u: ScalarField) -> list[float]:
+        """(1/s) surface H2 energy of u * exp(s (phi - max phi)) on the lateral faces, per s."""
+        n = len(self.s_values)
+        traces = [trace(u, face) for face in _LATERAL_FACES]
+        energies = [0.0] * n
+        for pair in ((0, 1), (2, 3)):  # the two faces of each shape, on one stack
+            stack = np.concatenate([traces[f].values * self.half[f] for f in pair])
+            norms = discrete_norms(self.g, traces[pair[0]].kind, stack, kind=NormKind.H2_SURFACE)
+            for j, norm in enumerate(norms):
+                energies[j % n] += norm**2
+        return [energy / s for energy, s in zip(energies, self.s_values)]
+
+    def __call__(self, u: ScalarField) -> list[CarlemanSides]:
+        _check_field(u)
+        g, v = self.g, u.values
+        ux, un, ut, uxx, unn, uxn, tmp = self.derivatives
+        hess, grad, usq, heat_sq = self.terms
+        h_xp, h_xn, h_t = (g.spacing(a) for a in FieldKind.SPACE_TIME.axes)
+        diff_array(v, 0, h_xp, 1, out=ux)
+        diff_array(v, 1, h_xn, 1, out=un)
+        diff_array(v, 2, h_t, 1, out=ut)
+        diff_array(v, 0, h_xp, 2, out=uxx)
+        diff_array(v, 1, h_xn, 2, out=unn)
+        diff_array(ux, 1, h_xn, 1, out=uxn)
+
+        # hess = uxx^2 + 2 uxn^2 + unn^2, grad = ux^2 + un^2,
+        # heat = ut - (uxx + unn) - p0 u
+        np.multiply(uxx, uxx, out=hess)
+        np.multiply(uxn, 2.0, out=tmp)
+        tmp *= uxn
+        hess += tmp
+        np.multiply(unn, unn, out=tmp)
+        hess += tmp
+        np.multiply(ux, ux, out=grad)
+        np.multiply(un, un, out=tmp)
+        grad += tmp
+        np.multiply(v, v, out=usq)
+        np.add(uxx, unn, out=tmp)
+        np.subtract(ut, tmp, out=tmp)
+        if self.p0 is not None:
+            np.multiply(self.p0, v, out=uxx)
+            tmp -= uxx
+        np.multiply(tmp, tmp, out=heat_sq)
+
+        n = len(self.s_values)
+        terms = self.terms.reshape(4, -1)
+        volume = _products(terms, self.we.reshape(n, -1))
+        # grad + ut^2 and u^2 on the lateral faces, grad and u^2 at the ends
+        lateral = np.take(terms[1:3], self.lateral, axis=1)
+        lateral[0] += np.take(ut, self.lateral) ** 2
+        lateral = _products(lateral, self.lateral_we)
+        terminal = _products(np.take(terms[1:3], self.terminal, axis=1), self.terminal_we)
+        trace_h2 = self._trace_h2(u)
+
+        rows = []
+        for k, s in enumerate(self.s_values):
+            hess_k, grad_k, usq_k, heat_k = volume[:, k]
+            rows.append(
+                CarlemanSides(
+                    s=s,
+                    lhs=float(hess_k / s + s * grad_k + s**3 * usq_k),
+                    residual=float(heat_k),
+                    lateral_grad=float(s**3 * lateral[0, k]),
+                    lateral_val=float(s**3 * lateral[1, k]),
+                    trace_h2=trace_h2[k],
+                    terminal_grad=float(s**3 * terminal[0, k]),
+                    terminal_val=float(s**3 * terminal[1, k]),
+                    log_scale=self.log_scales[k],
+                )
+            )
+        return rows
 
 
 def carleman_sides(
@@ -441,9 +445,8 @@ def carleman_sides(
     lateral boundary value and gradient energies, (1/s) surface H2 energy of
     the weighted field on the lateral faces, and s^3 terminal energies.
     """
-    weights = _strength_terms(plan, u.geometry, (s,))
-    terms = _member_terms(u, p0)
-    return _sides(terms, weights[0], _trace_h2(terms, weights)[0])
+    _check_field(u)  # before the weight is laid out on the field's grid
+    return _Sides(plan, u.geometry, (s,), p0)(u)[0]
 
 
 # ---- corpus-level verification ----------------------------------------------------
@@ -470,8 +473,10 @@ def verify_carleman(
 ) -> CarlemanReport:
     """Tabulate both sides over a corpus and record the worst ratio.
 
-    Every row equals ``carleman_sides(member.sample(g), plan, s, p0)``; the
-    weight is built once per strength and the derivatives once per member.
+    Every row equals ``carleman_sides(member.sample(g), plan, s, p0)``: both
+    run the same code, and its sums carry the same bits at one strength as
+    at many.  The weight is built once per run, the derivatives once per
+    member, into one workspace for the whole corpus.
     ``s_min_emp`` is the smallest strength at which every corpus member's
     ratio is at or below ``c_cap`` (None when no strength qualifies).
     """
@@ -483,16 +488,14 @@ def verify_carleman(
         raise ValidationError("s_values must be a nonempty strictly increasing sequence")
     if not corpus:
         raise ValidationError("the corpus must hold at least one field")
-    weights = _strength_terms(plan, g, s_values)
+    sides_at = _Sides(plan, g, s_values, p0)
     rows = []
     by_s: dict[float, list[float]] = {s: [] for s in s_values}
     for i, member in enumerate(corpus):
         # sampled on reaching it, so one member's field is alive at a time
-        terms = _member_terms(member.sample(g), p0)
-        for weight, trace_h2 in zip(weights, _trace_h2(terms, weights)):
-            sides = _sides(terms, weight, trace_h2)
+        for sides in sides_at(member.sample(g)):
             rows.append((i, sides))
-            by_s[weight.s].append(sides.ratio)
+            by_s[sides.s].append(sides.ratio)
     c_emp = max(sides.ratio for _, sides in rows)
     s_min_emp = next(
         (s for s in s_values if all(r <= c_cap for r in by_s[s])), None

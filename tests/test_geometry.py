@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from carleman_lab.geometry import (
     NormKind,
     Region,
     ScalarField,
+    axis_weights,
     diff,
     diff_array,
     diff_matrix,
@@ -190,6 +193,37 @@ def test_diff_rejects_missing_axis_and_bad_order():
         diff(u, "xn", 3)
 
 
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_stencil_into_out_carries_the_bits_of_the_allocating_call(axis, order):
+    a = np.random.default_rng(10 * order + axis).standard_normal((9, 13, 7))
+    h = 0.0625
+    fresh = diff_array(a, axis, h, order)
+    out = np.full_like(a, np.nan)
+    assert diff_array(a, axis, h, order, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    # the interior rows are the outer pair first, then the center tap, then the division
+    b, d = np.moveaxis(a, axis, 0), np.moveaxis(fresh, axis, 0)
+    if order == 1:
+        interior = (b[2:] - b[:-2]) / (2.0 * h)
+    else:
+        interior = ((b[2:] + b[:-2]) + -2.0 * b[1:-1]) / (h * h)
+    assert d[1:-1].tobytes() == interior.tobytes()
+
+
+def test_stencil_refuses_an_out_that_overlaps_its_input_or_has_another_shape():
+    a = np.random.default_rng(1).standard_normal((6, 8))
+    for out in (a, a[::-1], a.T.T):
+        with pytest.raises(ValidationError, match="share memory"):
+            diff_array(a, 0, 0.1, 2, out=out)
+    stack = np.zeros((2, 6, 8))
+    with pytest.raises(ValidationError, match="share memory"):
+        diff_array(stack[0], 1, 0.1, 1, out=stack[0, ::-1])
+    with pytest.raises(ValidationError, match="does not match"):
+        diff_array(a, 0, 0.1, 1, out=np.empty((8, 6)))
+    diff_array(stack[0], 1, 0.1, 1, out=stack[1])  # a disjoint slice of one buffer is fine
+
 @pytest.mark.parametrize("n", [4, 5, 9])
 @pytest.mark.parametrize("order", [1, 2])
 def test_sparse_stencil_matches_array_stencil(n, order):
@@ -363,6 +397,35 @@ def test_stacked_norms_carry_the_bits_of_each_field_alone(region):
     with pytest.raises(ValidationError, match="does not hold fields of shape"):
         discrete_norms(g, FieldKind.SPACE_ONLY, stack)
 
+
+
+def test_stacked_norms_equal_one_np_sum_per_field_and_piece():
+    # the row-wise reduction of discrete_norms against the plain per-field
+    # formula: each derivative restricted to the region, w * q * q summed
+    # with one np.sum per field, the pieces added in the order L2, d0, d1,
+    # d00, d01, d11
+    g = small_geometry(nx_prime=21, nt=17)
+    kind = FieldKind.CROSS_SECTION_TIME
+    region = Region(xp=(0.25, 0.9), t=(-0.5, 0.75))
+    stack = np.random.default_rng(8).standard_normal((4, *g.shape(kind)))
+    hx, ht = g.spacing("xp"), g.spacing("t")
+    sel = (g.nodes_within("xp", 0.25, 0.9), g.nodes_within("t", -0.5, 0.75))
+    w = np.multiply.outer(axis_weights(sel[0].stop - sel[0].start, hx),
+                          axis_weights(sel[1].stop - sel[1].start, ht))
+    want = []
+    for a in stack:
+        d0 = diff_array(a, 0, hx, 1)
+        pieces = [a, d0, diff_array(a, 1, ht, 1), diff_array(a, 0, hx, 2),
+                  diff_array(d0, 1, ht, 1), diff_array(a, 1, ht, 2)]
+        total = 0.0
+        for p in pieces:
+            q = p[sel]
+            total += float(np.sum(w * q * q))
+        want.append(math.sqrt(total))
+    got = discrete_norms(g, kind, stack, region, NormKind.H2_SURFACE)
+    assert got == want
+    assert [discrete_norm(ScalarField(g, a, kind), region, NormKind.H2_SURFACE)
+            for a in stack] == want
 
 def test_norm_is_deterministic():
     g = small_geometry()

@@ -10,6 +10,7 @@ Hand-derived reference values used below:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from carleman_lab.geometry import (
     NormKind,
     ScalarField,
     discrete_norm,
+    dt,
+    dxn,
+    dxn2,
+    dxp,
+    dxp2,
+    quadrature_weights,
     trace,
 )
 from carleman_lab.verifier import (
@@ -354,3 +361,90 @@ def test_verify_checks_strengths_before_sampling(worked_plan, monkeypatch):
     for s_values in ((0.0, 1.0), (1.0, math.inf)):
         with pytest.raises(ValidationError, match="positive and finite"):
             verify_carleman(worked_plan, corpus, s_values)
+
+
+def plain_sides(u, plan, s, p0=None):
+    """The sums of the weighted inequality as one np.sum each, weight folded in last."""
+    g = u.geometry
+    v = u.values
+    ux, un, ut = dxp(u).values, dxn(u).values, dt(u).values
+    uxx, unn, uxn = dxp2(u).values, dxn2(u).values, dxn(dxp(u)).values
+    hess = uxx * uxx + 2.0 * uxn * uxn + unn * unn
+    grad = ux * ux + un * un
+    usq = v**2
+    heat = ut - (uxx + unn) - (0.0 if p0 is None else p0.values[:, None, :] * v)
+    phi = phi_field(plan, g).values
+    E = np.exp(2.0 * s * (phi - np.max(phi)))
+    wq = quadrature_weights(g, FieldKind.SPACE_TIME)
+    out = {
+        "lhs": np.sum(wq * ((hess / s) + s * grad + s**3 * usq) * E),
+        "residual": np.sum(wq * heat * heat * E),
+        "lateral_grad": 0.0,
+        "lateral_val": 0.0,
+        "terminal_grad": 0.0,
+        "terminal_val": 0.0,
+    }
+    on = lambda a, face: trace(ScalarField(g, a, FieldKind.SPACE_TIME), face)  # noqa: E731
+    for face in (Face.GAMMA_SIDE, Face.OPPOSITE_SIDE, Face.XN_ELL, Face.XN_NEG_ELL):
+        e_f = on(E, face)
+        wf = quadrature_weights(g, e_f.kind)
+        out["lateral_grad"] += s**3 * np.sum(wf * on(grad + ut * ut, face).values * e_f.values)
+        out["lateral_val"] += s**3 * np.sum(wf * on(usq, face).values * e_f.values)
+    w_sp = quadrature_weights(g, FieldKind.SPACE_ONLY)
+    for it in (0, g.nt - 1):
+        out["terminal_grad"] += s**3 * np.sum(w_sp * grad[:, :, it] * E[:, :, it])
+        out["terminal_val"] += s**3 * np.sum(w_sp * usq[:, :, it] * E[:, :, it])
+    return out
+
+
+@pytest.mark.parametrize("with_p0", [False, True])
+def test_verify_rows_agree_with_the_plain_sums_to_trailing_digits(worked_plan, with_p0):
+    # each family of sums is one product against the weight stacked over the
+    # strengths, with the quadrature folded into the weight: the order of the
+    # products differs from the plain sums, so only trailing digits may move
+    g = worked_plan.geometry.extend()
+    p0 = None
+    if with_p0:
+        p0 = ScalarField.from_function(
+            g, FieldKind.CROSS_SECTION_TIME, lambda x, t: 1.0 + x * np.cos(t)
+        )
+    corpus = smooth_corpus(3, seed=23, kind=FieldKind.SPACE_TIME)
+    report = verify_carleman(worked_plan, corpus, S_GRID, p0)
+    assert len(report.rows) == 3 * len(S_GRID)
+    for i, sides in report.rows:
+        want = plain_sides(corpus[i].sample(g), worked_plan, sides.s, p0)
+        for name, value in want.items():
+            assert value > 0
+            assert getattr(sides, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+# every volume the sides keep for a run: the weight at each strength, six
+# derivatives and one scratch, and the four volume integrands
+_WORKSPACE_VOLUMES = 7 + 4
+# what may come on top for a moment: the order-2 stencil's center-tap
+# product (one volume), the sampling's copy (one volume), and the stacked
+# surface norms of the lateral faces and the faces' weights (under two
+# volumes on this grid)
+_TRANSIENT_VOLUMES = 4
+
+
+@pytest.mark.parametrize("with_p0", [False, True])
+def test_verify_peak_memory_stays_within_the_workspace(worked_plan, with_p0):
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 41, 81, 41, extended=True)
+    volume = 8 * math.prod(g.shape(FieldKind.SPACE_TIME))
+    p0 = ScalarField.constant(g, FieldKind.CROSS_SECTION_TIME, 2.0) if with_p0 else None
+    corpus = smooth_corpus(2, seed=2, kind=FieldKind.SPACE_TIME)
+    sampled_field = 1
+    bound = len(S_GRID) + _WORKSPACE_VOLUMES + sampled_field + _TRANSIENT_VOLUMES
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        verify_carleman(worked_plan, corpus, S_GRID, p0, geometry=g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < bound * volume, peak / volume
