@@ -225,7 +225,7 @@ class ScalarField:
 
     @classmethod
     def _adopt(cls, geometry: CylinderGeometry, values: np.ndarray, kind: FieldKind):
-        """A field over a float64 array this module has just made, without the copy.
+        """A field over a float64 array the package has just made, without the copy.
 
         Only for arrays no caller can hold: the field freezes ``values`` itself.
         """

@@ -13,16 +13,17 @@ The sideways problem squares its conditioning badly enough that iterations
 without the factor make no headway, while a Cholesky solve is backward
 stable and leaves a relative residual near rounding.  The unknowns are
 numbered in a tensor-grid order, x' slowest, that keeps the normal matrix a
-narrow band.  Only the one-sided x' stencils at the two x' faces reach three
-slabs of x' nodes, so the first and the last two slabs are eliminated first
-as dense heads (LAPACK's ``dpotrf``); each head's Schur update lands in one
-corner of the remaining band, whose half-bandwidth is then two slabs instead
-of three.  No band unknown reaches past the two slabs in the middle of that
-band, so on a grid of ten or more x' slabs they are a separator that splits
-the factor into two arms, each a head plus its side of the band, factored
-at once on two workers (LAPACK's band Cholesky ``dpbtrf`` for the band);
-the separator's Schur complement is factored last.  ``_BandCholesky``
-builds all of this from the normal matrix; the factor's storage is known
+narrow band, factored by LAPACK's band Cholesky ``dpbtrf``.  Only the
+one-sided x' stencils at the two x' faces reach three slabs of x' nodes.
+So on a grid of ten or more x' slabs the first and the last two slabs are
+eliminated first as dense heads (LAPACK's ``dpotrf``), each head's Schur
+update lands in the corner of the band at its own end, and the band's
+half-bandwidth is two slabs instead of three.  No band unknown reaches past
+the two slabs in the middle of that band, so they are a separator that
+splits the factor into two arms, each a head plus its side of the band,
+factored at once on two workers; the separator's Schur complement is
+factored last.  A smaller grid is factored as one band.  ``_BandCholesky``
+builds either layout from the normal matrix; the factor's storage is known
 before it is allocated.  Every LAPACK and BLAS call goes through a ctypes
 binding of scipy's own routines (``_routine``), which releases the GIL.
 
@@ -38,8 +39,8 @@ and the residual check runs column by column in array arithmetic.  A single
 bundle takes the same path as a block of one.  The workers are one per CPU
 the process may run on, at most two, and the split does not depend on
 them, so one CPU and two give the same bits.  Every BLAS call runs on one
-thread of scipy's OpenBLAS (numpy's is pinned too), so the rounding does not
-depend on the BLAS thread count either.
+thread of scipy's OpenBLAS, so the rounding does not depend on the BLAS
+thread count either.
 
 scipy is imported on first use, by the operator build and the band solves,
 so a command that never builds an operator never loads it.
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 import math
 import os
 from contextlib import contextmanager
@@ -313,27 +313,21 @@ _MAX_REL_NORMAL_RESIDUAL = 1e-8
 # rows per diagonal block of the blocked triangular solves; 32-48 ran fastest
 # at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
 _BAND_BLOCK = 48
-# x' slabs from which the factor splits into two arms and a separator: each
-# arm then keeps a head and at least the two band slabs the head couples with
+# x' slabs from which the factor has heads, two arms and a separator: each
+# arm then keeps its head and at least the two band slabs the head couples with
 _SPLIT_SLABS = 10
 
 
-# symbol suffix of the thread functions of each package's vendored OpenBLAS:
-# scipy's uses 32-bit integers, numpy's 64-bit ones (``*64_`` symbols)
-_OPENBLAS_SUFFIX = {"scipy": "", "numpy": "64_"}
-
-
 @functools.cache
-def _openblas_threads(package: str = "scipy"):
-    """Getter and setter of a package's OpenBLAS thread count, or None if not exported.
+def _openblas_threads():
+    """Getter and setter of scipy's OpenBLAS thread count, or None if not exported.
 
-    The wheels of scipy and numpy each vendor an OpenBLAS as
-    ``<package>.libs/libscipy_openblas*.so``; loading it again by path
-    returns the copy the package already uses.
+    scipy's wheels vendor an OpenBLAS as ``scipy.libs/libscipy_openblas*.so``;
+    loading it again by path returns the copy scipy already uses.
     """
-    suffix = _OPENBLAS_SUFFIX[package]
-    module = importlib.import_module(package)
-    libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{package}.libs")
+    import scipy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
     try:
         names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
     except OSError:
@@ -341,8 +335,7 @@ def _openblas_threads(package: str = "scipy"):
     for name in names:
         try:
             lib = ctypes.CDLL(os.path.join(libs, name))
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -353,25 +346,23 @@ def _openblas_threads(package: str = "scipy"):
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one thread of scipy's and numpy's OpenBLAS, restoring the counts after.
+    """Run the body on one thread of scipy's OpenBLAS, restoring the count after.
 
-    Threaded ``dgemm`` rounds differently from the serial one, and a threaded
-    dot product of more than 10,000 entries sums in another order, so without
-    the pin the factor and its application (scipy's BLAS, through
-    ``_routine``) and any numpy product inside the pin would depend on the
-    thread count.  The thread count is the library's, not the calling
-    thread's, so it holds on both workers.  A library whose thread functions
+    Threaded ``dgemm`` rounds differently from the serial one, so without the
+    pin the factor and its application, which call scipy's BLAS through
+    ``_routine``, would depend on the thread count.  The count is the
+    library's, not the calling thread's, so it holds on both workers.  No
+    numpy BLAS call runs inside the pin: the residual check is a sparse
+    product and ``np.sum`` column dots.  An OpenBLAS whose thread functions
     are not exported runs unpinned.
     """
-    apis = [api for api in map(_openblas_threads, _OPENBLAS_SUFFIX) if api is not None]
-    before = [get() for get, _ in apis]
-    for _, put in apis:
-        put(1)
+    get, put = _openblas_threads() or (lambda: 1, lambda count: None)
+    before = get()
+    put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(apis, before):
-            put(count)
+        put(before)
 
 
 # ---- LAPACK and BLAS without the GIL ----------------------------------------------
@@ -551,7 +542,7 @@ def _rows(address: int, width: int, i: int) -> tuple[int, int]:
 
 
 class _Arm:
-    """One arm of the factor: dense heads, a band part and the part's coupling with the separator.
+    """One arm of the factor: a dense head, a band part and the part's coupling with the separator.
 
     ``positions`` holds the band-order positions of the part's k unknowns
     and then of the separator's s, in the arm's own order: a range of step
@@ -559,12 +550,11 @@ class _Arm:
     LAPACK upper band storage, (b + 1) x (k + s) with b = s, in which
     U[i, j] = ab[b + i - j, j] sits at flat offset b + i + j*b, so that the
     window from U[i, j] on is a column-major matrix with leading dimension b
-    (``_u``).  Each head is given as (its positions, its corner, the h x h
+    (``_u``).  The head, if any, is given as (its h positions, the h x h
     window its factor goes to, whether that factor is stored as the lower
-    L = U^T) and kept as (that window, the flag, W, positions, corner): U =
-    chol(own block), W = U^-T C with C its coupling with the h part unknowns
-    from ``corner`` on, and W^T W is subtracted from that corner of the band
-    before ``dpbtrf`` factors the part.
+    L = U^T): U = chol(its own block), ``w`` = U^-T C with C its coupling
+    with the part's first h unknowns, and W^T W is subtracted from the
+    band's first h x h corner before ``dpbtrf`` factors the part.
 
     The part's coupling with the separator sits in the separator's columns
     of ``ab``, rows k - s to k: by the band profile it is lower triangular
@@ -579,11 +569,11 @@ class _Arm:
     cancels (``wrapped``).
     """
 
-    def __init__(self, positions: range, s: int, b: int, heads: list[tuple]):
+    def __init__(self, positions: range, s: int, b: int, head: tuple | None = None):
         self.positions, self.s, self.b = positions, s, b
         self.k = len(positions) - s
-        self.head_specs = heads
-        self.heads: list[tuple] = []
+        self.head = head
+        self.w: np.ndarray | None = None
         self.ab = np.zeros((b + 1, len(positions)), order="F")
         self.u = as_strided(
             self.ab.reshape(-1, order="F")[b:], shape=(len(positions),) * 2, strides=(8, 8 * b)
@@ -609,9 +599,10 @@ class _Arm:
         self.ab.reshape(-1, order="F")[self.b + i[mine] + j[mine] * self.b] = values[mine]
 
     def factor(self, normal: sp.csr_matrix) -> None:
-        """Eliminate the heads, factor the band part and form the separator's update."""
+        """Eliminate the head, factor the band part and form the separator's update."""
         k, s, b = self.k, self.s, self.b
-        for positions, corner, own, lower in self.head_specs:
+        if self.head:
+            positions, own, lower = self.head
             h = len(positions)
             uplo = b"L" if lower else b"U"
             _dense(normal, positions, positions, own, -1 if lower else 1)
@@ -620,11 +611,10 @@ class _Arm:
                 raise np.linalg.LinAlgError(
                     f"dpotrf info = {info}: a {h}-unknown head is not positive definite"
                 )
-            w = np.zeros((h, h), order="F")
-            _dense(normal, positions, self.positions[corner : corner + h], w)
-            _dtrsm(h, h, _at(own), _at(w), uplo=uplo, trans=b"N" if lower else b"T")
-            _dsyrk(h, h, -1.0, _at(w), self._u(corner, corner))
-            self.heads.append((own, lower, w, positions, corner))
+            self.w = np.zeros((h, h), order="F")
+            _dense(normal, positions, self.positions[:h], self.w)
+            _dtrsm(h, h, _at(own), _at(self.w), uplo=uplo, trans=b"N" if lower else b"T")
+            _dsyrk(h, h, -1.0, _at(self.w), self._u(0, 0))
         info = _dpbtrf(self.ab[:, :k])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrf info = {info}: the band is not positive definite")
@@ -649,22 +639,22 @@ class _Arm:
             _dsyrk(nq, nq, -1.0, _at(d), self._u(k + q0, k + q0))
 
     def forward(self, r: np.ndarray) -> tuple:
-        """The arm's half of U^T y = r: heads, then band part, then its separator update.
+        """The arm's half of U^T y = r: head, then band part, then its separator update.
 
         Returns the part's solution (C-ordered, one row per unknown), the
-        heads' and -W_S^T times the part's last s rows, the update this arm
-        sends the separator's right-hand side.
+        head's (None without a head) and -W_S^T times the part's last s
+        rows, the update this arm sends the separator's right-hand side.
         """
         k, s, b, c = self.k, self.s, self.b, r.shape[1]
         x = np.array(r[_slice(self.positions[:k])], order="C")
         xa = x.ctypes.data
-        ys = []
-        for own, lower, w, positions, corner in self.heads:
+        y = None
+        if self.head:
+            positions, own, lower = self.head
             h = len(positions)
             y = np.array(r[_slice(positions)], order="F")
             _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"N" if lower else b"T")
-            _dgemm(c, h, h, -1.0, _at(y), _at(w), _rows(xa, c, corner), trans_a=b"T")
-            ys.append(y)
+            _dgemm(c, h, h, -1.0, _at(y), _at(self.w), _rows(xa, c, 0), trans_a=b"T")
         for (s0, e), tri in zip(self.starts, self.wrapped):
             lo, nq, xs = max(0, s0 - b), e - s0, _rows(xa, c, s0)
             if lo < s0:
@@ -678,16 +668,16 @@ class _Arm:
             w = self._u(top + q1, k + q0)
             _dgemm(c, nq, s - q1, -1.0, _rows(xa, c, top + q1), w, _rows(ta, c, q0))
             _dgemm(c, nq, nq, -1.0, _rows(xa, c, top + q0), d, _rows(ta, c, q0))
-        return x, ys, t
+        return x, y, t
 
     def backward(self, state: tuple, x_sep: np.ndarray) -> tuple:
         """The arm's half of U x = y, given the separator's solution (C-ordered) in the arm's order.
 
         ``state`` is what ``forward`` returned; returns the part's and the
-        heads' solutions.
+        head's solutions.
         """
         k, s, b = self.k, self.s, self.b
-        x, ys, _ = state
+        x, y, _ = state
         c = x.shape[1]
         xa, sa, top = x.ctypes.data, x_sep.ctypes.data, k - s
         for (q0, q1), (_, d) in zip(_blocks(s, _BAND_BLOCK), self.diagonal):
@@ -701,52 +691,52 @@ class _Arm:
             if lo < s0:
                 _dgemm(c, s0 - lo, nq, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
                 _dgemm(c, len(tri[0]), nq, 1.0, xs, tri[1], _rows(xa, c, lo), trans_b=b"T")
-        for (own, lower, w, positions, corner), y in zip(self.heads, ys):
+        if self.head:
+            positions, own, lower = self.head
             h = len(positions)
-            _dgemm(h, c, h, -1.0, _at(w), _rows(xa, c, corner), _at(y), trans_b=b"T")
+            _dgemm(h, c, h, -1.0, _at(self.w), _rows(xa, c, 0), _at(y), trans_b=b"T")
             _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"T" if lower else b"N")
-        return x, ys
+        return x, y
 
 
 class _BandCholesky:
     """Upper Cholesky factor of a band-ordered normal matrix; ``solve`` applies its inverse.
 
     Built from the n x n normal matrix (CSR) and the size m of one x' slab;
-    the grid alone sets the split.  From six slabs on, the first and the
-    last two slabs are dense heads of h = 2m unknowns, and the band between
-    them has half-bandwidth b = 2m.  The two heads share one (h + 1) x h
-    array: the first head's U fills its upper triangle, and the second
-    head's factor, stored as L = U^T, the lower triangle one row down.  From
-    ``_SPLIT_SLABS`` slabs on, the two slabs in the middle of the band are a
-    separator of s = 2m unknowns, which no other band unknown reaches
-    across, and the factor has two arms (see ``_Arm``): the left one holds
-    head 1 and the band to the separator's left, the right one head 2 and
-    the band to its right, numbered from the far end.  Each arm is factored
-    on its own worker (``_run``), and the caller then adds the separator's
-    block of the normal matrix to the left arm's update, subtracts the right
-    arm's, always in that order, and factors the result with ``dpotrf`` in
-    the left arm's storage.  Below that, one arm holds both heads and the
-    whole band, and there is no separator; below six slabs it has no heads
-    either.
+    the grid alone sets the layout.  Below ``_SPLIT_SLABS`` slabs the factor
+    is one ``_Arm`` over the whole matrix: a band of half-bandwidth about 3m,
+    with no head and no separator.  From there on the first and the last two
+    slabs are dense heads of h = 2m unknowns, the band between them has
+    half-bandwidth b = 2m, and its two middle slabs are a separator of s = h
+    unknowns, which no other band unknown reaches across.  The two heads
+    share one (h + 1) x h array: the first head's U fills its upper
+    triangle, and the second head's factor, stored as L = U^T, the lower
+    triangle one row down.  The factor has two arms (see ``_Arm``): the left
+    one holds head 1 and the band to the separator's left, the right one
+    head 2 and the band to its right, numbered from the far end.  Each arm
+    is factored on its own worker (``_run``), and the caller then adds the
+    separator's block of the normal matrix to the left arm's update,
+    subtracts the right arm's, always in that order, and factors the result
+    with ``dpotrf`` in the left arm's storage.
 
     In the order (left arm, right arm, separator) the factor is upper
     triangular, so a solve runs the arms' forward halves, the separator,
     and the arms' backward halves, each arm keeping all of the block's
     columns, so a column's bits do not depend on the number of workers.  The
-    factor stores (b + 1) * (n - 2h + s) band entries, the separator's
-    columns once in each arm; up to nb = min(``_BAND_BLOCK``, b) cut
-    triangle entries per stored column; and 3 * h**2 + h head entries.  A
-    factor whose ``((b + 1 + nb) * (n - 2h + s) + 3 * h**2 + h) * 8`` bytes
-    exceed ``max_gb`` GB is refused with ValidationError before it is
-    allocated; a head, band part or separator that is not positive definite
-    raises LinAlgError.
+    factor stores (b + 1) * (n - h) band entries, the separator's columns
+    once in each arm; up to nb = min(``_BAND_BLOCK``, b) cut triangle
+    entries per stored column; and 3 * h**2 + h head entries (h = 0 without
+    the split).  A factor whose ``((b + 1 + nb) * (n - h) + 3 * h**2 + h) *
+    8`` bytes exceed ``max_gb`` GB is refused with ValidationError before it
+    is allocated; a head, band part or separator that is not positive
+    definite raises LinAlgError.
     """
 
     def __init__(self, normal: sp.csr_matrix, slab: int, max_gb: float):
         n = normal.shape[0]
         slabs = n // slab
-        h = 2 * slab if slabs >= 6 else 0
-        s = 2 * slab if slabs >= _SPLIT_SLABS else 0
+        # the heads and the separator are two slabs each and come only together
+        h = s = 2 * slab if slabs >= _SPLIT_SLABS else 0
         # the band's lower triangle by rows is its upper triangle by columns
         sub = normal[h : n - h]
         rows = np.repeat(np.arange(h, n - h), np.diff(sub.indptr))
@@ -756,27 +746,25 @@ class _BandCholesky:
         del sub, inner
         # each head's update is written into an h x h window of the band, whose
         # leading dimension b must be at least h; the stencils reach exactly
-        # two slabs between the heads, so b = s when there is a separator
+        # two slabs between the heads, so b = s
         b = self.half_bandwidth = max(int((rows - cols).max()), h)
         nb = min(_BAND_BLOCK, b)
-        factor_gb = ((b + 1 + nb) * (n - 2 * h + s) + 3 * h * h + h) * 8 / 1e9
+        factor_gb = ((b + 1 + nb) * (n - h) + 3 * h * h + h) * 8 / 1e9
         if factor_gb > max_gb:
             raise ValidationError(
                 f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
                 f"(half-bandwidth {b}), above max_factor_gb = {max_gb!r}"
             )
-        heads = np.zeros((h + 1, h), order="F")
-        first = (range(0, h), 0, heads[:h], False)
         if s:
-            start = (2 + (slabs - 6) // 2) * slab  # the separator's first unknown
-            last = (range(n - 1, n - h - 1, -1), 0, heads[1:], True)
+            heads = np.zeros((h + 1, h), order="F")
+            last = (range(n - 1, n - h - 1, -1), heads[1:], True)
+            start = (slabs - 2) // 2 * slab  # the separator's first unknown
             self.arms = [
-                _Arm(range(h, start + s), s, b, [first]),
-                _Arm(range(n - h - 1, start - 1, -1), s, b, [last]),
+                _Arm(range(h, start + s), s, b, (range(h), heads[:h], False)),
+                _Arm(range(n - h - 1, start - 1, -1), s, b, last),
             ]
         else:
-            last = (range(n - h, n), n - 3 * h, heads[1:], True)
-            self.arms = [_Arm(range(h, n - h), 0, b, [first, last] if h else [])]
+            self.arms = [_Arm(range(n), 0, b)]
         for arm in self.arms:
             arm.fill(cols, rows, values)
         left = self.arms[0]
@@ -824,10 +812,10 @@ class _BandCholesky:
             )
             for arm, state in zip(self.arms, states)
         ]
-        for arm, (part, ys) in zip(self.arms, _run(tasks)):
+        for arm, (part, y) in zip(self.arms, _run(tasks)):
             x[_slice(arm.positions[: arm.k])] = part
-            for (_, _, _, positions, _), y in zip(arm.heads, ys):
-                x[_slice(positions)] = y
+            if arm.head:
+                x[_slice(arm.head[0])] = y
         return x
 
 
@@ -866,18 +854,17 @@ class LateralOperator:
     of ``_band_order``, scales them, forms the normal matrix and hands it to
     ``_BandCholesky``, so the scaled matrix, the normal matrix, its factor
     and the solutions all live in band order and the solvers map the result
-    back.  The factor's two dense heads are the first two and the last two x'
-    slabs, 2 * nt * (nx_n + 1) unknowns each, whose one-sided face stencils
-    would otherwise set the band's width; below six x' slabs the two heads
-    would couple with each other, so there are none and the band is the
-    whole normal matrix.  From ten x' slabs on, the factor splits into two
-    arms and a separator of the two middle slabs, and the arms are factored
-    and applied on two workers (see ``_BandCholesky``).  ``solve_many``
-    solves several bundles as one block, and every application of the
-    factor, to one column or to a block, runs the blocked triangular solves
-    on the band; ``solve`` is ``solve_many`` on one bundle.  The
-    factorization and the solves run on one thread of scipy's OpenBLAS and
-    of numpy's (see ``_one_blas_thread``).  A grid whose factor exceeds
+    back.  Below ten x' slabs the factor is one band over the whole normal
+    matrix.  From ten on, its two dense heads are the first two and the
+    last two x' slabs, 2 * nt * (nx_n + 1) unknowns each, whose one-sided
+    face stencils would otherwise set the band's width, and the factor
+    splits into two arms and a separator of the two middle slabs; the arms
+    are factored and applied on two workers (see ``_BandCholesky``).
+    ``solve_many`` solves several bundles as one block, and every
+    application of the factor, to one column or to a block, runs the
+    blocked triangular solves on the band; ``solve`` is ``solve_many`` on
+    one bundle.  The factorization and the solves run on one thread of
+    scipy's OpenBLAS (see ``_one_blas_thread``).  A grid whose factor exceeds
     ``reg.max_factor_gb`` is refused with ValidationError before anything is
     allocated; a head, band or separator LAPACK finds not positive definite,
     or a factor that does not fit in memory, raises SolverError, whichever
@@ -996,9 +983,9 @@ def lateral_reconstruct(
 
     Deterministic for fixed inputs: the system is assembled in a fixed row
     order, Jacobi column scaling uses exact column norms, and the
-    factorization and the solve run on one thread of scipy's and numpy's
-    OpenBLAS (where their thread functions are exported) so they do not
-    depend on the BLAS thread count.
+    factorization and the solve run on one thread of scipy's OpenBLAS
+    (where its thread functions are exported) so they do not depend on the
+    BLAS thread count.
     """
     return LateralOperator(geometry, plan, p0, R, reg).solve(bundle)
 

@@ -96,7 +96,7 @@ class CorpusField:
         for m in mats:
             # contract the leading mode index against each axis in turn
             vals = np.tensordot(vals, m, axes=([0], [0]))
-        return ScalarField(geometry, vals, self.kind)
+        return ScalarField._adopt(geometry, vals, self.kind)
 
 
 def smooth_corpus(

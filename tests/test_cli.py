@@ -370,29 +370,6 @@ def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, na
         assert (tmp_path / "one_cpu" / name).read_bytes() == one.read_bytes()
 
 
-_DOT_IN_THE_PIN = """
-import numpy as np
-from carleman_lab import reconstruct
-x, y = np.random.default_rng(0).standard_normal((2, 20412))
-with reconstruct._one_blas_thread():
-    print(float(x @ y).hex())
-"""
-
-
-def test_a_dot_product_in_the_pin_does_not_depend_on_blas_threads():
-    # 20,412 entries, the unknowns at 27^3: unpinned, numpy's OpenBLAS splits
-    # a dot product of more than 10,000 entries over its threads
-    got = [
-        subprocess.run(
-            [sys.executable, "-c", _DOT_IN_THE_PIN],
-            env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            check=True, capture_output=True, text=True, timeout=120,
-        ).stdout
-        for threads in ("1", "2")
-    ]
-    assert got[0] == got[1]
-
-
 def test_seed_override_changes_rows_and_hash(tmp_path):
     cfg = base_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)

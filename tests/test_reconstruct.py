@@ -403,7 +403,7 @@ def test_blocked_solve_matches_lapack(n, b, k, seed):
     # binding, then the blocked forward and backward passes
     ab = _spd_band(n, b, seed)
     cb = cholesky_banded(ab)
-    arm = reconstruct._Arm(range(n), 0, b, [])
+    arm = reconstruct._Arm(range(n), 0, b)
     arm.ab[:] = ab
     arm.factor(None)
     assert np.array_equal(arm.ab, cb)
@@ -439,43 +439,29 @@ def test_the_blas_thread_pin_is_active():
         put(before)
 
 
-def test_the_numpy_blas_thread_pin_is_active():
-    # numpy's own OpenBLAS computes the dot products and norms of CG
-    api = reconstruct._openblas_threads("numpy")
-    assert api is not None, "numpy's OpenBLAS exports no thread-count functions"
-    get, put = api
-    before = get()
-    put(2)
-    try:
-        with reconstruct._one_blas_thread():
-            assert get() == 1
-        assert get() == 2
-    finally:
-        put(before)
-
-
 def _dense_factor(op):
     """The factor's blocks as one dense upper triangle.
 
-    Its order is (left arm, right arm, separator), each arm's heads before
+    Its order is (left arm, right arm, separator), each arm's head before
     its band part; returns it with the band-order positions it factors.
     """
     factor, n = op._factor, op._normal.shape[0]
     b = factor.half_bandwidth
     order = []
     for arm in factor.arms:
-        for *_, positions, _ in arm.heads:
-            order.extend(positions)
+        if arm.head:
+            order.extend(arm.head[0])
         order.extend(arm.positions[: arm.k])
     order = np.array(order + list(factor.sep))
     place = np.empty(n, dtype=int)
     place[order] = np.arange(n)
     upper = np.zeros((n, n))
     for a, arm in enumerate(factor.arms):
-        for own, lower, w, positions, corner in arm.heads:
+        if arm.head:
+            positions, own, lower = arm.head
             rows = place[list(positions)]
             upper[np.ix_(rows, rows)] = np.tril(own).T if lower else np.triu(own)
-            upper[np.ix_(rows, place[list(arm.positions[corner : corner + len(w)])])] = w
+            upper[np.ix_(rows, place[list(arm.positions[: len(positions)])])] = arm.w
         # LAPACK upper band storage: ab[b + i - j, j] = U[i, j]; the right
         # arm's copy of the separator's block holds its update, not the factor
         m = len(arm.positions)
@@ -502,28 +488,39 @@ def _check_factor(op, r):
 
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
     op = small_operator
-    assert [len(arm.heads) for arm in op._factor.arms] == [1, 1]
+    assert all(arm.head for arm in op._factor.arms)
     r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry)
     _check_factor(op, r)
 
 
-@pytest.mark.parametrize("nx_prime, heads", [(5, 0), (6, 2)])
-def test_the_heads_start_at_six_slabs(quartic_recipe, sweep_reg, nx_prime, heads):
-    # at six slabs the band is two slabs wide, and both heads' corner
-    # updates cover all of it
+@pytest.mark.parametrize("side", [GammaSide.HI, GammaSide.LO], ids=["HI", "LO"])
+@pytest.mark.parametrize(
+    "nx_prime, parts", [(9, [9]), (10, [2, 2]), (11, [2, 3])], ids=["9", "10", "11"]
+)
+def test_the_heads_come_with_the_split_at_ten_slabs(quartic_recipe, sweep_reg, side, nx_prime, parts):
+    # below ten x' slabs one arm holds the whole band, with no head; from ten
+    # on each of two arms holds one head of two slabs and its band part
+    # (``parts``, in slabs), and at ten each part is as wide as the separator
     g = CylinderGeometry(
         d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
-        gamma_side=GammaSide.HI, nx_prime=nx_prime, nx_n=9, nt=9,
+        gamma_side=side, nx_prime=nx_prime, nx_n=9, nt=9,
     )
     inst = make_instance(g, quartic_recipe)
+    d0 = (0.5, 1.0) if side is GammaSide.HI else (0.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
-        plan = make_plan(g)
+        plan = plan_parameters(g, d0, delta0=0.7, lam=1.0, margin=1.1)
     op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
     slab = g.nt * (g.nx_n + 1)
-    (arm,) = op._factor.arms
-    assert len(arm.heads) == heads
-    assert arm.ab.shape[1] == (nx_prime - 2 * heads) * slab
+    arms = op._factor.arms
+    assert [arm.k for arm in arms] == [p * slab for p in parts]
+    split = len(arms) == 2
+    assert len(op._factor.sep) == (2 * slab if split else 0)
+    for arm in arms:
+        assert arm.s == len(op._factor.sep)
+        assert (arm.head is not None) == split
+        if split:
+            assert len(arm.head[0]) == arm.w.shape[0] == 2 * slab
     r = op._a_scaled.T @ _lateral_rhs(inst.data, g)
     _check_factor(op, r)
 
