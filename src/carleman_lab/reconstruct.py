@@ -440,10 +440,11 @@ def _dpotrf(a: np.ndarray, uplo: bytes = b"U") -> int:
 
 
 def _dpbtrf(ab: np.ndarray) -> int:
-    """Upper band Cholesky factor of F-ordered LAPACK band storage, in place; LAPACK's info."""
+    """Upper band Cholesky factor of a window of LAPACK band storage, in place; LAPACK's info."""
     info = ctypes.c_int()
     rows, n = ab.shape
-    _routine("dpbtrf")(b"U", _int(n), _int(rows - 1), ab.ctypes.data, _int(rows), info)
+    address, ld = _at(ab)
+    _routine("dpbtrf")(b"U", _int(n), _int(rows - 1), address, _int(ld), info)
     return info.value
 
 
@@ -547,26 +548,24 @@ class _Arm:
     ``positions`` holds the band-order positions of the part's k unknowns
     and then of the separator's s, in the arm's own order: a range of step
     1, or of step -1 for the arm numbered from its far end.  ``ab`` is their
-    LAPACK upper band storage, (b + 1) x (k + s) with b = s, in which
-    U[i, j] = ab[b + i - j, j] sits at flat offset b + i + j*b, so that the
-    window from U[i, j] on is a column-major matrix with leading dimension b
-    (``_u``).  The head, if any, is given as (its h positions, the h x h
-    window its factor goes to, whether that factor is stored as the lower
-    L = U^T): U = chol(its own block), ``w`` = U^-T C with C its coupling
-    with the part's first h unknowns, and W^T W is subtracted from the
-    band's first h x h corner before ``dpbtrf`` factors the part.
+    LAPACK upper band storage with nb - 1 zero rows below the diagonal row,
+    nb = min(``_BAND_BLOCK``, b): (b + nb) x (k + s), with b = s.  U[i, j] =
+    ab[b + i - j, j] sits at flat offset b + i + j*ld, ld = b + nb - 1, so
+    the window from U[i, j] on is a column-major matrix with leading
+    dimension ld (``_u``), and every entry outside the band that a window of
+    at most nb columns reaches is an exact zero of the margin.  ``dpbtrf``
+    factors the rows ab[: b + 1].  The head, if any, is given as (its h
+    positions, the h x h window its factor goes to, whether that factor is
+    stored as the lower L = U^T): U = chol(its own block), ``w`` = U^-T C
+    with C its coupling with the part's first h unknowns, and W^T W is
+    subtracted from the band's first h x h corner before ``dpbtrf``
+    factors the part.
 
     The part's coupling with the separator sits in the separator's columns
     of ``ab``, rows k - s to k: by the band profile it is lower triangular
     in that s x s window, and it is overwritten by W_S = U_tri^-T C_S,
     U_tri the part factor's last triangle.  The upper triangle of the
-    separator's own diagonal block receives -W_S^T W_S.  A window over W_S
-    reads, above its diagonal, the same memory as that upper triangle, so
-    every product with W_S skips the entries above the diagonal: it
-    multiplies the rows below each block of ``_BAND_BLOCK`` columns in place
-    and the block's own lower triangle through a copy, cut once per factor
-    in ``diagonal``.  So are the triangles of the band part that the solve
-    cancels (``wrapped``).
+    separator's own diagonal block receives -W_S^T W_S.
     """
 
     def __init__(self, positions: range, s: int, b: int, head: tuple | None = None):
@@ -574,18 +573,18 @@ class _Arm:
         self.k = len(positions) - s
         self.head = head
         self.w: np.ndarray | None = None
-        self.ab = np.zeros((b + 1, len(positions)), order="F")
+        self.nb = max(1, min(_BAND_BLOCK, b))
+        self.ld = b + self.nb - 1
+        self.ab = np.zeros((b + self.nb, len(positions)), order="F")
         self.u = as_strided(
-            self.ab.reshape(-1, order="F")[b:], shape=(len(positions),) * 2, strides=(8, 8 * b)
+            self.ab.reshape(-1, order="F")[b:], shape=(len(positions),) * 2, strides=(8, 8 * self.ld)
         )
         self.origin = self.ab.ctypes.data + 8 * b
-        self.starts = _blocks(self.k, max(1, min(_BAND_BLOCK, b)))
-        self.wrapped: list = []
-        self.diagonal: list = []
+        self.starts = _blocks(self.k, self.nb)
 
     def _u(self, i: int, j: int) -> tuple[int, int]:
         """The window of U from U[i, j] on, as (address, leading dimension)."""
-        return self.origin + 8 * (i + j * self.b), max(1, self.b)
+        return self.origin + 8 * (i + j * self.ld), max(1, self.ld)
 
     def fill(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
         """Write the normal matrix's entries N[i, j], i <= j band-order positions, that are ours.
@@ -596,7 +595,7 @@ class _Arm:
         i, j = _local(self.positions, i), _local(self.positions, j)
         i, j = np.minimum(i, j), np.maximum(i, j)
         mine = (i >= 0) & (j < len(self.positions)) & (i < self.k)
-        self.ab.reshape(-1, order="F")[self.b + i[mine] + j[mine] * self.b] = values[mine]
+        self.u[i[mine], j[mine]] = values[mine]
 
     def factor(self, normal: sp.csr_matrix) -> None:
         """Eliminate the head, factor the band part and form the separator's update."""
@@ -615,28 +614,17 @@ class _Arm:
             _dense(normal, positions, self.positions[:h], self.w)
             _dtrsm(h, h, _at(own), _at(self.w), uplo=uplo, trans=b"N" if lower else b"T")
             _dsyrk(h, h, -1.0, _at(self.w), self._u(0, 0))
-        info = _dpbtrf(self.ab[:, :k])
+        info = _dpbtrf(self.ab[: b + 1, :k])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrf info = {info}: the band is not positive definite")
-        for s0, e in self.starts:
-            lo = max(0, s0 - b)
-            # entries with j - i > b lie outside the band: the window wraps them
-            # into the column before, and this triangle's product cancels them
-            tri = np.asfortranarray(np.triu(self.u[lo:s0, s0:e][: e - s0], lo - s0 + b + 1))
-            self.wrapped.append((tri, _at(tri)) if lo < s0 else None)
         top = k - s  # the part's first row that couples with the separator
-        for q0, q1 in _blocks(s, _BAND_BLOCK):
-            nq, rest = q1 - q0, s - q1
-            _dtrsm(s - q0, nq, self._u(top + q0, top + q0), self._u(top + q0, k + q0), trans=b"T")
-            d = np.asfortranarray(np.tril(self.u[top + q0 : top + q1, k + q0 : k + q1]))
-            self.diagonal.append((d, _at(d)))
-            # the separator's columns J receive -(W_S^T W_S)[:q1, J], summed over
-            # the rows of W_S below the block and, through d, the block's own
-            w = self._u(top + q1, k + q0)
-            _dgemm(q0, nq, rest, -1.0, self._u(top + q1, k), w, self._u(k, k + q0), trans_a=b"T")
-            _dgemm(q0, nq, nq, -1.0, self._u(top + q0, k), _at(d), self._u(k, k + q0), trans_a=b"T")
-            _dsyrk(nq, rest, -1.0, w, self._u(k + q0, k + q0))
-            _dsyrk(nq, nq, -1.0, _at(d), self._u(k + q0, k + q0))
+        for q0, q1 in _blocks(s, self.nb):
+            # the separator's columns J receive -(W_S^T W_S)[:q1, J]; the rows
+            # of W_S above the block's diagonal are the margin's zeros
+            nq, w = q1 - q0, self._u(top + q0, k + q0)
+            _dtrsm(s - q0, nq, self._u(top + q0, top + q0), w, trans=b"T")
+            _dgemm(q0, nq, s - q0, -1.0, self._u(top + q0, k), w, self._u(k, k + q0), trans_a=b"T")
+            _dsyrk(nq, s - q0, -1.0, w, self._u(k + q0, k + q0))
 
     def forward(self, r: np.ndarray) -> tuple:
         """The arm's half of U^T y = r: head, then band part, then its separator update.
@@ -655,19 +643,16 @@ class _Arm:
             y = np.array(r[_slice(positions)], order="F")
             _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"N" if lower else b"T")
             _dgemm(c, h, h, -1.0, _at(y), _at(self.w), _rows(xa, c, 0), trans_a=b"T")
-        for (s0, e), tri in zip(self.starts, self.wrapped):
-            lo, nq, xs = max(0, s0 - b), e - s0, _rows(xa, c, s0)
+        for s0, e in self.starts:
+            lo, xs = max(0, s0 - b), _rows(xa, c, s0)
             if lo < s0:
-                _dgemm(c, nq, s0 - lo, -1.0, _rows(xa, c, lo), self._u(lo, s0), xs)
-                _dgemm(c, nq, len(tri[0]), 1.0, _rows(xa, c, lo), tri[1], xs)
-            _dtrsm(c, nq, self._u(s0, s0), xs, side=b"R")
+                _dgemm(c, e - s0, s0 - lo, -1.0, _rows(xa, c, lo), self._u(lo, s0), xs)
+            _dtrsm(c, e - s0, self._u(s0, s0), xs, side=b"R")
         t = np.zeros((s, c))
         ta, top = t.ctypes.data, k - s
-        for (q0, q1), (_, d) in zip(_blocks(s, _BAND_BLOCK), self.diagonal):
-            nq = q1 - q0
-            w = self._u(top + q1, k + q0)
-            _dgemm(c, nq, s - q1, -1.0, _rows(xa, c, top + q1), w, _rows(ta, c, q0))
-            _dgemm(c, nq, nq, -1.0, _rows(xa, c, top + q0), d, _rows(ta, c, q0))
+        for q0, q1 in _blocks(s, self.nb):
+            w = self._u(top + q0, k + q0)
+            _dgemm(c, q1 - q0, s - q0, -1.0, _rows(xa, c, top + q0), w, _rows(ta, c, q0))
         return x, y, t
 
     def backward(self, state: tuple, x_sep: np.ndarray) -> tuple:
@@ -680,17 +665,14 @@ class _Arm:
         x, y, _ = state
         c = x.shape[1]
         xa, sa, top = x.ctypes.data, x_sep.ctypes.data, k - s
-        for (q0, q1), (_, d) in zip(_blocks(s, _BAND_BLOCK), self.diagonal):
-            nq, known = q1 - q0, _rows(sa, c, q0)
-            w = self._u(top + q1, k + q0)
-            _dgemm(c, s - q1, nq, -1.0, known, w, _rows(xa, c, top + q1), trans_b=b"T")
-            _dgemm(c, nq, nq, -1.0, known, d, _rows(xa, c, top + q0), trans_b=b"T")
-        for (s0, e), tri in zip(reversed(self.starts), reversed(self.wrapped)):
-            lo, nq, xs = max(0, s0 - b), e - s0, _rows(xa, c, s0)
-            _dtrsm(c, nq, self._u(s0, s0), xs, side=b"R", trans=b"T")
+        for q0, q1 in _blocks(s, self.nb):
+            w = self._u(top + q0, k + q0)
+            _dgemm(c, s - q0, q1 - q0, -1.0, _rows(sa, c, q0), w, _rows(xa, c, top + q0), trans_b=b"T")
+        for s0, e in reversed(self.starts):
+            lo, xs = max(0, s0 - b), _rows(xa, c, s0)
+            _dtrsm(c, e - s0, self._u(s0, s0), xs, side=b"R", trans=b"T")
             if lo < s0:
-                _dgemm(c, s0 - lo, nq, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
-                _dgemm(c, len(tri[0]), nq, 1.0, xs, tri[1], _rows(xa, c, lo), trans_b=b"T")
+                _dgemm(c, s0 - lo, e - s0, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
         if self.head:
             positions, own, lower = self.head
             h = len(positions)
@@ -723,13 +705,13 @@ class _BandCholesky:
     triangular, so a solve runs the arms' forward halves, the separator,
     and the arms' backward halves, each arm keeping all of the block's
     columns, so a column's bits do not depend on the number of workers.  The
-    factor stores (b + 1) * (n - h) band entries, the separator's columns
-    once in each arm; up to nb = min(``_BAND_BLOCK``, b) cut triangle
-    entries per stored column; and 3 * h**2 + h head entries (h = 0 without
-    the split).  A factor whose ``((b + 1 + nb) * (n - h) + 3 * h**2 + h) *
-    8`` bytes exceed ``max_gb`` GB is refused with ValidationError before it
-    is allocated; a head, band part or separator that is not positive
-    definite raises LinAlgError.
+    factor stores n - h band columns, the separator's once in each arm, each
+    b + 1 band entries over a margin of nb - 1 zeros, nb =
+    min(``_BAND_BLOCK``, b); and 3 * h**2 + h head entries (h = 0 without
+    the split).  A factor whose ``((b + nb) * (n - h) + 3 * h**2 + h) * 8``
+    bytes exceed ``max_gb`` GB is refused with ValidationError before it is
+    allocated; a head, band part or separator that is not positive definite
+    raises LinAlgError.
     """
 
     def __init__(self, normal: sp.csr_matrix, slab: int, max_gb: float):
@@ -744,12 +726,11 @@ class _BandCholesky:
         inner = (cols >= h) & (cols <= rows)
         cols, rows, values = cols[inner], rows[inner], sub.data[inner]
         del sub, inner
-        # each head's update is written into an h x h window of the band, whose
-        # leading dimension b must be at least h; the stencils reach exactly
-        # two slabs between the heads, so b = s
+        # each head's update is written into an h x h corner of the band, which
+        # needs b >= h; the stencils reach exactly two slabs between the heads,
+        # so b = s
         b = self.half_bandwidth = max(int((rows - cols).max()), h)
-        nb = min(_BAND_BLOCK, b)
-        factor_gb = ((b + 1 + nb) * (n - h) + 3 * h * h + h) * 8 / 1e9
+        factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 3 * h * h + h) * 8 / 1e9
         if factor_gb > max_gb:
             raise ValidationError(
                 f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
@@ -778,7 +759,7 @@ class _BandCholesky:
             # the separator's block, minus the left arm's update, minus the
             # right arm's, whose order runs the other way
             u = left.u[left.k :, left.k :]
-            left.ab.reshape(-1, order="F")[b + (left.k + i) + (left.k + j) * b] += values
+            u[i, j] += values
             right = self.arms[1].u[-s:, -s:][::-1, ::-1].T
             for q0, q1 in _blocks(s, _BAND_BLOCK):
                 u[:q0, q0:q1] += right[:q0, q0:q1]
@@ -862,9 +843,10 @@ class LateralOperator:
     are factored and applied on two workers (see ``_BandCholesky``).
     ``solve_many`` solves several bundles as one block, and every
     application of the factor, to one column or to a block, runs the
-    blocked triangular solves on the band; ``solve`` is ``solve_many`` on
-    one bundle.  The factorization and the solves run on one thread of
-    scipy's OpenBLAS (see ``_one_blas_thread``).  A grid whose factor exceeds
+    blocked triangular solves on plain windows of the band, whose storage
+    keeps a zero margin for the entries outside it; ``solve`` is
+    ``solve_many`` on one bundle.  The factorization and the solves run on
+    one thread of scipy's OpenBLAS (see ``_one_blas_thread``).  A grid whose factor exceeds
     ``reg.max_factor_gb`` is refused with ValidationError before anything is
     allocated; a head, band or separator LAPACK finds not positive definite,
     or a factor that does not fit in memory, raises SolverError, whichever
@@ -1028,6 +1010,8 @@ def sweep_levels(noise_levels) -> list[float]:
     levels = [float(x) for x in noise_levels]
     if len(levels) < 4:
         raise ValidationError(f"need at least 4 noise levels, got {len(levels)}")
+    if not all(math.isfinite(x) for x in levels):
+        raise ValidationError("noise levels must be finite")
     if any(x < 0 for x in levels):
         raise ValidationError("noise levels must be nonnegative")
     if len(set(levels)) != len(levels):

@@ -52,6 +52,7 @@ from carleman_lab.reconstruct import (
     oracle_trace_reconstruct,
     stability_region,
     stability_sweep,
+    sweep_levels,
     write_sweep_csv,
 )
 from carleman_lab.weight import plan_parameters
@@ -404,9 +405,9 @@ def test_blocked_solve_matches_lapack(n, b, k, seed):
     ab = _spd_band(n, b, seed)
     cb = cholesky_banded(ab)
     arm = reconstruct._Arm(range(n), 0, b)
-    arm.ab[:] = ab
+    arm.ab[: b + 1] = ab
     arm.factor(None)
-    assert np.array_equal(arm.ab, cb)
+    assert np.array_equal(arm.ab[: b + 1], cb)
     r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
     got, _ = arm.backward(arm.forward(r), np.zeros((0, k)))
     want = cho_solve_banded((cb, False), r)
@@ -465,7 +466,7 @@ def _dense_factor(op):
         # LAPACK upper band storage: ab[b + i - j, j] = U[i, j]; the right
         # arm's copy of the separator's block holds its update, not the factor
         m = len(arm.positions)
-        band = sp.dia_matrix((arm.ab, b - np.arange(b + 1)), shape=(m, m)).toarray()
+        band = sp.dia_matrix((arm.ab[: b + 1], b - np.arange(b + 1)), shape=(m, m)).toarray()
         rows = m if a == 0 else arm.k
         cols = place[list(arm.positions)]
         upper[np.ix_(cols[:rows], cols)] = band[:rows]
@@ -525,6 +526,38 @@ def test_the_heads_come_with_the_split_at_ten_slabs(quartic_recipe, sweep_reg, s
     _check_factor(op, r)
 
 
+@pytest.mark.parametrize("nx_prime", [9, None], ids=["one-arm", "split"])
+def test_the_band_margin_stays_zero(quartic_recipe, small_operator, sweep_reg, nx_prime):
+    # the rows below each arm's diagonal row are the zeros every window
+    # wider than the band reads: neither the factor nor a solve writes them
+    if nx_prime is None:
+        op = small_operator
+    else:
+        g = CylinderGeometry(
+            d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
+            gamma_side=GammaSide.HI, nx_prime=nx_prime, nx_n=9, nt=9,
+        )
+        inst = make_instance(g, quartic_recipe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
+            plan = plan_parameters(g, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
+        op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
+    factor = op._factor
+    b = factor.half_bandwidth
+    assert len(factor.arms) == (1 if nx_prime else 2)
+
+    def margins_are_zero():
+        for arm in factor.arms:
+            assert arm.ab.shape == (b + min(reconstruct._BAND_BLOCK, b), len(arm.positions))
+            assert not arm.ab[b + 1 :].any()
+
+    margins_are_zero()
+    r = np.random.default_rng(5).standard_normal((op._normal.shape[0], 16))
+    x = factor.solve(np.asfortranarray(r))
+    assert np.linalg.norm(op._normal @ x - r) <= 1e-8 * np.linalg.norm(r)
+    margins_are_zero()
+
+
 def test_band_order_keeps_the_band_narrow(worked_operator):
     # 3 * nt * (nx_n + 1) = 1,134 at 21x17x21, plus the x_n and t reach, is
     # the bound without heads; the heads leave 756 (see the next test)
@@ -552,9 +585,9 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
     # 2,028 unknowns, heads of 2 * 13 * 12 = 312 sharing a 313 x 312 array
     # beside their two couplings, a band of the other 1,404 at half-bandwidth
-    # 312 whose separator of 312 both arms store, and one cut triangle row of
-    # 48 per stored column: ((313 + 48) * (1404 + 312) + 3 * 312^2 + 312) * 8
-    with pytest.raises(ValidationError, match=r"needs 0\.00729 GB \(half-bandwidth 312\)"):
+    # 312 whose separator of 312 both arms store, each stored column with a
+    # margin of 47 zero rows: ((312 + 48) * (1404 + 312) + 3 * 312^2 + 312) * 8
+    with pytest.raises(ValidationError, match=r"needs 0\.00728 GB \(half-bandwidth 312\)"):
         LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
 
 
@@ -643,6 +676,15 @@ def test_sweep_is_reproducible_per_seed(small_instance, small_operator):
 def test_sweep_rejects_bad_level_sets(small_instance, small_operator, levels, message):
     with pytest.raises(ValidationError, match=message):
         stability_sweep(small_instance, levels, small_operator)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_levels_refuse_a_level_that_is_not_finite(bad):
+    levels = [1e-1, 1e-2, 1e-3, 1e-4]
+    for place in range(len(levels)):
+        with pytest.raises(ValidationError, match="finite"):
+            sweep_levels(levels[:place] + [bad] + levels[place + 1 :])
+    assert sweep_levels([1e-3, 1e-1, 0.0, 1e-2]) == [1e-1, 1e-2, 1e-3, 0.0]
 
 
 def test_sweep_rejects_an_operator_of_another_instance(small_instance, small_operator):
