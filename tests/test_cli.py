@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carleman_lab import __version__, cli as cli_module, reconstruct as reconstruct_module
+from carleman_lab import (
+    __version__, cli as cli_module, factor as factor_module, reconstruct as reconstruct_module,
+)
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
     LEMMA1_CSV_HEADER,
@@ -364,9 +366,11 @@ def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, na
         _run_at_blas_threads(path, tmp_path / f"threads{threads}", threads, command)
     one, two = (tmp_path / f"threads{threads}" / name for threads in ("1", "2"))
     assert one.read_bytes() == two.read_bytes()
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) >= 2:  # on one CPU every run above had one worker already
-        _run_at_blas_threads(path, tmp_path / "one_cpu", "1", command, cpus={cpus[0]})
+    # on one CPU every run above had one worker already, and without CPU
+    # affinity (macOS, Windows) no child can be pinned to one
+    if hasattr(os, "sched_getaffinity") and factor_module._workers() == 2:
+        cpu = min(os.sched_getaffinity(0))
+        _run_at_blas_threads(path, tmp_path / "one_cpu", "1", command, cpus={cpu})
         assert (tmp_path / "one_cpu" / name).read_bytes() == one.read_bytes()
 
 
@@ -399,7 +403,7 @@ def test_all_pipeline_emits_every_artifact(tmp_path):
 def test_all_builds_plan_instance_and_factorization_once(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in (
-        (reconstruct_module, "_dpbtrf"),
+        (factor_module, "_dpbtrf"),
         (cli_module, "plan_parameters"),
         (cli_module, "make_instance"),
     ):
@@ -543,7 +547,7 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(reconstruct_module, "_dpbtrf", fail)
+    monkeypatch.setattr(factor_module, "_dpbtrf", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
@@ -553,7 +557,7 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
 
 
 @pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="on one CPU the caller runs both arms"
+    factor_module._workers() < 2, reason="on one CPU the caller runs both arms"
 )
 @pytest.mark.parametrize(
     "exc", [np.linalg.LinAlgError("9-th leading minor not positive definite"), MemoryError()]
@@ -561,7 +565,7 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
 def test_exit_2_when_the_helper_threads_arm_fails(tmp_path, monkeypatch, capsys, exc):
     # the right arm's band factor fails on the helper thread while the
     # caller factors the left arm
-    band_factor, failed = reconstruct_module._dpbtrf, []
+    band_factor, failed = factor_module._dpbtrf, []
 
     def fail_on_the_helper(ab):
         if threading.current_thread() is threading.main_thread():
@@ -569,7 +573,7 @@ def test_exit_2_when_the_helper_threads_arm_fails(tmp_path, monkeypatch, capsys,
         failed.append(threading.current_thread().name)
         raise exc
 
-    monkeypatch.setattr(reconstruct_module, "_dpbtrf", fail_on_the_helper)
+    monkeypatch.setattr(factor_module, "_dpbtrf", fail_on_the_helper)
     threads = threading.active_count()
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
@@ -593,7 +597,7 @@ def test_exit_2_when_a_head_factor_fails(tmp_path, monkeypatch, capsys, outcome,
             return 7
         raise outcome
 
-    monkeypatch.setattr(reconstruct_module, "_dpotrf", fail)
+    monkeypatch.setattr(factor_module, "_dpotrf", fail)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 2
     err = capsys.readouterr().err
@@ -625,7 +629,7 @@ def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, ca
     def refuse(*args, **kwargs):
         raise AssertionError("factored before the levels were checked")
 
-    monkeypatch.setattr(reconstruct_module, "_dpbtrf", refuse)
+    monkeypatch.setattr(factor_module, "_dpbtrf", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["instance"]["noise_levels"] = [0.1, 0.01, 0.001]
     path = write_config(tmp_path, cfg)
@@ -637,7 +641,7 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(reconstruct_module, "_dpbtrf", refuse)
+    monkeypatch.setattr(factor_module, "_dpbtrf", refuse)
     cfg = base_config(tmp_path / "out")
     cfg["solver"]["max_factor_gb"] = 1e-3
     path = write_config(tmp_path, cfg)
@@ -653,7 +657,7 @@ def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):
         ab[:] = np.nan
         return 0
 
-    monkeypatch.setattr(reconstruct_module, "_dpbtrf", nan_factor)
+    monkeypatch.setattr(factor_module, "_dpbtrf", nan_factor)
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "sweep") == 2
     err = capsys.readouterr().err

@@ -1,0 +1,138 @@
+"""Tests for the band factor of the lateral normal matrix, through ``carleman_lab.factor``.
+
+The layouts are checked on random, diagonally dominant SPD bands of
+half-bandwidth two slabs, which every layout factors exactly and whose
+condition number is small enough that a dense solve agrees to 1e-12.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from carleman_lab import factor
+from carleman_lab.errors import SolverError
+from carleman_lab.geometry import CylinderGeometry, GammaSide
+
+
+def _spd_band(n, b, seed):
+    """LAPACK upper band storage of a random, diagonally dominant SPD band."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((b + 1, n), order="F")
+    ab[:b] = rng.uniform(-1.0, 1.0, (b, n))
+    for i in range(b):  # entries above the first row of U do not exist
+        ab[i, : b - i] = 0.0
+    ab[b] = 2.0 * b + 1.0
+    return ab
+
+
+def _grid(slabs):
+    """A grid of ``slabs`` x' slabs of nt * (nx_n + 1) = 30 unknowns each."""
+    return CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, slabs, 5, 5)
+
+
+def _band_matrix(g, seed):
+    """The same kind of band as ``_spd_band``, two slabs wide, as a CSR matrix on ``g``."""
+    m = g.nt * (g.nx_n + 1)
+    n, b = g.nx_prime * m, 2 * m
+    ab = _spd_band(n, b, seed)
+    upper = sp.dia_matrix((ab, b - np.arange(b + 1)), shape=(n, n))
+    return (upper + sp.triu(upper, 1).T).tocsr()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 700),
+    b=st.integers(0, 400),
+    k=st.sampled_from([1, 2, 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=700, b=300, k=17, seed=0)  # full windows, n not a multiple of the block
+@example(n=500, b=factor._BAND_BLOCK // 2, k=2, seed=1)  # half-bandwidth below the block
+@example(n=300, b=299, k=17, seed=2)  # a band as wide as the matrix
+@example(n=40, b=90, k=2, seed=3)  # half-bandwidth above n - 1
+def test_blocked_solve_matches_lapack(n, b, k, seed):
+    # one arm with no heads and no separator: the band factor through the
+    # binding, then the blocked forward and backward passes
+    ab = _spd_band(n, b, seed)
+    cb = cholesky_banded(ab)
+    arm = factor._Arm(range(n), 0, b)
+    arm.ab[: b + 1] = ab
+    arm.factor(None)
+    assert np.array_equal(arm.ab[: b + 1], cb)
+    r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
+    got, _ = arm.backward(arm.forward(r), np.zeros((0, k)))
+    want = cho_solve_banded((cb, False), r)
+    assert got.shape == (n, k)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("slabs", [9, 10, 13])
+def test_band_cholesky_solves_a_band_in_either_layout(slabs):
+    # one arm below ten slabs, two arms and a separator from ten on
+    g = _grid(slabs)
+    normal = _band_matrix(g, seed=slabs)
+    chol = factor.BandCholesky(normal, g, max_gb=1.0)
+    assert chol.half_bandwidth == 60
+    assert len(chol.arms) == (2 if slabs >= factor._SPLIT_SLABS else 1)
+    r = np.asfortranarray(np.random.default_rng(slabs).standard_normal((normal.shape[0], 3)))
+    got = chol.solve(r)
+    want = np.linalg.solve(normal.toarray(), r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "slabs, message",
+    [(9, r"dpbtrf info = 1: the band is not positive definite"),
+     (10, r"dpotrf info = 1: a 60-unknown head is not positive definite")],
+    ids=["band", "head"],
+)
+def test_a_factor_that_is_not_positive_definite_raises_solver_error(slabs, message):
+    g = _grid(slabs)
+    normal = -_band_matrix(g, seed=0)
+    n = normal.shape[0]
+    with pytest.raises(
+        SolverError,
+        match=rf"^factorization of the {n}-unknown normal matrix failed \(LinAlgError: {message}\)$",
+    ):
+        factor.BandCholesky(normal, g, max_gb=1.0)
+
+
+def test_the_blas_thread_pin_is_active():
+    api = factor._openblas_threads()
+    assert api is not None, "scipy's OpenBLAS exports no thread-count functions"
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        with factor._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_the_factor_and_its_solves_run_on_one_blas_thread(monkeypatch):
+    # every LAPACK and BLAS call, on either worker, sees one thread, and the
+    # count is restored after the factor and after each solve
+    get, put = factor._openblas_threads()
+    seen = []
+    for name in ("_dpotrf", "_dpbtrf", "_dtrsm", "_dsyrk", "_dgemm"):
+        def recorded(*args, _original=getattr(factor, name), **kwargs):
+            seen.append(get())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(factor, name, recorded)
+    g = _grid(10)
+    normal = _band_matrix(g, seed=1)
+    before = get()
+    put(2)
+    try:
+        chol = factor.BandCholesky(normal, g, max_gb=1.0)
+        assert get() == 2
+        chol.solve(np.ones((normal.shape[0], 2), order="F"))
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}

@@ -14,6 +14,7 @@ Hand-derived anchors used below:
 import dataclasses
 import io
 import math
+import os
 import types
 import warnings
 
@@ -21,10 +22,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from carleman_lab import reconstruct
+from carleman_lab import factor, reconstruct
 from carleman_lab.errors import SolverError, ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
@@ -377,67 +376,46 @@ def test_one_application_of_the_factor_solves_the_normal_equations(
         assert last <= 1e-10 * first
 
 
-def _spd_band(n, b, seed):
-    """LAPACK upper band storage of a random, diagonally dominant SPD band."""
-    rng = np.random.default_rng(seed)
-    ab = np.zeros((b + 1, n), order="F")
-    ab[:b] = rng.uniform(-1.0, 1.0, (b, n))
-    for i in range(b):  # entries above the first row of U do not exist
-        ab[i, : b - i] = 0.0
-    ab[b] = 2.0 * b + 1.0
-    return ab
+class _DenseCholesky:
+    """A dense Cholesky factor with the interface of ``factor.BandCholesky``."""
+
+    def __init__(self, normal, geometry, max_gb):
+        self.cho = scipy.linalg.cho_factor(normal.toarray())
+
+    def solve(self, block):
+        return scipy.linalg.cho_solve(self.cho, block)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(1, 700),
-    b=st.integers(0, 400),
-    k=st.sampled_from([1, 2, 17]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=700, b=300, k=17, seed=0)  # full windows, n not a multiple of the block
-@example(n=500, b=reconstruct._BAND_BLOCK // 2, k=2, seed=1)  # half-bandwidth below the block
-@example(n=300, b=299, k=17, seed=2)  # a band as wide as the matrix
-@example(n=40, b=90, k=2, seed=3)  # half-bandwidth above n - 1
-def test_blocked_solve_matches_lapack(n, b, k, seed):
-    # one arm with no heads and no separator: the band factor through the
-    # binding, then the blocked forward and backward passes
-    ab = _spd_band(n, b, seed)
-    cb = cholesky_banded(ab)
-    arm = reconstruct._Arm(range(n), 0, b)
-    arm.ab[: b + 1] = ab
-    arm.factor(None)
-    assert np.array_equal(arm.ab[: b + 1], cb)
-    r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
-    got, _ = arm.backward(arm.forward(r), np.zeros((0, k)))
-    want = cho_solve_banded((cb, False), r)
-    assert got.shape == (n, k)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+def test_the_operator_needs_only_the_factor_interface(
+    small_instance, small_plan, sweep_reg, small_operator, monkeypatch
+):
+    # the operator reaches its factor through band_order, BandCholesky and
+    # solve alone, so another factor with that interface can replace it
+    monkeypatch.setattr(factor, "BandCholesky", _DenseCholesky)
+    inst = small_instance
+    op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
+    assert isinstance(op._factor, _DenseCholesky)
+    bundles = [inst.data] + [add_noise(inst, level, seed=3).data for level in (0.1, 1e-3)]
+    for got, want in zip(op.solve_many(bundles), small_operator.solve_many(bundles), strict=True):
+        first, last = got.residual_history
+        assert last <= reconstruct._MAX_REL_NORMAL_RESIDUAL * first
+        for name in ("u_hat", "f_hat"):
+            dense, band = getattr(got, name).values, getattr(want, name).values
+            assert np.linalg.norm(dense - band) <= 1e-6 * np.linalg.norm(band)
 
 
-def test_solves_never_call_lapack_band_solve(small_instance, small_operator, monkeypatch):
-    # one column and a block both go through the blocked band solve
-    def refuse(*args, **kwargs):
-        raise AssertionError("a solve called cho_solve_banded")
-
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
-    bundles = [add_noise(small_instance, level, seed=2).data for level in (0.1, 1e-3)]
-    assert small_operator.solve(bundles[0]).iterations == 1
-    assert [sol.iterations for sol in small_operator.solve_many(bundles)] == [1, 1]
-
-
-def test_the_blas_thread_pin_is_active():
-    api = reconstruct._openblas_threads()
-    assert api is not None, "scipy's OpenBLAS exports no thread-count functions"
-    get, put = api
-    before = get()
-    put(2)
-    try:
-        with reconstruct._one_blas_thread():
-            assert get() == 1
-        assert get() == 2
-    finally:
-        put(before)
+def test_an_operator_builds_and_solves_without_cpu_affinity(
+    small_instance, small_plan, sweep_reg, small_operator, monkeypatch
+):
+    # macOS and Windows have no os.sched_getaffinity: the factor then counts
+    # every CPU, and the worker count leaves the bits as they are
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert factor._workers() == min(2, os.cpu_count())
+    inst = small_instance
+    op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
+    got, want = op.solve(inst.data), small_operator.solve(inst.data)
+    assert np.array_equal(got.u_hat.values, want.u_hat.values)
+    assert np.array_equal(got.f_hat.values, want.f_hat.values)
 
 
 def _dense_factor(op):
@@ -446,18 +424,18 @@ def _dense_factor(op):
     Its order is (left arm, right arm, separator), each arm's head before
     its band part; returns it with the band-order positions it factors.
     """
-    factor, n = op._factor, op._normal.shape[0]
-    b = factor.half_bandwidth
+    chol, n = op._factor, op._normal.shape[0]
+    b = chol.half_bandwidth
     order = []
-    for arm in factor.arms:
+    for arm in chol.arms:
         if arm.head:
             order.extend(arm.head[0])
         order.extend(arm.positions[: arm.k])
-    order = np.array(order + list(factor.sep))
+    order = np.array(order + list(chol.sep))
     place = np.empty(n, dtype=int)
     place[order] = np.arange(n)
     upper = np.zeros((n, n))
-    for a, arm in enumerate(factor.arms):
+    for a, arm in enumerate(chol.arms):
         if arm.head:
             positions, own, lower = arm.head
             rows = place[list(positions)]
@@ -542,18 +520,18 @@ def test_the_band_margin_stays_zero(quartic_recipe, small_operator, sweep_reg, n
             warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
             plan = plan_parameters(g, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
         op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
-    factor = op._factor
-    b = factor.half_bandwidth
-    assert len(factor.arms) == (1 if nx_prime else 2)
+    chol = op._factor
+    b = chol.half_bandwidth
+    assert len(chol.arms) == (1 if nx_prime else 2)
 
     def margins_are_zero():
-        for arm in factor.arms:
-            assert arm.ab.shape == (b + min(reconstruct._BAND_BLOCK, b), len(arm.positions))
+        for arm in chol.arms:
+            assert arm.ab.shape == (b + min(factor._BAND_BLOCK, b), len(arm.positions))
             assert not arm.ab[b + 1 :].any()
 
     margins_are_zero()
     r = np.random.default_rng(5).standard_normal((op._normal.shape[0], 16))
-    x = factor.solve(np.asfortranarray(r))
+    x = chol.solve(np.asfortranarray(r))
     assert np.linalg.norm(op._normal @ x - r) <= 1e-8 * np.linalg.norm(r)
     margins_are_zero()
 
@@ -579,8 +557,8 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")
 
-    monkeypatch.setattr(reconstruct, "_dpbtrf", refuse)
-    monkeypatch.setattr(reconstruct, "_dpotrf", refuse)
+    monkeypatch.setattr(factor, "_dpbtrf", refuse)
+    monkeypatch.setattr(factor, "_dpotrf", refuse)
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
     # 2,028 unknowns, heads of 2 * 13 * 12 = 312 sharing a 313 x 312 array
