@@ -28,9 +28,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -88,9 +87,97 @@ _VERIFY_DEFAULTS: Mapping[str, object] = {
 # ---- configuration ------------------------------------------------------------------
 
 
+# the keywords ``_errors`` checks, and those it skips as annotations; a schema
+# keyword in neither set is refused when the schema is read
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "enum", "minimum",
+    "exclusiveMinimum", "items", "minItems", "maxItems", "minLength", "$ref",
+})
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "$defs"})
+_TYPES = {
+    "number": (int, float), "string": str, "object": dict, "array": list,
+    "boolean": bool, "null": type(None),
+}
+
+
 def _schema() -> dict:
     text = resources.files("carleman_lab").joinpath("schema/config.schema.json").read_text()
-    return json.loads(text)
+    return _checked(json.loads(text))
+
+
+def _checked(schema: dict) -> dict:
+    """``schema`` itself, once every keyword in it, at any depth, is one ``_errors`` implements."""
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if not schema.get("$ref", "#/$defs/").startswith("#/$defs/"):
+        unknown.add(f"$ref {schema['$ref']}")
+    if unknown:
+        raise ValueError(f"the config schema uses {sorted(unknown)}, which _errors does not implement")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    subschemas += [schema[k] for k in ("items", "additionalProperties") if isinstance(schema.get(k), dict)]
+    for sub in subschemas:
+        _checked(sub)
+    return schema
+
+
+def _is(instance, kind: str) -> bool:
+    """JSON Schema's type test (draft 2020-12): a bool is no number, and 4.0 is an integer."""
+    if isinstance(instance, bool):
+        return kind == "boolean"
+    if kind == "integer":
+        return isinstance(instance, int) or isinstance(instance, float) and instance.is_integer()
+    return isinstance(instance, _TYPES[kind])
+
+
+def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """Each way ``instance`` breaks ``schema``, as (path, message), in jsonschema's order.
+
+    The keywords run in the schema's own order, a keyword that does not apply
+    to the instance's type passes, and the messages are jsonschema's.  Only
+    the schema is recursed into, so a deeply nested config costs no depth.
+    """
+    for key, want in schema.items():
+        if key == "$ref":
+            yield from _errors(root["$defs"][want.removeprefix("#/$defs/")], instance, root, path)
+        elif key == "type":
+            if not _is(instance, want):
+                yield path, f"{instance!r} is not of type {want!r}"
+        elif key == "enum":
+            # tagged, so that True does not equal 1
+            if (isinstance(instance, bool), instance) not in [(isinstance(e, bool), e) for e in want]:
+                yield path, f"{instance!r} is not one of {want!r}"
+        elif isinstance(instance, dict):
+            if key == "properties":
+                for name, sub in want.items():
+                    if name in instance:
+                        yield from _errors(sub, instance[name], root, (*path, name))
+            elif key == "required":
+                for name in want:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+            elif key == "additionalProperties":
+                extra = [name for name in instance if name not in schema.get("properties", {})]
+                if want is False and extra:
+                    verb = "was" if len(extra) == 1 else "were"
+                    names = ", ".join(map(repr, sorted(extra)))
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+                elif isinstance(want, dict):
+                    for name in extra:
+                        yield from _errors(want, instance[name], root, (*path, name))
+        elif isinstance(instance, list):
+            if key == "items":
+                for index, item in enumerate(instance):
+                    yield from _errors(want, item, root, (*path, index))
+            elif key == "minItems" and len(instance) < want:
+                yield path, f"{instance!r} {'should be non-empty' if want == 1 else 'is too short'}"
+            elif key == "maxItems" and len(instance) > want:
+                yield path, f"{instance!r} {'is expected to be empty' if want == 0 else 'is too long'}"
+        elif _is(instance, "number"):
+            if key == "minimum" and instance < want:
+                yield path, f"{instance!r} is less than the minimum of {want!r}"
+            elif key == "exclusiveMinimum" and instance <= want:
+                yield path, f"{instance!r} is less than or equal to the minimum of {want!r}"
+        elif isinstance(instance, str) and key == "minLength" and len(instance) < want:
+            yield path, f"{instance!r} {'should be non-empty' if want == 1 else 'is too short'}"
 
 
 @dataclass(frozen=True)
@@ -222,12 +309,15 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    except RecursionError as exc:
+        raise ValidationError("config is not valid JSON: nested too deeply") from exc
+    schema = _schema()
+    # sorted is stable, so of the errors at the first path the schema's first keyword wins
+    errors = sorted(_errors(schema, raw, schema), key=lambda error: error[0])
     if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "top level"
-        raise ValidationError(f"config rejected at {where}: {first.message}")
+        path, message = errors[0]
+        where = "/".join(map(str, path)) or "top level"
+        raise ValidationError(f"config rejected at {where}: {message}")
     return ExperimentConfig(raw=raw)
 
 

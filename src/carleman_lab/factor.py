@@ -18,17 +18,21 @@ triangular solves (BLAS-3 ``dgemm`` and ``dtrsm``) on windows of the band,
 which stream it once per block of columns; each arm stores its band over a
 margin of zero rows, so every window is a plain matrix.
 
-Every LAPACK and BLAS call goes through a ctypes binding of scipy's own
-routines (``_routine``), which releases the GIL, on one thread of scipy's
-OpenBLAS.  The workers are one per CPU the process may run on, at most
-two, and the layout does not depend on them, so the bits depend on neither
-the CPU count nor the BLAS thread count.  scipy is imported on first use.
+Every LAPACK and BLAS call goes through a ctypes binding (``_routine``),
+which releases the GIL, on one thread of scipy's OpenBLAS.  Where scipy
+vendors that library (``scipy.libs/libscipy_openblas*.so``, as its wheels
+do) the binding takes the routines straight from it and imports no scipy
+module; elsewhere it reads them from the capsules of ``scipy.linalg``,
+which wrap the same routines.  The workers are one per CPU the process may
+run on, at most two, and the layout does not depend on them, so the bits
+depend on neither the CPU count nor the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
@@ -70,29 +74,35 @@ _SPLIT_SLABS = 10
 
 
 @functools.cache
-def _openblas_threads():
-    """Getter and setter of scipy's OpenBLAS thread count, or None if not exported.
+def _openblas() -> ctypes.CDLL | None:
+    """scipy's vendored OpenBLAS, or None where scipy vendors none (conda, distro builds).
 
-    scipy's wheels vendor an OpenBLAS as ``scipy.libs/libscipy_openblas*.so``;
-    loading it again by path returns the copy scipy already uses.
+    scipy's wheels ship it as ``scipy.libs/libscipy_openblas*.so``, next to
+    the package; loading it by path returns the copy scipy's own modules
+    use.  The package is found by its import spec, which imports nothing.
     """
-    import scipy
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    try:
-        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
-    except OSError:
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
         return None
-    for name in names:
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), "scipy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+    except (OSError, ValueError):  # no scipy.libs, or no OpenBLAS in it
+        return None
+    return ctypes.CDLL(os.path.join(libs, name))
+
+
+@functools.cache
+def _openblas_threads():
+    """Getter and setter of scipy's OpenBLAS thread count, or None if not exported."""
+    try:
+        lib = _openblas()
+        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except AttributeError:  # no vendored OpenBLAS, or one without the functions
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextmanager
@@ -132,11 +142,30 @@ _ROUTINES = {
 def _routine(name: str):
     """scipy's LAPACK or BLAS routine ``name`` as a ctypes function.
 
-    scipy exports its routines as capsules in ``scipy.linalg.cython_lapack``
-    and ``cython_blas``.  A ctypes call through a capsule's pointer releases
-    the GIL while the routine runs, which scipy's f2py wrappers do not, so two
-    threads can factor and solve two arms at once.
+    The routine is the symbol ``scipy_<name>_`` of scipy's vendored OpenBLAS.
+    Without that library it is read from the capsules that
+    ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, whose
+    functions wrap the same symbols, so either way a call computes the same
+    bits.  A ctypes call releases the GIL while the routine runs, which
+    scipy's f2py wrappers do not, so two threads can factor and solve two
+    arms at once.
     """
+    types = {
+        "c": ctypes.c_char_p,
+        "i": ctypes.POINTER(ctypes.c_int),
+        "d": ctypes.POINTER(ctypes.c_double),
+        "p": ctypes.c_void_p,
+    }
+    prototype = ctypes.CFUNCTYPE(None, *(types[t] for t in _ROUTINES[name]))
+    # getattr of None, or of a library without the symbol, gives the default
+    symbol = getattr(_openblas(), f"scipy_{name}_", None)
+    if symbol is not None:
+        return prototype(ctypes.cast(symbol, ctypes.c_void_p).value)
+    return prototype(_capsule(name))
+
+
+def _capsule(name: str) -> int:
+    """Address of routine ``name`` in the capsules of ``scipy.linalg``."""
     from scipy.linalg import cython_blas, cython_lapack
 
     module = cython_lapack if name in ("dpotrf", "dpbtrf") else cython_blas
@@ -146,14 +175,7 @@ def _routine(name: str):
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    address = get_pointer(capsule, get_name(capsule))
-    types = {
-        "c": ctypes.c_char_p,
-        "i": ctypes.POINTER(ctypes.c_int),
-        "d": ctypes.POINTER(ctypes.c_double),
-        "p": ctypes.c_void_p,
-    }
-    return ctypes.CFUNCTYPE(None, *(types[t] for t in _ROUTINES[name]))(address)
+    return get_pointer(capsule, get_name(capsule))
 
 
 @functools.cache

@@ -339,6 +339,56 @@ def test_plan_and_verify_never_load_scipy(tmp_path):
     }
 
 
+_ALL_WITHOUT_JSONSCHEMA = """
+import json, sys
+sys.modules["jsonschema"] = None  # an import of it now raises ImportError
+import carleman_lab.cli as cli
+def loaded():
+    return sorted(name for name, module in sys.modules.items()
+                  if module is not None and name.split(".")[0] in ("scipy", "jsonschema"))
+after_import = loaded()
+code = cli.main(["--config", sys.argv[1], "--command", "all", "--quiet"])
+print(json.dumps([after_import, code, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_all_runs_without_jsonschema_and_scipy_linalg(tmp_path):
+    # a fresh interpreter, since this process has both loaded already
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    done = subprocess.run(
+        [sys.executable, "-c", _ALL_WITHOUT_JSONSCHEMA, str(path)],
+        env=_child_env(), check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert json.loads(done.stdout) == [[], 0, False]
+
+
+_RECONSTRUCT_THROUGH = """
+import hashlib, json, sys
+from carleman_lab import cli, factor
+if sys.argv[3] == "capsules":
+    factor._openblas = lambda: None  # as where scipy vendors no OpenBLAS
+assert cli.main(["--config", sys.argv[1], "--command", "reconstruct", "--out", sys.argv[2], "--quiet"]) == 0
+archive = open(sys.argv[2] + "/reconstruction.npz", "rb").read()
+print(json.dumps([hashlib.sha256(archive).hexdigest(), "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_the_capsule_binding_solves_to_the_same_bits(tmp_path):
+    # 13 x' slabs: heads, two arms and a separator, so all five routines run;
+    # one BLAS thread, since the capsule path has no thread pin
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    runs = {}
+    for binding in ("openblas", "capsules"):
+        done = subprocess.run(
+            [sys.executable, "-c", _RECONSTRUCT_THROUGH, str(path), str(tmp_path / binding), binding],
+            env=_child_env(OPENBLAS_NUM_THREADS="1"), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        runs[binding] = json.loads(done.stdout)
+    assert runs["openblas"][0] == runs["capsules"][0]
+    assert (runs["openblas"][1], runs["capsules"][1]) == (False, True)
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the two runs of `all` on the 13x11x13 grid take a few seconds together
     path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -493,6 +543,15 @@ def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, literal, message)
     assert cli("--config", path, "--command", "verify") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_on_a_config_nested_too_deeply(tmp_path, capsys):
+    # json.loads runs out of stack on it before any check sees it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli("--config", path, "--command", "plan") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
 
 
 def test_exit_1_on_argparse_usage_error(tmp_path, capsys):
