@@ -12,9 +12,10 @@ Commands: ``plan`` (weight-parameter report), ``verify`` (weighted
 inequality table plus identity residual table), ``make-instance``
 (manufactured problem archive), ``reconstruct`` (lateral solve of the
 noiseless instance), ``sweep`` (noise ladder CSV), ``all`` (the pipeline in
-that order).  Exit codes: 0 success, 1 configuration or validation failure,
-2 solver failure (a factorization, or a solve whose relative normal residual
-is above 1e-8) or running out of memory, 3 filesystem trouble.
+that order).  Exit codes: 0 success, 1 configuration or validation failure
+(a value that overflows the arithmetic it feeds included), 2 solver failure
+(a factorization, or a solve whose relative normal residual is above 1e-8)
+or running out of memory, 3 filesystem trouble.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -47,10 +49,10 @@ from .problems import (
 from .reconstruct import (
     LateralOperator,
     Regularization,
-    _sweep_errors,
     lateral_reconstruct,  # unused here; perfbench/traced_cli.py hooks this name
     stability_region,
     stability_sweep,
+    sweep_errors,
     sweep_levels,
     write_sweep_csv,
 )
@@ -128,23 +130,36 @@ def _is(instance, kind: str) -> bool:
     return isinstance(instance, _TYPES[kind])
 
 
+# a value whose repr runs past _SHOWN_CHARS is echoed in reprlib's short form:
+# nested containers as [...] or {...}, at most six items, atoms cut to 30 characters
+_SHOWN_CHARS = 120
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else _SHORT.repr(value)
+
+
 def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
     """Each way ``instance`` breaks ``schema``, as (path, message), in jsonschema's order.
 
     The keywords run in the schema's own order, a keyword that does not apply
-    to the instance's type passes, and the messages are jsonschema's.  Only
-    the schema is recursed into, so a deeply nested config costs no depth.
+    to the instance's type passes, and the messages are jsonschema's, with a
+    long value shortened by ``_shown``.  Only the schema is recursed into, so
+    a deeply nested config costs no depth.
     """
     for key, want in schema.items():
         if key == "$ref":
             yield from _errors(root["$defs"][want.removeprefix("#/$defs/")], instance, root, path)
         elif key == "type":
             if not _is(instance, want):
-                yield path, f"{instance!r} is not of type {want!r}"
+                yield path, f"{_shown(instance)} is not of type {want!r}"
         elif key == "enum":
             # tagged, so that True does not equal 1
             if (isinstance(instance, bool), instance) not in [(isinstance(e, bool), e) for e in want]:
-                yield path, f"{instance!r} is not one of {want!r}"
+                yield path, f"{_shown(instance)} is not one of {want!r}"
         elif isinstance(instance, dict):
             if key == "properties":
                 for name, sub in want.items():
@@ -158,7 +173,7 @@ def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tu
                 extra = [name for name in instance if name not in schema.get("properties", {})]
                 if want is False and extra:
                     verb = "was" if len(extra) == 1 else "were"
-                    names = ", ".join(map(repr, sorted(extra)))
+                    names = _shown(sorted(extra))[1:-1]
                     yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
                 elif isinstance(want, dict):
                     for name in extra:
@@ -168,16 +183,16 @@ def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tu
                 for index, item in enumerate(instance):
                     yield from _errors(want, item, root, (*path, index))
             elif key == "minItems" and len(instance) < want:
-                yield path, f"{instance!r} {'should be non-empty' if want == 1 else 'is too short'}"
+                yield path, f"{_shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
             elif key == "maxItems" and len(instance) > want:
-                yield path, f"{instance!r} {'is expected to be empty' if want == 0 else 'is too long'}"
+                yield path, f"{_shown(instance)} {'is expected to be empty' if want == 0 else 'is too long'}"
         elif _is(instance, "number"):
             if key == "minimum" and instance < want:
-                yield path, f"{instance!r} is less than the minimum of {want!r}"
+                yield path, f"{_shown(instance)} is less than the minimum of {want!r}"
             elif key == "exclusiveMinimum" and instance <= want:
-                yield path, f"{instance!r} is less than or equal to the minimum of {want!r}"
+                yield path, f"{_shown(instance)} is less than or equal to the minimum of {want!r}"
         elif isinstance(instance, str) and key == "minLength" and len(instance) < want:
-            yield path, f"{instance!r} {'should be non-empty' if want == 1 else 'is too short'}"
+            yield path, f"{_shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
 
 
 @dataclass(frozen=True)
@@ -466,7 +481,7 @@ def _cmd_make_instance(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path
 def _cmd_reconstruct(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     solution = pipe.operator.solve(pipe.instance.data)
     inst, plan = pipe.instance, pipe.plan
-    err_region, err_global = _sweep_errors(solution.f_hat, inst.f, plan)
+    err_region, err_global = sweep_errors(solution.f_hat, inst.f, plan)
     scale_region = discrete_norm(inst.f, region=stability_region(plan))
     history = solution.residual_history
     meta = {
@@ -553,6 +568,10 @@ def main(argv=None) -> int:
             _say(args.quiet, f"wrote {path}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # a value the schema accepts, too large for the arithmetic it feeds (ell = 1e300)
+        print(f"error: a config value is out of range: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ where the verifier samples its corpus and checks the weighted inequality.
 
 All derivatives are second-order finite differences: central stencils in the
 interior, one-sided second-order stencils on the first and last node of the
-differentiation axis.  One coefficient table, ``_STENCILS``, drives both the
-array stencils (``diff_array``, behind ``diff``) and the sparse matrices of
-the lateral solver (``diff_matrix``).  All integrals are trapezoidal.
+differentiation axis.  One coefficient table, ``_STENCILS``, drives the array
+stencils (``diff_array``, behind ``diff``), the sparse matrices of the lateral
+solver (``diff_matrix``) and the fourth-order end rows of
+``diff_array_sharp``.  All integrals are trapezoidal.
 
 One node rule picks the nodes of an interval, for the regions of
 ``discrete_norm`` and for every node set of the weight planner:
@@ -42,6 +43,7 @@ __all__ = [
     "NormKind",
     "Region",
     "diff_array",
+    "diff_array_sharp",
     "diff_matrix",
     "diff",
     "dxp",
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 _MIN_NODES = 4  # the widest one-sided stencil spans four nodes
+_MAX_NODES = np.iinfo(np.intp).max // 8  # float64 nodes whose byte count numpy can index
 
 
 class GammaSide(Enum):
@@ -81,6 +84,13 @@ class FieldKind(Enum):
     @property
     def axes(self) -> tuple[str, ...]:
         return self.value
+
+    def without(self, axis: str) -> FieldKind:
+        """The kind a field of this kind has once ``axis`` is dropped, as by a trace."""
+        rest = tuple(a for a in self.axes if a != axis)
+        if axis in self.axes and rest in {kind.axes for kind in FieldKind}:
+            return FieldKind(rest)
+        raise ValidationError(f"trace along {axis!r} is not defined for fields of kind {self.name}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,10 @@ class CylinderGeometry:
             if n < _MIN_NODES:
                 raise ValidationError(
                     f"grid too coarse: {name}={n} is below the minimum of {_MIN_NODES} nodes"
+                )
+            if n > _MAX_NODES:
+                raise ValidationError(
+                    f"grid count {name} is above {_MAX_NODES}, the most nodes an axis array can hold"
                 )
         if self.extended and self.nx_n % 2 == 0:
             raise ValidationError(
@@ -304,12 +318,16 @@ class ScalarField:
 # ---- finite differences ---------------------------------------------------
 
 
-# Second-order stencils by derivative order: (denominator, interior taps on
-# nodes i-1, i, i+1, first-row taps on nodes 0, 1, ...).  The outer interior
-# taps are -1 or +1; the last row mirrors the first, sign flipped for odd orders.
+# Stencils by derivative order: (denominator, interior taps on nodes i-1, i,
+# i+1, second- and fourth-order first-row taps on nodes 0, 1, ...).  The outer
+# interior taps are -1 or +1; a last row mirrors its first row, sign flipped
+# for odd orders.  The fourth-order order-1 row, (-25/12, 4, -3, 4/3, -1/4) / h,
+# is doubled to share the denominator 2h: a power of two, so the same bits.
 _STENCILS = {
-    1: (lambda h: 2.0 * h, (-1.0, 0.0, 1.0), (-3.0, 4.0, -1.0)),
-    2: (lambda h: h * h, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0)),
+    1: (lambda h: 2.0 * h, (-1.0, 0.0, 1.0), (-3.0, 4.0, -1.0),
+        (-25.0 / 6.0, 8.0, -6.0, 8.0 / 3.0, -0.5)),
+    2: (lambda h: h * h, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0),
+        (15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0)),
 }
 
 
@@ -323,7 +341,7 @@ def _stencil(order: int, h: float):
     """Denominator, interior taps, first-row and last-row taps of ``order``."""
     if order not in _STENCILS:
         raise ValidationError(f"derivative order must be 1 or 2, got {order}")
-    denominator, interior, first = _STENCILS[order]
+    denominator, interior, first, _ = _STENCILS[order]
     return denominator(h), interior, first, _mirrored(first, order)
 
 
@@ -360,6 +378,16 @@ def diff_array(
         o[1:-1] += center * b[1:-1]
     o[1:-1] /= den
     _end_rows(b, o, den, first, order)
+    return out
+
+
+def diff_array_sharp(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
+    """``diff_array`` with fourth-order one-sided end rows, for a residual that is
+    itself second order (the verifier's identity), into which second-order end
+    rows would leak third-order boundary-strip errors."""
+    out = diff_array(a, axis, h, order)
+    denominator, _, _, sharp = _STENCILS[order]
+    _end_rows(np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0), denominator(h), sharp, order)
     return out
 
 
@@ -426,23 +454,8 @@ class Face(Enum):
     T_MINUS_DELTA = "T_MINUS_DELTA"
 
 
-_DROP_KIND = {
-    # (input kind, dropped axis) -> output kind
-    (FieldKind.SPACE_TIME, "xn"): FieldKind.CROSS_SECTION_TIME,
-    (FieldKind.SPACE_TIME, "xp"): FieldKind.AXIAL_TIME,
-    (FieldKind.SPACE_TIME, "t"): FieldKind.SPACE_ONLY,
-    (FieldKind.SPACE_ONLY, "xn"): FieldKind.CROSS_SECTION,
-    (FieldKind.CROSS_SECTION_TIME, "t"): FieldKind.CROSS_SECTION,
-    (FieldKind.AXIAL_TIME, "xn"): None,  # no 1-d axial kind; rejected below
-}
-
-
 def _slice_axis(u: ScalarField, axis: str, index: int) -> ScalarField:
-    out_kind = _DROP_KIND.get((u.kind, axis))
-    if out_kind is None:
-        raise ValidationError(
-            f"trace along {axis!r} is not defined for fields of kind {u.kind.name}"
-        )
+    out_kind = u.kind.without(axis)
     values = np.take(u.values, index, axis=u.axis_index(axis))
     return ScalarField._adopt(u.geometry, values, out_kind)
 

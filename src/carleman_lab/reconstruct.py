@@ -15,11 +15,12 @@ without the factor make no headway, while a Cholesky solve is backward
 stable and leaves a relative residual near rounding.
 
 The matrix depends on the data bundle in no way, so ``LateralOperator``
-factors it once and solves any number of bundles against it; the stability
-sweep leans on that to rerun the solver across noise levels and fit an
-empirical Holder exponent from the decreasing part of the error curve,
-solving its levels in blocks of ``_SOLVE_BLOCK`` bundles, one application
-of the factor per block.
+factors it once, keeping of the matrix only the transpose of the Cauchy
+rows, the one block with data, and solves any number of bundles against it;
+the stability sweep leans on that to rerun the solver across noise levels
+and fit an empirical Holder exponent from the decreasing part of the error
+curve, solving its levels in blocks of ``_SOLVE_BLOCK`` bundles, one
+application of the factor per block.
 
 scipy is imported on first use, by the operator build, so a command that
 never builds an operator never loads it.
@@ -70,6 +71,7 @@ __all__ = [
     "lateral_reconstruct",
     "SweepRow",
     "SweepReport",
+    "sweep_errors",
     "sweep_levels",
     "stability_sweep",
     "CorollaryReport",
@@ -161,8 +163,8 @@ def _lateral_matrix(
     p0: ScalarField,
     R: ScalarField,
     reg: Regularization,
-) -> sp.csr_matrix:
-    """Matrix of the joint least-squares system over z = (u, f).
+) -> tuple[sp.csr_matrix, slice, np.ndarray]:
+    """Matrix of the joint least-squares system over z = (u, f), with its data rows.
 
     Row blocks, each carrying the square root of its trapezoid weights:
 
@@ -172,7 +174,9 @@ def _lateral_matrix(
     * value and normal-derivative rows at the x_n = 0 face;
     * Tikhonov rows sqrt(mu)*f and sqrt(mu)*grad(u).
 
-    Nothing here reads the data bundle; it only fixes the rhs layout.
+    Nothing here reads the data bundle.  Only the Cauchy rows have data: their
+    slice comes back with their weights, which scale a bundle's channels
+    (raveled, in ``BUNDLE_CHANNELS`` order) into its right-hand side there.
     """
     import scipy.sparse as sp
 
@@ -224,7 +228,8 @@ def _lateral_matrix(
     # Cauchy mismatch rows, one block per recorded channel: the channel's
     # derivative steps applied to y = dxn(u) in order, then the data-side trace
     w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
-    cauchy_scale = sp.diags(math.sqrt(_BOUNDARY_ROW_WEIGHT) * w_face)
+    cauchy_w = math.sqrt(_BOUNDARY_ROW_WEIGHT) * w_face
+    cauchy_scale = sp.diags(cauchy_w)
     for steps in BUNDLE_CHANNELS.values():
         op = dxn_v
         for step in steps:
@@ -243,24 +248,8 @@ def _lateral_matrix(
     blocks.append([sp.diags(sqrt_mu * wq) @ dxp_v, None])
     blocks.append([sp.diags(sqrt_mu * wq) @ dxn_v, None])
 
-    return sp.bmat(blocks, format="csr")
-
-
-def _lateral_rhs(bundle: BoundaryBundle, geometry: CylinderGeometry) -> np.ndarray:
-    """Right-hand side matching the row layout of ``_lateral_matrix``."""
-    if bundle.y.geometry != geometry:
-        raise ValidationError("bundle grid does not match the reconstruction grid")
-    g = geometry
-    nq = g.nx_prime * g.nx_n * g.nt
-    nf = g.nx_prime * g.nt
-    w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
-    sqrt_wc = math.sqrt(_BOUNDARY_ROW_WEIGHT)
-    rhs = [np.zeros(nq)]
-    for name in BUNDLE_CHANNELS:
-        rhs.append(sqrt_wc * w_face * getattr(bundle, name).values.ravel())
-    rhs.extend([np.zeros(nf)] * 3)
-    rhs.extend([np.zeros(nq)] * 2)
-    return np.concatenate(rhs)
+    cauchy = slice(nq, nq + len(BUNDLE_CHANNELS) * w_face.size)
+    return sp.bmat(blocks, format="csr"), cauchy, np.tile(cauchy_w, len(BUNDLE_CHANNELS))
 
 
 # bundles per block solve in a sweep.  One block of all 161 levels of a
@@ -304,11 +293,13 @@ class LateralOperator:
 
     The build assembles the matrix, renumbers its columns once into the order
     of ``factor.band_order``, scales them, forms the normal matrix and hands
-    it to ``factor.BandCholesky``, so the scaled matrix, the normal matrix,
-    its factor and the solutions all live in band order and the solvers map
-    the result back.  A grid whose factor exceeds ``reg.max_factor_gb`` is
-    refused with ValidationError before anything is allocated, and a
-    factorization that fails raises SolverError.
+    it to ``factor.BandCholesky``, so the normal matrix, its factor and the
+    solutions all live in band order and the solvers map the result back.
+    Of the scaled matrix it keeps only the transpose of its Cauchy rows, the
+    one part a right-hand side reads; it drops the assembled and the scaled
+    matrix before the factorization runs.  A grid whose factor exceeds
+    ``reg.max_factor_gb`` is refused with ValidationError before anything is
+    allocated, and a factorization that fails raises SolverError.
     """
 
     def __init__(
@@ -326,16 +317,27 @@ class LateralOperator:
         self.p0 = p0
         self.R = R
         self.reg = reg
-        a = _lateral_matrix(geometry, plan, p0, R, reg)
+        a, cauchy, self._cauchy_w = _lateral_matrix(geometry, plan, p0, R, reg)
         self._band_pos = factor.band_order(geometry)
         a = sp.csr_matrix((a.data, self._band_pos[a.indices], a.indptr), shape=a.shape)
         a.sort_indices()
         col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
         col_norms[col_norms == 0.0] = 1.0
         self._col_norms = col_norms
-        self._a_scaled = (a @ sp.diags(1.0 / col_norms)).tocsr()
-        self._normal = (self._a_scaled.T @ self._a_scaled).tocsr()
+        a = (a @ sp.diags(1.0 / col_norms)).tocsr()
+        self._normal = (a.T @ a).tocsr()
+        self._cauchy_t = a[cauchy].T
+        del a
         self._factor = factor.BandCholesky(self._normal, geometry, reg.max_factor_gb)
+
+    def _rhs(self, bundles: list[BoundaryBundle]) -> np.ndarray:
+        """A^T b per bundle, as F-ordered columns; b is zero off the Cauchy rows."""
+        data = np.empty((self._cauchy_w.size, len(bundles)))
+        for j, bundle in enumerate(bundles):
+            if bundle.y.geometry != self.geometry:
+                raise ValidationError("bundle grid does not match the reconstruction grid")
+            data[:, j] = np.concatenate([getattr(bundle, name).values.ravel() for name in BUNDLE_CHANNELS])
+        return np.asfortranarray(self._cauchy_t @ (self._cauchy_w[:, None] * data))
 
     def _solve_block(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve the normal equations for an F-ordered n x k block and check the residuals.
@@ -378,10 +380,7 @@ class LateralOperator:
         each one keeps a single solution's fields alive.
         """
         bundles = list(bundles)
-        rhs = np.empty((self._normal.shape[0], len(bundles)), order="F")
-        for j, bundle in enumerate(bundles):
-            rhs[:, j] = self._a_scaled.T @ _lateral_rhs(bundle, self.geometry)
-        y, norm0, res = self._solve_block(rhs)
+        y, norm0, res = self._solve_block(self._rhs(bundles))
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
         for j in range(len(bundles)):
@@ -442,9 +441,10 @@ def stability_region(plan: WeightPlan) -> Region:
     return Region(xp=(plan.D0_lo, plan.D0_hi), t=(-plan.delta0, plan.delta0))
 
 
-def _sweep_errors(
+def sweep_errors(
     f_hat: ScalarField, f_true: ScalarField, plan: WeightPlan
 ) -> tuple[float, float]:
+    """Norms of f_hat - f_true over the stability region and over the whole grid."""
     diff = f_hat.with_values(f_hat.values - f_true.values)
     err_region = discrete_norm(diff, region=stability_region(plan))
     err_global = discrete_norm(diff)
@@ -505,7 +505,7 @@ def stability_sweep(
         ]
         solutions = operator.solve_many([inst.data for inst in noisy])
         for level, inst, sol in zip(chunk, noisy, solutions):
-            err_region, err_global = _sweep_errors(sol.f_hat, instance.f, plan)
+            err_region, err_global = sweep_errors(sol.f_hat, instance.f, plan)
             if err_region > err_global:
                 raise SolverError(
                     f"region error {err_region!r} exceeds global error {err_global!r} "

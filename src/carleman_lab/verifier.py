@@ -42,9 +42,9 @@ from .geometry import (
     FieldKind,
     NormKind,
     ScalarField,
-    _end_rows,
     axis_weights,
     diff_array,
+    diff_array_sharp,
     discrete_norm,  # unused here; perfbench/traced_cli.py hooks this name
     discrete_norms,
     face_index,
@@ -131,32 +131,6 @@ class Lemma1Result:
     harmonic_branch: bool
 
 
-def _face_weights_1d(geometry: CylinderGeometry, axis: str) -> np.ndarray:
-    return axis_weights(geometry.axis_count(axis), geometry.spacing(axis))
-
-
-# Fourth-order one-sided first rows by derivative order: (denominator, taps
-# on nodes 0, 1, ...); the last row mirrors the first as in ``_STENCILS``.
-_SHARP_ENDS = {
-    1: (lambda h: h, (-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25)),
-    2: (lambda h: h * h, (15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0)),
-}
-
-
-def _sharp(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """Central derivative of ``order`` with fourth-order one-sided end rows.
-
-    The identity residual is itself a second-order quantity; the standard
-    second-order end rows would leak third-order boundary-strip errors into
-    it and blur the measured convergence rate, so the end rows here are two
-    orders better than the interior rows of ``diff_array``.
-    """
-    d = diff_array(arr, axis, h, order)
-    denominator, first = _SHARP_ENDS[order]
-    _end_rows(np.moveaxis(arr, axis, 0), np.moveaxis(d, axis, 0), denominator(h), first, order)
-    return d
-
-
 def lemma1_residual(w: ScalarField) -> Lemma1Result:
     """Residual of the Hessian/Laplacian boundary identity on the extension.
 
@@ -176,11 +150,11 @@ def lemma1_residual(w: ScalarField) -> Lemma1Result:
 
     h_xp = g.spacing("xp")
     h_xn = g.spacing("xn")
-    wx = _sharp(w.values, h_xp, 0, 1)
-    wy = _sharp(w.values, h_xn, 1, 1)
-    wxx = _sharp(w.values, h_xp, 0, 2)
-    wyy = _sharp(w.values, h_xn, 1, 2)
-    wxy = _sharp(wx, h_xn, 1, 1)
+    wx = diff_array_sharp(w.values, 0, h_xp, 1)
+    wy = diff_array_sharp(w.values, 1, h_xn, 1)
+    wxx = diff_array_sharp(w.values, 0, h_xp, 2)
+    wyy = diff_array_sharp(w.values, 1, h_xn, 2)
+    wxy = diff_array_sharp(wx, 1, h_xn, 1)
     lap = wxx + wyy
 
     wq = quadrature_weights(g, FieldKind.SPACE_ONLY)
@@ -189,8 +163,8 @@ def lemma1_residual(w: ScalarField) -> Lemma1Result:
 
     # boundary term: for outward normal nu along axis k,
     #   integrand = nu * ( w_k * lap(w) - (w_x * w_xk + w_y * w_yk) )
-    w_xn_faces = _face_weights_1d(g, "xn")
-    w_xp_faces = _face_weights_1d(g, "xp")
+    w_xn_faces = axis_weights(g.axis_count("xn"), h_xn)
+    w_xp_faces = axis_weights(g.nx_prime, h_xp)
     boundary = 0.0
     for idx, nu in ((0, -1.0), (-1, 1.0)):  # faces x' = lo, hi
         val = nu * (wx[idx] * lap[idx] - (wx[idx] * wxx[idx] + wy[idx] * wxy[idx]))
@@ -290,12 +264,6 @@ class CarlemanSides:
         return 0.0 if self.lhs == 0.0 else math.inf
 
 
-def _face_kind(g: CylinderGeometry, face: Face) -> FieldKind:
-    """The kind of a SPACE_TIME field's trace on ``face``."""
-    dropped, _ = face_index(g, face)
-    return FieldKind(tuple(a for a in FieldKind.SPACE_TIME.axes if a != dropped))
-
-
 def _products(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``out[i, k] = sum_v terms[i, v] * weights[k, v]``, in numpy's own loops.
 
@@ -328,9 +296,8 @@ class _Sides:
         flat = np.arange(math.prod(shape)).reshape(shape)
         self.lateral = np.concatenate([f.ravel() for f in _lateral_traces(flat, g)])
         self.terminal = np.concatenate([flat[:, :, it].ravel() for it in (0, g.nt - 1)])
-        w_lateral = np.concatenate(
-            [quadrature_weights(g, _face_kind(g, face)).ravel() for face in _LATERAL_FACES]
-        )
+        kinds = [FieldKind.SPACE_TIME.without(face_index(g, face)[0]) for face in _LATERAL_FACES]
+        w_lateral = np.concatenate([quadrature_weights(g, kind).ravel() for kind in kinds])
         w_terminal = np.tile(quadrature_weights(g, FieldKind.SPACE_ONLY).ravel(), 2)
 
         phi = phi_field(plan, g).values

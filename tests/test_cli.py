@@ -44,6 +44,10 @@ WORKED_GEOMETRY = {
 SMALL_GEOMETRY = dict(WORKED_GEOMETRY, nx_prime=13, nx_n=11, nt=13)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CONFIG = json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+
+
 def base_config(out_dir, geometry=None):
     return {
         "output_dir": str(out_dir),
@@ -543,6 +547,56 @@ def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, literal, message)
     assert cli("--config", path, "--command", "verify") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value, command",
+    [
+        # each passes the schema; these used to end in an OverflowError or
+        # numpy's "Maximum allowed size exceeded" traceback
+        pytest.param("geometry", "ell", 1e300, "plan", id="ell"),
+        pytest.param("weight", "lam", 1e6, "plan", id="lam"),
+        pytest.param("verify", "s_values", [1e300], "verify", id="s_values"),
+        pytest.param("geometry", "nx_prime", 1e300, "plan", id="nx_prime"),
+    ],
+)
+def test_exit_1_on_a_schema_valid_value_out_of_range(tmp_path, capsys, block, key, value, command):
+    cfg = json.loads(json.dumps(README_CONFIG))
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg.setdefault(block, {})[key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "path_in_config, value, where",
+    [
+        pytest.param(("weight", "D0"), [0.5] * 5000, "weight/D0", id="5000-item-D0"),
+        pytest.param(("output_dir",), _nested(900), "output_dir", id="900-deep-output_dir"),
+    ],
+)
+def test_a_config_error_line_shortens_a_long_value(tmp_path, capsys, path_in_config, value, where):
+    cfg = base_config(tmp_path / "out")
+    *parents, key = path_in_config
+    target = cfg
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "plan") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 300
+    assert err.startswith(f"error: config rejected at {where}: ")
 
 
 def test_exit_1_on_a_config_nested_too_deeply(tmp_path, capsys):

@@ -8,17 +8,13 @@ README example, and single-key mutations of each at every path.
 
 import copy
 import json
-import re
-from pathlib import Path
 
 import jsonschema
 import pytest
 
 from carleman_lab import cli
 from test_artifacts import CONFIG as ARTIFACTS_CONFIG
-from test_cli import WORKED_GEOMETRY, base_config
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+from test_cli import README_CONFIG, WORKED_GEOMETRY, base_config
 
 # values swapped in at every path: each JSON type, the schema's bounds and
 # their neighbours, and integral floats
@@ -31,10 +27,9 @@ REPLACEMENTS = [
 
 
 def _bases():
-    readme = json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
     region = base_config("out", geometry=WORKED_GEOMETRY)
     region["weight"] = {"region": {"delta1": 0.1}}
-    return [base_config("out"), region, ARTIFACTS_CONFIG, readme]
+    return [base_config("out"), region, ARTIFACTS_CONFIG, copy.deepcopy(README_CONFIG)]
 
 
 def _paths(value, path=()):

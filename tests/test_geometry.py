@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,3 +433,27 @@ def test_norm_is_deterministic():
     rng = np.random.default_rng(1)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_TIME)), FieldKind.SPACE_TIME)
     assert discrete_norm(u) == discrete_norm(u)
+
+
+# the (kind, dropped axis) -> kind table that ``FieldKind.without`` replaced;
+# a pair it left out, or mapped to None, was refused
+_DROP_KIND_TABLE = {
+    (FieldKind.SPACE_TIME, "xn"): FieldKind.CROSS_SECTION_TIME,
+    (FieldKind.SPACE_TIME, "xp"): FieldKind.AXIAL_TIME,
+    (FieldKind.SPACE_TIME, "t"): FieldKind.SPACE_ONLY,
+    (FieldKind.SPACE_ONLY, "xn"): FieldKind.CROSS_SECTION,
+    (FieldKind.CROSS_SECTION_TIME, "t"): FieldKind.CROSS_SECTION,
+    (FieldKind.AXIAL_TIME, "xn"): None,
+}
+
+
+@pytest.mark.parametrize("axis", ["xp", "xn", "t"])
+@pytest.mark.parametrize("kind", list(FieldKind), ids=lambda kind: kind.name)
+def test_dropping_an_axis_gives_the_kind_the_table_gave(kind, axis):
+    want = _DROP_KIND_TABLE.get((kind, axis))
+    if want is None:
+        message = f"trace along {axis!r} is not defined for fields of kind {kind.name}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            kind.without(axis)
+    else:
+        assert kind.without(axis) is want

@@ -44,7 +44,6 @@ from carleman_lab.reconstruct import (
     LateralOperator,
     Regularization,
     _lateral_matrix,
-    _lateral_rhs,
     corollary_check,
     lateral_reconstruct,
     load_sweep_csv,
@@ -205,25 +204,27 @@ def test_regularization_rejects_bad_parameters(kwargs, message):
 def test_assembled_system_is_consistent_with_the_truth(small_instance, small_plan):
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8)
-    a = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
-    b = _lateral_rhs(inst.data, inst.geometry)
+    a, cauchy, weights = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
+    b = np.zeros(a.shape[0])
+    b[cauchy] = weights * np.concatenate(
+        [getattr(inst.data, name).values.ravel() for name in BUNDLE_CHANNELS]
+    )
     z_true = np.concatenate([inst.u.values.ravel(), inst.f.values.ravel()])
     resid = a @ z_true - b
     # the whole residual is finite-difference truncation plus the Tikhonov bias
     assert np.linalg.norm(resid) <= 1e-2 * np.linalg.norm(b)
     # the Cauchy rows replicate the bundle stencils exactly (the data face
-    # holds one field per (x_n, t) node)
+    # holds one field per (x_n, t) node), and they follow the PDE rows
     g = inst.geometry
     nq = g.nx_prime * g.nx_n * g.nt
-    n_face = g.nx_n * g.nt
-    cauchy = resid[nq : nq + len(BUNDLE_CHANNELS) * n_face]
-    assert np.max(np.abs(cauchy)) <= 1e-10 * np.max(np.abs(b))
+    assert cauchy == slice(nq, nq + len(BUNDLE_CHANNELS) * g.nx_n * g.nt)
+    assert np.max(np.abs(resid[cauchy])) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_forward_map_adjoint_identity(small_instance, small_plan):
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8)
-    a = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
+    a, _, _ = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(a.shape[1])
     w = rng.standard_normal(a.shape[0])
@@ -468,7 +469,7 @@ def _check_factor(op, r):
 def test_band_factor_solves_the_normal_equations(small_operator, small_instance):
     op = small_operator
     assert all(arm.head for arm in op._factor.arms)
-    r = op._a_scaled.T @ _lateral_rhs(small_instance.data, op.geometry)
+    r = op._rhs([small_instance.data])[:, 0]
     _check_factor(op, r)
 
 
@@ -500,7 +501,7 @@ def test_the_heads_come_with_the_split_at_ten_slabs(quartic_recipe, sweep_reg, s
         assert (arm.head is not None) == split
         if split:
             assert len(arm.head[0]) == arm.w.shape[0] == 2 * slab
-    r = op._a_scaled.T @ _lateral_rhs(inst.data, g)
+    r = op._rhs([inst.data])[:, 0]
     _check_factor(op, r)
 
 
