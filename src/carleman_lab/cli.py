@@ -142,6 +142,11 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN_CHARS else _SHORT.repr(value)
 
 
+def _clipped(text: str) -> str:
+    """``text`` itself, or by ``_shown``'s rule the short form of a long one, unquoted."""
+    return text if len(text) <= _SHOWN_CHARS else _SHORT.repr(text)[1:-1]
+
+
 def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
     """Each way ``instance`` breaks ``schema``, as (path, message), in jsonschema's order.
 
@@ -258,7 +263,8 @@ class ExperimentConfig:
             return factory(spec["name"], **params)
         except TypeError as exc:
             raise ValidationError(
-                f"profile {spec['name']!r} rejected parameters {sorted(params)}: {exc}"
+                f"profile {_shown(spec['name'])} rejected parameters {_shown(sorted(params))}: "
+                f"{_clipped(str(exc))}"
             ) from exc
 
     def recipe(self) -> Recipe:
@@ -304,7 +310,7 @@ def _finite(kind: type):
     # overflows where the config converts it to a float
     def parse(literal: str):
         if not math.isfinite(float(literal)):
-            raise ValidationError(f"config rejected: number literal {literal} overflows a float")
+            raise ValidationError(f"config rejected: number literal {_clipped(literal)} overflows a float")
         return kind(literal)
 
     return parse
@@ -331,7 +337,7 @@ def load_config(path) -> ExperimentConfig:
     errors = sorted(_errors(schema, raw, schema), key=lambda error: error[0])
     if errors:
         path, message = errors[0]
-        where = "/".join(map(str, path)) or "top level"
+        where = "/".join(_clipped(str(part)) for part in path) or "top level"
         raise ValidationError(f"config rejected at {where}: {message}")
     return ExperimentConfig(raw=raw)
 

@@ -7,8 +7,8 @@ An instance packages a solution ``u`` of
 on the cylinder, with zero value and zero axial derivative on ``x_n = 0``,
 together with the one-sided lateral data bundle (the axial derivative of
 ``u`` and its tangential derivatives on the data-side face) and the two
-scalar summaries used by the stability analysis: the data functional of the
-bundle and the a-priori bound of the solution.
+scalar summaries used by the stability analysis: the data functional, which
+like ``add_noise`` acts on the bundle alone, and the a-priori bound of u.
 
 Manufactured solutions are separated products ``u = a(x_n) b(x', t)`` whose
 factors come from a small registry of profiles with analytic derivatives, so
@@ -218,25 +218,24 @@ BUNDLE_CHANNELS = {
 class BoundaryBundle:
     """Data-side lateral traces of the axial derivative y = du/dx_n.
 
-    The channels and the derivatives that make them are declared in
-    ``BUNDLE_CHANNELS``.  ``y_xp`` is the derivative normal to the face; the
-    remaining channels are tangential derivatives on the face (axial and
-    time, up to second order).  Channels live on the face, so their kind is
-    AXIAL_TIME.
+    ``traces`` holds one AXIAL_TIME field per channel, in the order of
+    ``BUNDLE_CHANNELS``, which also declares the derivatives that make them.
+    ``y_xp`` is the derivative normal to the face; the remaining channels are
+    tangential derivatives on the face (axial and time, up to second order).
     """
 
-    y: ScalarField
-    y_xp: ScalarField
-    y_xn: ScalarField
-    y_t: ScalarField
-    y_xnxn: ScalarField
-    y_xnt: ScalarField
-    y_tt: ScalarField
+    traces: tuple[ScalarField, ...]
     noise_level: float = 0.0
     seed: int | None = None
 
+    def __post_init__(self):
+        if len(self.traces) != len(BUNDLE_CHANNELS):
+            raise ValidationError(
+                f"a bundle holds {len(BUNDLE_CHANNELS)} channel traces, got {len(self.traces)}"
+            )
+
     def channels(self) -> dict[str, ScalarField]:
-        return {name: getattr(self, name) for name in BUNDLE_CHANNELS}
+        return dict(zip(BUNDLE_CHANNELS, self.traces))
 
 
 @dataclass(frozen=True)
@@ -260,13 +259,13 @@ def _ct_to_volume(field: ScalarField) -> np.ndarray:
 def make_bundle(u: ScalarField) -> BoundaryBundle:
     """Lateral data bundle of a solution field, by finite differences."""
     y = dxn(u)
-    channels = {}
-    for name, steps in BUNDLE_CHANNELS.items():
+    traces = []
+    for steps in BUNDLE_CHANNELS.values():
         c = y
         for axis, order in steps:
             c = diff(c, axis, order)
-        channels[name] = trace(c, Face.GAMMA_SIDE)
-    return BoundaryBundle(**channels)
+        traces.append(trace(c, Face.GAMMA_SIDE))
+    return BoundaryBundle(tuple(traces))
 
 
 def residual_field(inst: ProblemInstance) -> ScalarField:
@@ -340,7 +339,7 @@ def _validated_instance(
     _validate_instance(inst, trace_tol)
     return replace(
         inst,
-        d_of_u=compute_data_functional(inst),
+        d_of_u=compute_data_functional(inst.data),
         apriori_bound=compute_apriori_bound(inst),
     )
 
@@ -405,30 +404,23 @@ def make_instance(geometry: CylinderGeometry, recipe: Recipe) -> ProblemInstance
     return _validated_instance(u, f, R, p0, recipe.provenance(), trace_tol=1e-12)
 
 
-def add_noise(inst: ProblemInstance, level: float, seed: int) -> ProblemInstance:
-    """Perturb every bundle channel by level * max|channel| * standard normals.
+def add_noise(bundle: BoundaryBundle, level: float, seed: int) -> BoundaryBundle:
+    """Perturb every channel by level * max|channel| * standard normals.
 
-    Channels are perturbed in their fixed declaration order from a single
+    Channels are perturbed in ``BUNDLE_CHANNELS`` order from a single
     generator seeded with ``seed``, so results are reproducible; level 0
-    returns a bundle bit-identical to the clean one.  The data functional is
-    recomputed from the noisy bundle, the a-priori bound is left alone (it
-    describes the true solution).
+    returns traces bit-identical to the clean ones.
     """
     if not (level >= 0.0 and math.isfinite(level)):
         raise ValidationError(f"noise level must be finite and nonnegative, got {level!r}")
-    clean = inst.data
     if level == 0.0:
-        bundle = replace(clean, noise_level=0.0, seed=seed)
-    else:
-        rng = np.random.default_rng(seed)
-        noisy = {}
-        for name in BUNDLE_CHANNELS:
-            ch = getattr(clean, name)
-            g = rng.standard_normal(ch.values.shape)
-            noisy[name] = ch.with_values(ch.values + level * ch.max_abs() * g)
-        bundle = BoundaryBundle(noise_level=level, seed=seed, **noisy)
-    out = replace(inst, data=bundle)
-    return replace(out, d_of_u=compute_data_functional(out))
+        return replace(bundle, noise_level=0.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    traces = tuple(
+        ch.with_values(ch.values + level * ch.max_abs() * rng.standard_normal(ch.values.shape))
+        for ch in bundle.traces
+    )
+    return BoundaryBundle(traces, noise_level=level, seed=seed)
 
 
 def coefficient_reduction(
@@ -488,7 +480,7 @@ def coefficient_reduction(
 # ---- scalar summaries -----------------------------------------------------------
 
 
-def compute_data_functional(inst: ProblemInstance) -> float:
+def compute_data_functional(bundle: BoundaryBundle) -> float:
     """Size of the lateral data: face gradient content plus face H2 content.
 
     Both groups integrate over the data-side face and are formed from the
@@ -503,7 +495,7 @@ def compute_data_functional(inst: ProblemInstance) -> float:
     y and y_xp vanish, which for bundles of an actual field means all
     channels vanish.
     """
-    ch = inst.data.channels()
+    ch = bundle.channels()
     grad_sq = (
         discrete_norm(ch["y_xp"]) ** 2
         + discrete_norm(ch["y"], kind=NormKind.H1_SURFACE) ** 2
@@ -573,9 +565,9 @@ def _instance_from_archive(arrays: dict, meta: dict) -> ProblemInstance:
         return ScalarField(geometry, arrays[name], kind)
 
     bundle = BoundaryBundle(
+        tuple(field(f"bundle_{name}", FieldKind.AXIAL_TIME) for name in BUNDLE_CHANNELS),
         noise_level=meta["noise_level"],
         seed=meta["seed"],
-        **{name: field(f"bundle_{name}", FieldKind.AXIAL_TIME) for name in BUNDLE_CHANNELS},
     )
     return ProblemInstance(
         geometry=geometry,

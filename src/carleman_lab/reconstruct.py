@@ -56,7 +56,7 @@ from .problems import (
     BoundaryBundle,
     ProblemInstance,
     add_noise,
-    compute_data_functional,  # unused here; perfbench/traced_cli.py hooks this name
+    compute_data_functional,
 )
 from .weight import WeightPlan, phi_field
 
@@ -331,13 +331,14 @@ class LateralOperator:
         self._factor = factor.BandCholesky(self._normal, geometry, reg.max_factor_gb)
 
     def _rhs(self, bundles: list[BoundaryBundle]) -> np.ndarray:
-        """A^T b per bundle, as F-ordered columns; b is zero off the Cauchy rows."""
-        data = np.empty((self._cauchy_w.size, len(bundles)))
+        """A^T b per bundle, as the columns of an F-ordered block; b is zero off the Cauchy rows."""
+        rhs = np.empty((self._cauchy_t.shape[0], len(bundles)), order="F")
         for j, bundle in enumerate(bundles):
-            if bundle.y.geometry != self.geometry:
+            if bundle.traces[0].geometry != self.geometry:
                 raise ValidationError("bundle grid does not match the reconstruction grid")
-            data[:, j] = np.concatenate([getattr(bundle, name).values.ravel() for name in BUNDLE_CHANNELS])
-        return np.asfortranarray(self._cauchy_t @ (self._cauchy_w[:, None] * data))
+            data = np.concatenate([ch.values.ravel() for ch in bundle.traces])
+            rhs[:, j] = self._cauchy_t @ (self._cauchy_w * data)
+        return rhs
 
     def _solve_block(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve the normal equations for an F-ordered n x k block and check the residuals.
@@ -480,8 +481,8 @@ def stability_sweep(
     the whole sweep; the operator must be built from the instance's ``p0``
     and ``R``, and its plan fixes the stability region of the error rows.
     Levels are processed in decreasing order (a single 0.0 level is allowed
-    and lands last), ``_SOLVE_BLOCK`` at a time: the noisy bundles of a chunk
-    are drawn first and then solved as one block by ``solve_many``.  The
+    and lands last), ``_SOLVE_BLOCK`` at a time: a chunk's noisy bundles are
+    drawn, solved as one block by ``solve_many`` and measured for D(u).  The
     empirical exponent is the least-squares slope of log err_region against
     log D(u) over the rows where err_region dropped relative to the previous
     row; fewer than three such rows leave the fit degenerate and raise.
@@ -500,11 +501,11 @@ def stability_sweep(
     noiseless_f_hat = None
     for start in range(0, len(levels), _SOLVE_BLOCK):
         chunk = levels[start : start + _SOLVE_BLOCK]
-        noisy = [
-            add_noise(instance, level, seed=seed + start + i) for i, level in enumerate(chunk)
+        bundles = [
+            add_noise(instance.data, level, seed=seed + start + i) for i, level in enumerate(chunk)
         ]
-        solutions = operator.solve_many([inst.data for inst in noisy])
-        for level, inst, sol in zip(chunk, noisy, solutions):
+        solutions = operator.solve_many(bundles)
+        for level, bundle, sol in zip(chunk, bundles, solutions):
             err_region, err_global = sweep_errors(sol.f_hat, instance.f, plan)
             if err_region > err_global:
                 raise SolverError(
@@ -514,7 +515,7 @@ def stability_sweep(
             rows.append(
                 SweepRow(
                     noise=level,
-                    d_of_u=inst.d_of_u,
+                    d_of_u=compute_data_functional(bundle),
                     err_region=err_region,
                     err_global=err_global,
                 )

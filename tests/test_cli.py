@@ -536,7 +536,8 @@ def test_exit_1_on_a_repeated_strength(tmp_path, capsys):
         # json.loads reads these as +-inf, or as an int no float can hold
         pytest.param("1e999", "number literal 1e999 overflows a float", id="1e999"),
         pytest.param("-1e999", "number literal -1e999 overflows a float", id="-1e999"),
-        pytest.param("9" * 400, f"number literal {'9' * 400} overflows", id="400-digit-int"),
+        # a literal past 120 characters is echoed in reprlib's short form
+        pytest.param("9" * 400, f"number literal {'9' * 12}...{'9' * 13} overflows", id="400-digit-int"),
     ],
 )
 def test_exit_1_on_a_nan_or_infinity_literal(tmp_path, capsys, literal, message):
@@ -597,6 +598,44 @@ def test_a_config_error_line_shortens_a_long_value(tmp_path, capsys, path_in_con
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 300
     assert err.startswith(f"error: config rejected at {where}: ")
+
+
+@pytest.mark.parametrize(
+    "parents, key, literal, command, shown",
+    [
+        pytest.param(
+            ("instance", "p0", "params"), "k" * 5000, '"x"', "plan",
+            "config rejected at instance/p0/params/kkkkkkkkkkkk...kkkkkkkkkkkkk: 'x' is not",
+            id="5000-char-params-key",
+        ),
+        pytest.param(
+            ("instance",), "seed", "7" * 5000, "plan",
+            "config rejected: number literal 777777777777...7777777777777 overflows",
+            id="5000-digit-seed",
+        ),
+        # a number the schema takes, under a key no profile accepts
+        pytest.param(
+            ("instance", "p0", "params"), "k" * 5000, "1.0", "make-instance",
+            "profile 'constant' rejected parameters ['kkkkkkkkkkkk...kkkkkkkkkkkkk', 'value']",
+            id="5000-char-numeric-params-key",
+        ),
+    ],
+)
+def test_a_config_error_line_shortens_a_long_key_or_literal(
+    tmp_path, capsys, parents, key, literal, command, shown
+):
+    cfg = json.loads(json.dumps(README_CONFIG))
+    cfg["output_dir"] = str(tmp_path / "out")
+    target = cfg
+    for name in parents:
+        target = target[name]
+    target[key] = "LITERAL"
+    path = write_config(tmp_path, cfg)
+    path.write_text(path.read_text().replace('"LITERAL"', literal))
+    assert cli("--config", path, "--command", command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1 and len(err) < 300
+    assert "Traceback" not in err
 
 
 def test_exit_1_on_a_config_nested_too_deeply(tmp_path, capsys):

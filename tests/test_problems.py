@@ -22,6 +22,7 @@ from carleman_lab.problems import (
     BUNDLE_CHANNELS,
     CROSS_TIME_PROFILES,
     AxialProfile,
+    BoundaryBundle,
     CrossTimeProfile,
     Recipe,
     add_noise,
@@ -121,6 +122,11 @@ def test_bundle_channels_live_on_the_face(quartic_instance):
     assert quartic_instance.data.noise_level == 0.0
 
 
+def test_a_bundle_of_six_traces_is_refused(quartic_instance):
+    with pytest.raises(ValidationError, match="7 channel traces, got 6"):
+        BoundaryBundle(quartic_instance.data.traces[:6])
+
+
 def test_trace_identity_relates_source_to_second_derivative(worked_geometry, quartic_instance):
     # f * R = -d2u/dxn2 on x_n = 0, up to the one-sided stencil error on x^4
     lhs = quartic_instance.f.values * trace(quartic_instance.R, Face.XN_ZERO).values
@@ -218,25 +224,14 @@ def test_make_instance_rejects_extended_geometry(worked_geometry, quartic_recipe
 def test_data_functional_vanishes_only_with_the_bundle(worked_geometry, quartic_instance):
     assert quartic_instance.d_of_u > 0
     zero = ScalarField.zeros(worked_geometry, FieldKind.AXIAL_TIME)
-    silent = dataclasses.replace(
-        quartic_instance,
-        data=dataclasses.replace(
-            quartic_instance.data, **{name: zero for name in BUNDLE_CHANNELS}
-        ),
-    )
+    silent = dataclasses.replace(quartic_instance.data, traces=(zero,) * len(BUNDLE_CHANNELS))
     assert compute_data_functional(silent) == 0.0
 
 
 def test_data_functional_is_degree_one_homogeneous(quartic_instance):
     scaled = dataclasses.replace(
-        quartic_instance,
-        data=dataclasses.replace(
-            quartic_instance.data,
-            **{
-                name: ch.with_values(-4.0 * ch.values)
-                for name, ch in quartic_instance.data.channels().items()
-            },
-        ),
+        quartic_instance.data,
+        traces=tuple(ch.with_values(-4.0 * ch.values) for ch in quartic_instance.data.traces),
     )
     got = compute_data_functional(scaled)
     assert got == pytest.approx(4.0 * quartic_instance.d_of_u, rel=1e-13)
@@ -247,8 +242,8 @@ def test_data_functional_matches_quadrature_oracle(worked_geometry, quartic_inst
     # face and hand-rolled stencils, so any wiring slip in the norm helpers
     # would show up here
     g = worked_geometry
-    y = quartic_instance.data.y.values
-    y_xp = quartic_instance.data.y_xp.values
+    channels = quartic_instance.data.channels()
+    y, y_xp = channels["y"].values, channels["y_xp"].values
     hn, ht = g.spacing("xn"), g.spacing("t")
 
     def d1(a, h, axis):
@@ -301,33 +296,42 @@ def test_data_functional_bounded_by_apriori_bound(quartic_instance):
 
 
 def test_noise_is_reproducible_and_seed_sensitive(quartic_instance):
-    n1 = add_noise(quartic_instance, 0.01, seed=42)
-    n2 = add_noise(quartic_instance, 0.01, seed=42)
-    n3 = add_noise(quartic_instance, 0.01, seed=43)
-    for name in BUNDLE_CHANNELS:
-        assert np.array_equal(getattr(n1.data, name).values, getattr(n2.data, name).values)
+    clean = quartic_instance.data
+    n1 = add_noise(clean, 0.01, seed=42)
+    n2 = add_noise(clean, 0.01, seed=42)
+    n3 = add_noise(clean, 0.01, seed=43)
+    for a, b in zip(n1.traces, n2.traces, strict=True):
+        assert np.array_equal(a.values, b.values)
     assert any(
-        not np.array_equal(getattr(n1.data, name).values, getattr(n3.data, name).values)
-        for name in BUNDLE_CHANNELS
+        not np.array_equal(a.values, b.values) for a, b in zip(n1.traces, n3.traces, strict=True)
     )
-    assert n1.data.noise_level == 0.01 and n1.data.seed == 42
+    assert n1.noise_level == 0.01 and n1.seed == 42
+
+
+def test_noise_is_drawn_per_channel_in_declaration_order(quartic_instance):
+    # sweep.csv's bytes rest on this draw order
+    level, seed = 0.03, 5
+    noisy = add_noise(quartic_instance.data, level, seed)
+    rng = np.random.default_rng(seed)
+    for name, ch in quartic_instance.data.channels().items():
+        g = rng.standard_normal(ch.values.shape)
+        assert np.array_equal(
+            noisy.channels()[name].values, ch.values + level * ch.max_abs() * g
+        ), name
 
 
 def test_zero_noise_is_bit_identical(quartic_instance):
-    n0 = add_noise(quartic_instance, 0.0, seed=7)
-    for name in BUNDLE_CHANNELS:
-        assert np.array_equal(
-            getattr(n0.data, name).values, getattr(quartic_instance.data, name).values
-        )
-    assert n0.d_of_u == quartic_instance.d_of_u
+    n0 = add_noise(quartic_instance.data, 0.0, seed=7)
+    for a, b in zip(n0.traces, quartic_instance.data.traces, strict=True):
+        assert np.array_equal(a.values, b.values)
+    assert compute_data_functional(n0) == quartic_instance.d_of_u
 
 
 def test_noise_scales_with_channel_magnitude(quartic_instance):
     level = 0.05
-    noisy = add_noise(quartic_instance, level, seed=0)
-    for name in BUNDLE_CHANNELS:
-        clean = getattr(quartic_instance.data, name)
-        pert = getattr(noisy.data, name).values - clean.values
+    noisy = add_noise(quartic_instance.data, level, seed=0)
+    for clean, ch in zip(quartic_instance.data.traces, noisy.traces, strict=True):
+        pert = ch.values - clean.values
         # standard normals rarely exceed 6 sigma on these grid sizes
         assert np.max(np.abs(pert)) <= 6.0 * level * clean.max_abs()
         assert np.max(np.abs(pert)) > 0.0
@@ -335,7 +339,7 @@ def test_noise_scales_with_channel_magnitude(quartic_instance):
 
 def test_negative_noise_level_is_rejected(quartic_instance):
     with pytest.raises(ValidationError, match="noise level"):
-        add_noise(quartic_instance, -0.1, seed=0)
+        add_noise(quartic_instance.data, -0.1, seed=0)
 
 
 # ---- coefficient reduction ---------------------------------------------------------
@@ -415,17 +419,17 @@ def test_instance_archive_roundtrips_exactly(tmp_path, quartic_instance):
     assert np.array_equal(back.u.values, quartic_instance.u.values)
     assert np.array_equal(back.f.values, quartic_instance.f.values)
     assert np.array_equal(back.R.values, quartic_instance.R.values)
-    for name in BUNDLE_CHANNELS:
-        assert np.array_equal(
-            getattr(back.data, name).values, getattr(quartic_instance.data, name).values
-        )
+    for a, b in zip(back.data.traces, quartic_instance.data.traces, strict=True):
+        assert np.array_equal(a.values, b.values)
     assert back.d_of_u == quartic_instance.d_of_u
     assert back.apriori_bound == quartic_instance.apriori_bound
     assert back.provenance == quartic_instance.provenance
 
 
 def test_noisy_instance_roundtrips_noise_metadata(tmp_path, quartic_instance):
-    noisy = add_noise(quartic_instance, 0.03, seed=11)
+    noisy = dataclasses.replace(
+        quartic_instance, data=add_noise(quartic_instance.data, 0.03, seed=11)
+    )
     path = tmp_path / "noisy.npz"
     save_instance(noisy, path)
     back = load_instance(path)

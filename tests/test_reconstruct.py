@@ -121,7 +121,7 @@ def region_error(f_hat, instance, plan):
 
 def silent_bundle(instance):
     zero = ScalarField.zeros(instance.geometry, FieldKind.AXIAL_TIME)
-    return dataclasses.replace(instance.data, **{name: zero for name in BUNDLE_CHANNELS})
+    return dataclasses.replace(instance.data, traces=(zero,) * len(BUNDLE_CHANNELS))
 
 
 # ---- oracle reconstruction --------------------------------------------------------
@@ -206,9 +206,7 @@ def test_assembled_system_is_consistent_with_the_truth(small_instance, small_pla
     reg = Regularization(tikhonov_weight=1e-8)
     a, cauchy, weights = _lateral_matrix(inst.geometry, small_plan, inst.p0, inst.R, reg)
     b = np.zeros(a.shape[0])
-    b[cauchy] = weights * np.concatenate(
-        [getattr(inst.data, name).values.ravel() for name in BUNDLE_CHANNELS]
-    )
+    b[cauchy] = weights * np.concatenate([ch.values.ravel() for ch in inst.data.traces])
     z_true = np.concatenate([inst.u.values.ravel(), inst.f.values.ravel()])
     resid = a @ z_true - b
     # the whole residual is finite-difference truncation plus the Tikhonov bias
@@ -273,11 +271,9 @@ def test_operator_reuse_matches_fresh_solves(small_instance, small_plan):
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8)
     op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
-    noisy = add_noise(inst, 0.01, seed=9)
-    reused = op.solve(noisy.data)
-    fresh = lateral_reconstruct(
-        noisy.data, inst.geometry, small_plan, inst.p0, inst.R, reg
-    )
+    noisy = add_noise(inst.data, 0.01, seed=9)
+    reused = op.solve(noisy)
+    fresh = lateral_reconstruct(noisy, inst.geometry, small_plan, inst.p0, inst.R, reg)
     assert np.array_equal(reused.f_hat.values, fresh.f_hat.values)
 
 
@@ -334,7 +330,7 @@ def test_column_dots_give_a_column_the_same_bits_at_any_width(n):
 
 
 def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
-    bundles = [add_noise(small_instance, level, seed=2).data for level in (0.1, 0.0, 1e-3)]
+    bundles = [add_noise(small_instance.data, level, seed=2) for level in (0.1, 0.0, 1e-3)]
     bundles.insert(1, silent_bundle(small_instance))
     block = list(small_operator.solve_many(bundles))
     silent = block.pop(1)
@@ -370,7 +366,7 @@ def test_one_application_of_the_factor_solves_the_normal_equations(
         plan = plan_parameters(g, d0, delta0=0.7, lam=1.0, margin=1.1)
     reg = Regularization(tikhonov_weight=mu, carleman_s=s)
     op = LateralOperator(g, plan, inst.p0, inst.R, reg)
-    bundles = [inst.data] + [add_noise(inst, level, seed=3).data for level in (0.1, 1e-3)]
+    bundles = [inst.data] + [add_noise(inst.data, level, seed=3) for level in (0.1, 1e-3)]
     for sol in op.solve_many(bundles):
         assert sol.iterations == 1
         first, last = sol.residual_history
@@ -396,7 +392,7 @@ def test_the_operator_needs_only_the_factor_interface(
     inst = small_instance
     op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
     assert isinstance(op._factor, _DenseCholesky)
-    bundles = [inst.data] + [add_noise(inst, level, seed=3).data for level in (0.1, 1e-3)]
+    bundles = [inst.data] + [add_noise(inst.data, level, seed=3) for level in (0.1, 1e-3)]
     for got, want in zip(op.solve_many(bundles), small_operator.solve_many(bundles), strict=True):
         first, last = got.residual_history
         assert last <= reconstruct._MAX_REL_NORMAL_RESIDUAL * first
@@ -471,6 +467,16 @@ def test_band_factor_solves_the_normal_equations(small_operator, small_instance)
     assert all(arm.head for arm in op._factor.arms)
     r = op._rhs([small_instance.data])[:, 0]
     _check_factor(op, r)
+
+
+def test_rhs_is_an_f_ordered_block_of_the_cauchy_products(small_operator, small_instance):
+    op = small_operator
+    bundles = [small_instance.data, add_noise(small_instance.data, 0.1, seed=4)]
+    rhs = op._rhs(bundles)
+    assert rhs.flags.f_contiguous and rhs.shape == (op._normal.shape[0], len(bundles))
+    # one product per column gives the bits of one product over the m x k data
+    data = np.stack([np.concatenate([ch.values.ravel() for ch in b.traces]) for b in bundles], axis=1)
+    assert np.array_equal(rhs, op._cauchy_t @ (op._cauchy_w[:, None] * data))
 
 
 @pytest.mark.parametrize("side", [GammaSide.HI, GammaSide.LO], ids=["HI", "LO"])
@@ -587,7 +593,7 @@ def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instanc
 def test_carleman_weight_helps_on_noisy_data(quartic_instance, worked_plan):
     inst = quartic_instance
     levels = (1e-1, 3e-2, 1e-2, 3e-3)
-    bundles = [add_noise(inst, lv, seed=100 + i).data for i, lv in enumerate(levels)]
+    bundles = [add_noise(inst.data, lv, seed=100 + i) for i, lv in enumerate(levels)]
 
     def region_errors(s):
         reg = Regularization(tikhonov_weight=1e-6, carleman_s=s)
@@ -679,7 +685,7 @@ def test_sweep_with_flat_errors_is_a_degenerate_fit(
     small_instance, small_operator, monkeypatch
 ):
     monkeypatch.setattr(
-        "carleman_lab.reconstruct.add_noise", lambda inst, level, seed: inst
+        "carleman_lab.reconstruct.add_noise", lambda bundle, level, seed: bundle
     )
     with pytest.raises(SolverError, match="degenerate fit"):
         stability_sweep(small_instance, SWEEP_LEVELS, small_operator)
