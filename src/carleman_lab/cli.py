@@ -24,7 +24,6 @@ import argparse
 import hashlib
 import json
 import math
-import reprlib
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import load_archive, load_table_csv, save_archive, write_table_csv
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, clipped, shown
 from .geometry import CylinderGeometry, FieldKind, GammaSide, discrete_norm
 from .problems import (
     ProblemInstance,
@@ -130,41 +129,27 @@ def _is(instance, kind: str) -> bool:
     return isinstance(instance, _TYPES[kind])
 
 
-# a value whose repr runs past _SHOWN_CHARS is echoed in reprlib's short form:
-# nested containers as [...] or {...}, at most six items, atoms cut to 30 characters
-_SHOWN_CHARS = 120
-_SHORT = reprlib.Repr()
-_SHORT.maxlevel = 1
-
-
-def _shown(value) -> str:
-    text = repr(value)
-    return text if len(text) <= _SHOWN_CHARS else _SHORT.repr(value)
-
-
-def _clipped(text: str) -> str:
-    """``text`` itself, or by ``_shown``'s rule the short form of a long one, unquoted."""
-    return text if len(text) <= _SHOWN_CHARS else _SHORT.repr(text)[1:-1]
-
-
 def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
     """Each way ``instance`` breaks ``schema``, as (path, message), in jsonschema's order.
 
     The keywords run in the schema's own order, a keyword that does not apply
     to the instance's type passes, and the messages are jsonschema's, with a
-    long value shortened by ``_shown``.  Only the schema is recursed into, so
-    a deeply nested config costs no depth.
+    long value shortened by ``shown``, and an ``_Overflow`` is refused first.
+    Only the schema is recursed into, so a deeply nested config costs no depth.
     """
+    if isinstance(instance, _Overflow):
+        yield path, f"number literal {clipped(instance)} overflows a float"
+        return
     for key, want in schema.items():
         if key == "$ref":
             yield from _errors(root["$defs"][want.removeprefix("#/$defs/")], instance, root, path)
         elif key == "type":
             if not _is(instance, want):
-                yield path, f"{_shown(instance)} is not of type {want!r}"
+                yield path, f"{shown(instance)} is not of type {want!r}"
         elif key == "enum":
             # tagged, so that True does not equal 1
             if (isinstance(instance, bool), instance) not in [(isinstance(e, bool), e) for e in want]:
-                yield path, f"{_shown(instance)} is not one of {want!r}"
+                yield path, f"{shown(instance)} is not one of {want!r}"
         elif isinstance(instance, dict):
             if key == "properties":
                 for name, sub in want.items():
@@ -178,7 +163,7 @@ def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tu
                 extra = [name for name in instance if name not in schema.get("properties", {})]
                 if want is False and extra:
                     verb = "was" if len(extra) == 1 else "were"
-                    names = _shown(sorted(extra))[1:-1]
+                    names = shown(sorted(extra))[1:-1]
                     yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
                 elif isinstance(want, dict):
                     for name in extra:
@@ -188,16 +173,16 @@ def _errors(schema: dict, instance, root: dict, path: tuple = ()) -> Iterator[tu
                 for index, item in enumerate(instance):
                     yield from _errors(want, item, root, (*path, index))
             elif key == "minItems" and len(instance) < want:
-                yield path, f"{_shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
+                yield path, f"{shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
             elif key == "maxItems" and len(instance) > want:
-                yield path, f"{_shown(instance)} {'is expected to be empty' if want == 0 else 'is too long'}"
+                yield path, f"{shown(instance)} {'is expected to be empty' if want == 0 else 'is too long'}"
         elif _is(instance, "number"):
             if key == "minimum" and instance < want:
-                yield path, f"{_shown(instance)} is less than the minimum of {want!r}"
+                yield path, f"{shown(instance)} is less than the minimum of {want!r}"
             elif key == "exclusiveMinimum" and instance <= want:
-                yield path, f"{_shown(instance)} is less than or equal to the minimum of {want!r}"
+                yield path, f"{shown(instance)} is less than or equal to the minimum of {want!r}"
         elif isinstance(instance, str) and key == "minLength" and len(instance) < want:
-            yield path, f"{_shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
+            yield path, f"{shown(instance)} {'should be non-empty' if want == 1 else 'is too short'}"
 
 
 @dataclass(frozen=True)
@@ -263,8 +248,8 @@ class ExperimentConfig:
             return factory(spec["name"], **params)
         except TypeError as exc:
             raise ValidationError(
-                f"profile {_shown(spec['name'])} rejected parameters {_shown(sorted(params))}: "
-                f"{_clipped(str(exc))}"
+                f"profile {shown(spec['name'])} rejected parameters {shown(sorted(params))}: "
+                f"{clipped(str(exc))}"
             ) from exc
 
     def recipe(self) -> Recipe:
@@ -305,13 +290,15 @@ def _refuse_constant(literal: str):
     raise ValidationError(f"config is not valid JSON: non-standard literal {literal} refused")
 
 
+class _Overflow(str):
+    """A number literal past the float range, which ``_errors`` refuses at its own path."""
+
+
 def _finite(kind: type):
     # json.loads reads 1e999 as inf, and an integer past the float range
     # overflows where the config converts it to a float
     def parse(literal: str):
-        if not math.isfinite(float(literal)):
-            raise ValidationError(f"config rejected: number literal {_clipped(literal)} overflows a float")
-        return kind(literal)
+        return kind(literal) if math.isfinite(float(literal)) else _Overflow(literal)
 
     return parse
 
@@ -337,7 +324,7 @@ def load_config(path) -> ExperimentConfig:
     errors = sorted(_errors(schema, raw, schema), key=lambda error: error[0])
     if errors:
         path, message = errors[0]
-        where = "/".join(_clipped(str(part)) for part in path) or "top level"
+        where = "/".join(clipped(str(part)) for part in path) or "top level"
         raise ValidationError(f"config rejected at {where}: {message}")
     return ExperimentConfig(raw=raw)
 

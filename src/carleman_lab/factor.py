@@ -16,7 +16,8 @@ side of the band, factored and applied at once on two workers; the
 separator's Schur complement is factored last.  A solve runs blocked band
 triangular solves (BLAS-3 ``dgemm`` and ``dtrsm``) on windows of the band,
 which stream it once per block of columns; each arm stores its band over a
-margin of zero rows, so every window is a plain matrix.
+margin of zero rows, so every window is a plain matrix, and its head's
+factor in the corner of that storage the band leaves unused.
 
 Every LAPACK and BLAS call goes through a ctypes binding (``_routine``),
 which releases the GIL, on one thread of scipy's OpenBLAS.  Where scipy
@@ -289,10 +290,7 @@ def _local(positions: range, index: np.ndarray) -> np.ndarray:
 def _dense(
     normal: sp.csr_matrix, rows: range, cols: range, out: np.ndarray, triangle: int = 0
 ) -> None:
-    """Write normal[rows][:, cols] into ``out``, for ranges of step 1 or -1.
-
-    ``triangle`` 1 or -1 writes only the entries with i <= j or with i >= j.
-    """
+    """Write normal[rows][:, cols] into ``out``, ranges of step 1 or -1; ``triangle`` -1: only i >= j."""
     lo = min(rows[0], rows[-1])
     sub = normal[lo : max(rows[0], rows[-1]) + 1].tocoo()
     i = _local(rows, sub.row.astype(np.intp) + lo)
@@ -322,12 +320,14 @@ class _Arm:
     the window from U[i, j] on is a column-major matrix with leading
     dimension ld (``_u``), and every entry outside the band that a window of
     at most nb columns reaches is an exact zero of the margin.  ``dpbtrf``
-    factors the rows ab[: b + 1].  The head, if any, is given as (its h
-    positions, the h x h window its factor goes to, whether that factor is
-    stored as the lower L = U^T): U = chol(its own block), ``w`` = U^-T C
-    with C its coupling with the part's first h unknowns, and W^T W is
-    subtracted from the band's first h x h corner before ``dpbtrf``
-    factors the part.
+    factors the rows ab[: b + 1].  The head, if any, is the range of the h
+    <= b positions eliminated first.  Its factor L = chol(its own block),
+    lower, sits at L[i, j] = ab[i - j, j], flat offset i + j*ld, above the
+    row b - j where band column j starts: ``l`` is that window, whose strict
+    upper triangle aliases band entries, so only lower-triangle writes and
+    routines touch it.  ``w`` = L^-1 C with C the head's coupling with the
+    part's first h unknowns, and W^T W is subtracted from the band's first
+    h x h corner before ``dpbtrf`` factors the part.
 
     The part's coupling with the separator sits in the separator's columns
     of ``ab``, rows k - s to k: by the band profile it is lower triangular
@@ -336,7 +336,7 @@ class _Arm:
     separator's own diagonal block receives -W_S^T W_S.
     """
 
-    def __init__(self, positions: range, s: int, b: int, head: tuple | None = None):
+    def __init__(self, positions: range, s: int, b: int, head: range | None = None):
         self.positions, self.s, self.b = positions, s, b
         self.k = len(positions) - s
         self.head = head
@@ -344,9 +344,9 @@ class _Arm:
         self.nb = max(1, min(_BAND_BLOCK, b))
         self.ld = b + self.nb - 1
         self.ab = np.zeros((b + self.nb, len(positions)), order="F")
-        self.u = as_strided(
-            self.ab.reshape(-1, order="F")[b:], shape=(len(positions),) * 2, strides=(8, 8 * self.ld)
-        )
+        flat = self.ab.reshape(-1, order="F")
+        self.u = as_strided(flat[b:], shape=(len(positions),) * 2, strides=(8, 8 * self.ld))
+        self.l = as_strided(flat, shape=(len(head),) * 2, strides=(8, 8 * self.ld)) if head else None
         self.origin = self.ab.ctypes.data + 8 * b
         self.starts = _blocks(self.k, self.nb)
 
@@ -369,18 +369,16 @@ class _Arm:
         """Eliminate the head, factor the band part and form the separator's update."""
         k, s, b = self.k, self.s, self.b
         if self.head:
-            positions, own, lower = self.head
-            h = len(positions)
-            uplo = b"L" if lower else b"U"
-            _dense(normal, positions, positions, own, -1 if lower else 1)
-            info = _dpotrf(own, uplo)
+            h = len(self.head)
+            _dense(normal, self.head, self.head, self.l, -1)
+            info = _dpotrf(self.l, b"L")
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"dpotrf info = {info}: a {h}-unknown head is not positive definite"
                 )
             self.w = np.zeros((h, h), order="F")
-            _dense(normal, positions, self.positions[:h], self.w)
-            _dtrsm(h, h, _at(own), _at(self.w), uplo=uplo, trans=b"N" if lower else b"T")
+            _dense(normal, self.head, self.positions[:h], self.w)
+            _dtrsm(h, h, _at(self.l), _at(self.w), uplo=b"L")
             _dsyrk(h, h, -1.0, _at(self.w), self._u(0, 0))
         info = _dpbtrf(self.ab[: b + 1, :k])
         if info != 0:
@@ -406,10 +404,9 @@ class _Arm:
         xa = x.ctypes.data
         y = None
         if self.head:
-            positions, own, lower = self.head
-            h = len(positions)
-            y = np.array(r[_slice(positions)], order="F")
-            _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"N" if lower else b"T")
+            h = len(self.head)
+            y = np.array(r[_slice(self.head)], order="F")
+            _dtrsm(h, c, _at(self.l), _at(y), uplo=b"L")
             _dgemm(c, h, h, -1.0, _at(y), _at(self.w), _rows(xa, c, 0), trans_a=b"T")
         for s0, e in self.starts:
             lo, xs = max(0, s0 - b), _rows(xa, c, s0)
@@ -442,10 +439,9 @@ class _Arm:
             if lo < s0:
                 _dgemm(c, s0 - lo, e - s0, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
         if self.head:
-            positions, own, lower = self.head
-            h = len(positions)
+            h = len(self.head)
             _dgemm(h, c, h, -1.0, _at(self.w), _rows(xa, c, 0), _at(y), trans_b=b"T")
-            _dtrsm(h, c, _at(own), _at(y), uplo=b"L" if lower else b"U", trans=b"T" if lower else b"N")
+            _dtrsm(h, c, _at(self.l), _at(y), uplo=b"L", trans=b"T")
         return x, y
 
 
@@ -455,24 +451,24 @@ class BandCholesky:
     Built from the n x n normal matrix (CSR) in ``band_order``, its grid and
     a cap ``max_gb`` on the factor's storage.  Below ``_SPLIT_SLABS`` slabs
     the factor is one ``_Arm``, from there on two, with heads and separator
-    of h = s = 2m unknowns, m per slab, and half-bandwidth b = 2m.  The two
-    heads share one (h + 1) x h array: head 1's U fills its upper triangle,
-    and head 2's factor, stored as L = U^T, the lower triangle one row down.
-    The right arm is numbered from the far end.  Once both arms are factored
-    (``_run``), the separator's block of the normal matrix is added to the
-    left arm's update, then the right arm's, always in that order, and
-    ``dpotrf`` factors the sum in the left arm's storage.  In the order
-    (left arm, right arm, separator) the factor is upper triangular; a solve
-    gives each arm all of the block's columns, so a column's bits do not
-    depend on the number of workers.
+    of h = s = 2m unknowns, m per slab, and half-bandwidth b = 2m.  Each
+    head's factor, stored as the lower L = U^T, sits in the unused top-left
+    triangle of its own arm's band storage.  The right arm is numbered from
+    the far end.  Once both arms are factored (``_run``), the separator's
+    block of the normal matrix is added to the left arm's update, then the
+    right arm's, always in that order, and ``dpotrf`` factors the sum in the
+    left arm's storage.  In the order (left arm, right arm, separator) the
+    factor is upper triangular; a solve gives each arm all of the block's
+    columns, so a column's bits do not depend on the number of workers.
 
     The factor stores n - h band columns (the separator's once in each arm)
-    of b + 1 entries over nb - 1 zeros, nb = min(``_BAND_BLOCK``, b), and
-    3 * h**2 + h head entries (h = 0 without the split).  A factor whose
-    ``((b + nb) * (n - h) + 3 * h**2 + h) * 8`` bytes exceed ``max_gb`` GB
-    is refused with ValidationError before it is allocated; a head, band
-    part or separator that is not positive definite, or a factor that does
-    not fit in memory, raises SolverError, whichever worker meets it.
+    of b + 1 entries over nb - 1 zeros, nb = min(``_BAND_BLOCK``, b), the
+    heads' factors among them, and each arm's h x h coupling ``w`` (h = 0
+    without the split).  A factor whose ``((b + nb) * (n - h) + 2 * h**2) *
+    8`` bytes exceed ``max_gb`` GB is refused with ValidationError before it
+    is allocated; a head, band part or separator that is not positive
+    definite, or a factor that does not fit in memory, raises SolverError,
+    whichever worker meets it.
     """
 
     def __init__(self, normal: sp.csr_matrix, geometry: CylinderGeometry, max_gb: float):
@@ -503,19 +499,17 @@ class BandCholesky:
         # needs b >= h; the stencils reach exactly two slabs between the heads,
         # so b = s
         b = self.half_bandwidth = max(int((rows - cols).max()), h)
-        factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 3 * h * h + h) * 8 / 1e9
+        factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 2 * h * h) * 8 / 1e9
         if factor_gb > max_gb:
             raise ValidationError(
                 f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
                 f"(half-bandwidth {b}), above max_factor_gb = {max_gb!r}"
             )
         if s:
-            heads = np.zeros((h + 1, h), order="F")
-            last = (range(n - 1, n - h - 1, -1), heads[1:], True)
             start = (slabs - 2) // 2 * slab  # the separator's first unknown
             self.arms = [
-                _Arm(range(h, start + s), s, b, (range(h), heads[:h], False)),
-                _Arm(range(n - h - 1, start - 1, -1), s, b, last),
+                _Arm(range(h, start + s), s, b, range(h)),
+                _Arm(range(n - h - 1, start - 1, -1), s, b, range(n - 1, n - h - 1, -1)),
             ]
         else:
             self.arms = [_Arm(range(n), 0, b)]
@@ -570,5 +564,5 @@ class BandCholesky:
             for arm, (part, y) in zip(self.arms, _run(tasks)):
                 x[_slice(arm.positions[: arm.k])] = part
                 if arm.head:
-                    x[_slice(arm.head[0])] = y
+                    x[_slice(arm.head)] = y
             return x

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .artifacts import load_archive, save_archive
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .geometry import (
     CylinderGeometry,
     Face,
@@ -163,7 +163,7 @@ CROSS_TIME_PROFILES = {
 def axial_profile(name: str, **params) -> AxialProfile:
     if name not in AXIAL_PROFILES:
         raise ValidationError(
-            f"unknown axial profile {name!r}; available: {sorted(AXIAL_PROFILES)}"
+            f"unknown axial profile {shown(name)}; available: {sorted(AXIAL_PROFILES)}"
         )
     fn, d1, d2 = AXIAL_PROFILES[name](**params)
     return AxialProfile(name, tuple(sorted(params.items())), fn, d1, d2)
@@ -172,7 +172,7 @@ def axial_profile(name: str, **params) -> AxialProfile:
 def cross_time_profile(name: str, **params) -> CrossTimeProfile:
     if name not in CROSS_TIME_PROFILES:
         raise ValidationError(
-            f"unknown cross-time profile {name!r}; available: {sorted(CROSS_TIME_PROFILES)}"
+            f"unknown cross-time profile {shown(name)}; available: {sorted(CROSS_TIME_PROFILES)}"
         )
     fn, dt_fn, dxx_fn = CROSS_TIME_PROFILES[name](**params)
     return CrossTimeProfile(name, tuple(sorted(params.items())), fn, dt_fn, dxx_fn)

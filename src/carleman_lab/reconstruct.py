@@ -355,9 +355,9 @@ class LateralOperator:
         y = np.zeros(rhs.shape, order="F")
         if cols.size:
             y[:, cols] = self._factor.solve(rhs[:, cols])
-        r = np.asfortranarray(self._normal @ y)
-        np.subtract(rhs, r, out=r)
-        res = np.sqrt(_column_dots(r, r))
+        nx = self._normal @ y
+        # b - N x one contiguous column at a time, so each sum runs pairwise down it
+        res = np.sqrt([_column_dots(r, r) for r in (rhs[:, j] - nx[:, j] for j in range(len(norm0)))])
         rel = res[cols] / norm0[cols]
         missed = ~(rel <= _MAX_REL_NORMAL_RESIDUAL)  # true for NaN too
         if missed.any():

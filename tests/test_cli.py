@@ -610,7 +610,7 @@ def test_a_config_error_line_shortens_a_long_value(tmp_path, capsys, path_in_con
         ),
         pytest.param(
             ("instance",), "seed", "7" * 5000, "plan",
-            "config rejected: number literal 777777777777...7777777777777 overflows",
+            "config rejected at instance/seed: number literal 777777777777...7777777777777 overflows",
             id="5000-digit-seed",
         ),
         # a number the schema takes, under a key no profile accepts
@@ -618,6 +618,17 @@ def test_a_config_error_line_shortens_a_long_value(tmp_path, capsys, path_in_con
             ("instance", "p0", "params"), "k" * 5000, "1.0", "make-instance",
             "profile 'constant' rejected parameters ['kkkkkkkkkkkk...kkkkkkkkkkkkk', 'value']",
             id="5000-char-numeric-params-key",
+        ),
+        # a profile name the schema takes, but no registry holds
+        pytest.param(
+            ("instance", "recipe", "a"), "name", '"' + "n" * 5000 + '"', "make-instance",
+            "unknown axial profile 'nnnnnnnnnnnn...nnnnnnnnnnnnn'; available: [",
+            id="5000-char-axial-profile-name",
+        ),
+        pytest.param(
+            ("instance", "p0"), "name", '"' + "n" * 5000 + '"', "make-instance",
+            "unknown cross-time profile 'nnnnnnnnnnnn...nnnnnnnnnnnnn'; available: [",
+            id="5000-char-cross-time-profile-name",
         ),
     ],
 )

@@ -426,7 +426,7 @@ def _dense_factor(op):
     order = []
     for arm in chol.arms:
         if arm.head:
-            order.extend(arm.head[0])
+            order.extend(arm.head)
         order.extend(arm.positions[: arm.k])
     order = np.array(order + list(chol.sep))
     place = np.empty(n, dtype=int)
@@ -434,10 +434,10 @@ def _dense_factor(op):
     upper = np.zeros((n, n))
     for a, arm in enumerate(chol.arms):
         if arm.head:
-            positions, own, lower = arm.head
-            rows = place[list(positions)]
-            upper[np.ix_(rows, rows)] = np.tril(own).T if lower else np.triu(own)
-            upper[np.ix_(rows, place[list(arm.positions[: len(positions)])])] = arm.w
+            # each head's factor is stored as L = U^T in its arm's band storage
+            rows = place[list(arm.head)]
+            upper[np.ix_(rows, rows)] = np.tril(arm.l).T
+            upper[np.ix_(rows, place[list(arm.positions[: len(arm.head)])])] = arm.w
         # LAPACK upper band storage: ab[b + i - j, j] = U[i, j]; the right
         # arm's copy of the separator's block holds its update, not the factor
         m = len(arm.positions)
@@ -506,7 +506,7 @@ def test_the_heads_come_with_the_split_at_ten_slabs(quartic_recipe, sweep_reg, s
         assert arm.s == len(op._factor.sep)
         assert (arm.head is not None) == split
         if split:
-            assert len(arm.head[0]) == arm.w.shape[0] == 2 * slab
+            assert len(arm.head) == arm.l.shape[0] == arm.w.shape[0] == 2 * slab
     r = op._rhs([inst.data])[:, 0]
     _check_factor(op, r)
 
@@ -568,12 +568,35 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
     monkeypatch.setattr(factor, "_dpotrf", refuse)
     inst = small_instance
     reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
-    # 2,028 unknowns, heads of 2 * 13 * 12 = 312 sharing a 313 x 312 array
-    # beside their two couplings, a band of the other 1,404 at half-bandwidth
-    # 312 whose separator of 312 both arms store, each stored column with a
-    # margin of 47 zero rows: ((312 + 48) * (1404 + 312) + 3 * 312^2 + 312) * 8
-    with pytest.raises(ValidationError, match=r"needs 0\.00728 GB \(half-bandwidth 312\)"):
+    # 2,028 unknowns, heads of 2 * 13 * 12 = 312 whose factors sit in their
+    # arms' band storage beside their two 312 x 312 couplings, a band of the
+    # other 1,404 at half-bandwidth 312 whose separator of 312 both arms
+    # store, each stored column with a margin of 47 zero rows:
+    # ((312 + 48) * (1404 + 312) + 2 * 312^2) * 8
+    with pytest.raises(ValidationError, match=r"needs 0\.0065 GB \(half-bandwidth 312\)"):
         LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
+
+
+@pytest.mark.parametrize("nx_prime", [None, 9], ids=["split", "one-arm"])
+def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
+    quartic_recipe, small_operator, sweep_reg, nx_prime
+):
+    # a factor is built at a max_gb of exactly the bytes of its arms' band
+    # storage and couplings, and refused at 8 bytes fewer
+    op = small_operator
+    if nx_prime is not None:
+        g = dataclasses.replace(op.geometry, nx_prime=nx_prime)
+        inst = make_instance(g, quartic_recipe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
+            plan = plan_parameters(g, (0.5, 1.0), delta0=0.7, lam=1.0, margin=1.1)
+        op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
+    arms = op._factor.arms
+    assert len(arms) == (1 if nx_prime else 2)
+    kept = sum(arm.ab.nbytes + (arm.w.nbytes if arm.head else 0) for arm in arms)
+    factor.BandCholesky(op._normal, op.geometry, max_gb=kept / 1e9)
+    with pytest.raises(ValidationError, match=r"needs .* GB \(half-bandwidth \d+\)"):
+        factor.BandCholesky(op._normal, op.geometry, max_gb=(kept - 8) / 1e9)
 
 
 def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instance):
