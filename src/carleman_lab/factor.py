@@ -541,23 +541,22 @@ class BandCholesky:
             self.u_sep = _at(u)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the inverse to the columns of an n x k block, any k; F-ordered result."""
+        """Apply the inverse to the columns of an n x k block, any k; C-ordered result."""
         with _one_blas_thread():
             states = _run([functools.partial(arm.forward, r) for arm in self.arms])
-            x = np.empty(r.shape, order="F")
+            x = np.empty(r.shape)
             sep = _slice(self.sep)
             x[sep] = r[sep]
             for arm, (_, _, t) in zip(self.arms, states):
                 x[_slice(arm.positions[arm.k :])] += t
             if len(self.sep):
-                xs = np.array(x[sep], order="C")
+                xs = x[sep]  # a view: the solves run in place
                 s, c = xs.shape
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R")
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R", trans=b"T")
-                x[sep] = xs
             tasks = [
                 functools.partial(
-                    arm.backward, state, np.array(x[_slice(arm.positions[arm.k :])], order="C")
+                    arm.backward, state, np.ascontiguousarray(x[_slice(arm.positions[arm.k :])])
                 )
                 for arm, state in zip(self.arms, states)
             ]

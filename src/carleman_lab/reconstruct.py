@@ -331,33 +331,30 @@ class LateralOperator:
         self._factor = factor.BandCholesky(self._normal, geometry, reg.max_factor_gb)
 
     def _rhs(self, bundles: list[BoundaryBundle]) -> np.ndarray:
-        """A^T b per bundle, as the columns of an F-ordered block; b is zero off the Cauchy rows."""
-        rhs = np.empty((self._cauchy_t.shape[0], len(bundles)), order="F")
-        for j, bundle in enumerate(bundles):
-            if bundle.traces[0].geometry != self.geometry:
-                raise ValidationError("bundle grid does not match the reconstruction grid")
-            data = np.concatenate([ch.values.ravel() for ch in bundle.traces])
-            rhs[:, j] = self._cauchy_t @ (self._cauchy_w * data)
-        return rhs
+        """A^T b per bundle, as the columns of a C-ordered n x k block; b is zero off the Cauchy rows."""
+        if any(bundle.traces[0].geometry != self.geometry for bundle in bundles):
+            raise ValidationError("bundle grid does not match the reconstruction grid")
+        data = np.stack(
+            [np.concatenate([ch.values.ravel() for ch in bundle.traces]) for bundle in bundles],
+            axis=1,
+        )
+        return self._cauchy_t @ (self._cauchy_w[:, None] * data)
 
     def _solve_block(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve the normal equations for an F-ordered n x k block and check the residuals.
+        """Solve the normal equations for a C-ordered n x k block and check the residuals.
 
-        One application of the factor solves the nonzero columns; a zero
-        column stays exactly zero.  Each column's normal residual b - N x is
-        measured by column-wise array arithmetic that gives a column the same
-        bits as a one-column solve.  Returns the solutions and each column's
-        right-hand side and residual norms; raises SolverError if a relative
-        residual is above ``_MAX_REL_NORMAL_RESIDUAL`` or is not finite.
+        One application of the factor solves every column; a zero column
+        comes back exactly zero, and only the nonzero ones are checked.  Each
+        column's norms are taken one column at a time, so a column gets the
+        same bits as in a one-column solve.  Returns the solutions (C-ordered)
+        and each column's right-hand side and normal residual b - N x norms;
+        raises SolverError if a relative residual is above
+        ``_MAX_REL_NORMAL_RESIDUAL`` or is not finite.
         """
-        norm0 = np.sqrt(_column_dots(rhs, rhs))
+        y = self._factor.solve(rhs)
+        r = rhs - self._normal @ y
+        norm0, res = (np.sqrt([_column_dots(c, c) for c in block.T]) for block in (rhs, r))
         cols = np.flatnonzero(norm0)
-        y = np.zeros(rhs.shape, order="F")
-        if cols.size:
-            y[:, cols] = self._factor.solve(rhs[:, cols])
-        nx = self._normal @ y
-        # b - N x one contiguous column at a time, so each sum runs pairwise down it
-        res = np.sqrt([_column_dots(r, r) for r in (rhs[:, j] - nx[:, j] for j in range(len(norm0)))])
         rel = res[cols] / norm0[cols]
         missed = ~(rel <= _MAX_REL_NORMAL_RESIDUAL)  # true for NaN too
         if missed.any():
@@ -381,6 +378,8 @@ class LateralOperator:
         each one keeps a single solution's fields alive.
         """
         bundles = list(bundles)
+        if not bundles:
+            return
         y, norm0, res = self._solve_block(self._rhs(bundles))
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt

@@ -800,6 +800,22 @@ def test_bad_noise_levels_are_refused_before_factoring(tmp_path, monkeypatch, ca
     assert "at least 4 noise levels" in capsys.readouterr().err
 
 
+def test_a_sweep_without_noise_levels_is_refused_before_factoring(tmp_path, monkeypatch, capsys):
+    # the schema does not require the key: only the sweep needs it
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the factor of a sweep that has no noise levels")
+
+    monkeypatch.setattr(factor_module, "BandCholesky", refuse)
+    cfg = base_config(tmp_path / "out")
+    del cfg["instance"]["noise_levels"]
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "sweep") == 1
+    assert capsys.readouterr().err == (
+        "error: this command needs 'noise_levels' in the instance block\n"
+    )
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("factored a grid above the size limit")

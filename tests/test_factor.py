@@ -83,20 +83,66 @@ def test_band_cholesky_solves_a_band_in_either_layout(slabs):
 
 
 @pytest.mark.parametrize(
-    "slabs, message",
-    [(9, r"dpbtrf info = 1: the band is not positive definite"),
-     (10, r"dpotrf info = 1: a 60-unknown head is not positive definite")],
-    ids=["band", "head"],
+    "slabs, negated, message",
+    [(9, "matrix", r"dpbtrf info = 1: the band is not positive definite"),
+     (10, "matrix", r"dpotrf info = 1: a 60-unknown head is not positive definite"),
+     (10, "separator", r"dpotrf info = 1: the 60-unknown separator is not positive definite")],
+    ids=["band", "head", "separator"],
 )
-def test_a_factor_that_is_not_positive_definite_raises_solver_error(slabs, message):
+def test_a_factor_that_is_not_positive_definite_raises_solver_error(slabs, negated, message):
     g = _grid(slabs)
-    normal = -_band_matrix(g, seed=0)
+    normal = _band_matrix(g, seed=0)
     n = normal.shape[0]
+    if negated == "matrix":
+        normal = -normal
+    else:
+        # the heads and both arms stay positive definite, so only the
+        # separator's own factorization can fail
+        sep = list(factor.BandCholesky(normal, g, max_gb=1.0).sep)
+        flip = np.zeros(n)
+        flip[sep] = -2.0 * normal.diagonal()[sep]
+        normal = (normal + sp.diags(flip)).tocsr()
     with pytest.raises(
         SolverError,
         match=rf"^factorization of the {n}-unknown normal matrix failed \(LinAlgError: {message}\)$",
     ):
         factor.BandCholesky(normal, g, max_gb=1.0)
+
+
+def test_the_capsule_binding_factors_and_solves_to_the_same_bits(monkeypatch):
+    # without a vendored OpenBLAS every routine comes from scipy.linalg's
+    # capsules, and the pin finds no thread functions: hold one BLAS thread
+    # through the real ones meanwhile
+    g = _grid(10)
+    normal = _band_matrix(g, seed=2)
+    r = np.random.default_rng(2).standard_normal((normal.shape[0], 3))
+    vendored = factor.BandCholesky(normal, g, max_gb=1.0)
+    get, put = factor._openblas_threads()
+    read = []
+
+    def capsule(name, _original=factor._capsule):
+        read.append(name)
+        return _original(name)
+
+    before = get()
+    put(1)
+    try:
+        factor._routine.cache_clear()
+        factor._openblas_threads.cache_clear()
+        monkeypatch.setattr(factor, "_openblas", lambda: None)
+        monkeypatch.setattr(factor, "_capsule", capsule)
+        chol = factor.BandCholesky(normal, g, max_gb=1.0)
+        got = chol.solve(r)
+        assert factor._openblas_threads() is None
+    finally:
+        monkeypatch.undo()
+        factor._routine.cache_clear()
+        factor._openblas_threads.cache_clear()
+        put(before)
+    assert sorted(read) == sorted(factor._ROUTINES)
+    for arm, twin in zip(chol.arms, vendored.arms, strict=True):
+        assert np.array_equal(arm.ab, twin.ab) and np.array_equal(arm.w, twin.w)
+    assert np.array_equal(got, vendored.solve(r))
 
 
 def test_the_blas_thread_pin_is_active():

@@ -7,8 +7,8 @@ Hand-derived anchors used below:
   returns f with no discretization error at all;
 * for a = x_n^2 + x_n^4 the oracle error is pure O(h^2) in the axial
   spacing, so doubling every interval count divides it by 4;
-* a silent bundle makes the least-squares right-hand side exactly zero, so
-  the solver returns exact zeros without applying the factor.
+* a silent bundle makes the least-squares right-hand side exactly zero, and
+  the factor maps a zero column to exact zeros.
 """
 
 import dataclasses
@@ -469,14 +469,21 @@ def test_band_factor_solves_the_normal_equations(small_operator, small_instance)
     _check_factor(op, r)
 
 
-def test_rhs_is_an_f_ordered_block_of_the_cauchy_products(small_operator, small_instance):
+def test_no_bundles_give_no_solutions(small_operator):
+    assert list(small_operator.solve_many([])) == []
+
+
+def test_rhs_is_a_c_ordered_block_of_the_cauchy_products(small_operator, small_instance):
     op = small_operator
     bundles = [small_instance.data, add_noise(small_instance.data, 0.1, seed=4)]
     rhs = op._rhs(bundles)
-    assert rhs.flags.f_contiguous and rhs.shape == (op._normal.shape[0], len(bundles))
-    # one product per column gives the bits of one product over the m x k data
+    assert rhs.flags.c_contiguous and rhs.shape == (op._normal.shape[0], len(bundles))
+    # one product over the m x k data, one column of channels per bundle
     data = np.stack([np.concatenate([ch.values.ravel() for ch in b.traces]) for b in bundles], axis=1)
     assert np.array_equal(rhs, op._cauchy_t @ (op._cauchy_w[:, None] * data))
+    # and a column has the bits of its bundle's one-column block
+    for j, bundle in enumerate(bundles):
+        assert np.array_equal(rhs[:, j], op._rhs([bundle])[:, 0])
 
 
 @pytest.mark.parametrize("side", [GammaSide.HI, GammaSide.LO], ids=["HI", "LO"])
