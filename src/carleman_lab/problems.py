@@ -33,6 +33,7 @@ from .geometry import (
     ScalarField,
     diff,
     discrete_norm,
+    discrete_norms,
     dt,
     dxn,
     dxp,
@@ -56,6 +57,7 @@ __all__ = [
     "add_noise",
     "coefficient_reduction",
     "compute_data_functional",
+    "compute_data_functionals",
     "compute_apriori_bound",
     "residual_field",
     "save_instance",
@@ -495,13 +497,30 @@ def compute_data_functional(bundle: BoundaryBundle) -> float:
     y and y_xp vanish, which for bundles of an actual field means all
     channels vanish.
     """
-    ch = bundle.channels()
-    grad_sq = (
-        discrete_norm(ch["y_xp"]) ** 2
-        + discrete_norm(ch["y"], kind=NormKind.H1_SURFACE) ** 2
-    )
-    h2_sq = discrete_norm(ch["y"], kind=NormKind.H2_SURFACE) ** 2
-    return math.sqrt(grad_sq + h2_sq)
+    (d_of_u,) = compute_data_functionals([bundle])
+    return d_of_u
+
+
+def compute_data_functionals(bundles: list[BoundaryBundle]) -> list[float]:
+    """``compute_data_functional`` of each bundle, from one norm stack per norm kind.
+
+    The bundles must share one grid; each value carries the bits of its
+    bundle's functional alone, since ``discrete_norms`` keeps each field's.
+    """
+    first = bundles[0].traces[0]
+    if any(bundle.traces[0].geometry != first.geometry for bundle in bundles):
+        raise ValidationError("the bundles of one data functional stack lie on different grids")
+
+    def stack(name: str) -> np.ndarray:
+        i = list(BUNDLE_CHANNELS).index(name)
+        return np.stack([bundle.traces[i].values for bundle in bundles])
+
+    g, field_kind, y = first.geometry, first.kind, stack("y")
+    y_xp = discrete_norms(g, field_kind, stack("y_xp"))
+    h1 = discrete_norms(g, field_kind, y, kind=NormKind.H1_SURFACE)
+    h2 = discrete_norms(g, field_kind, y, kind=NormKind.H2_SURFACE)
+    # grouped as the gradient content plus the H2 content
+    return [math.sqrt(a**2 + b**2 + c**2) for a, b, c in zip(y_xp, h1, h2)]
 
 
 def compute_apriori_bound(inst: ProblemInstance) -> float:

@@ -20,7 +20,8 @@ rows, the one block with data, and solves any number of bundles against it;
 the stability sweep leans on that to rerun the solver across noise levels
 and fit an empirical Holder exponent from the decreasing part of the error
 curve, solving its levels in blocks of ``_SOLVE_BLOCK`` bundles, one
-application of the factor per block.
+application of the factor per block, and measuring each block's D(u) and
+errors with one norm stack per kind.
 
 scipy is imported on first use, by the operator build, so a command that
 never builds an operator never loads it.
@@ -45,6 +46,7 @@ from .geometry import (
     ScalarField,
     diff_matrix,
     discrete_norm,
+    discrete_norms,
     dxn2,
     face_index,
     quadrature_weights,
@@ -57,6 +59,7 @@ from .problems import (
     ProblemInstance,
     add_noise,
     compute_data_functional,
+    compute_data_functionals,
 )
 from .weight import WeightPlan, phi_field
 
@@ -252,10 +255,19 @@ def _lateral_matrix(
     return sp.bmat(blocks, format="csr"), cauchy, np.tile(cauchy_w, len(BUNDLE_CHANNELS))
 
 
-# bundles per block solve in a sweep.  One block of all 161 levels of a
-# 21x17x21 sweep (one BLAS thread) raised peak RSS from 136 MB to 196 MB,
-# and its wider BLAS-3 solves rounded differently: sweep.csv changed bytes
-_SOLVE_BLOCK = 16
+# bundles per block solve in a sweep.  A solve streams the factor once per
+# block, so at 21x17x21 a 48-column block costs about what a 16-column one
+# does, and 161 levels take 4 blocks, not 11.  The width is one constant for
+# every CPU count, since the blocked triangular solves round differently at
+# another width: against blocks of 16, that 161-level sweep.csv keeps its
+# noise and D_u bytes, and its error columns move by at most 7.5e-8
+# relative.  Its peak RSS (perfbench sweep_dense, one BLAS thread) went
+# from 125.5 to 127.7 MB, with the residual formed in slices and only f_hat
+# kept per block
+_SOLVE_BLOCK = 48
+# columns of the residual N x formed at a time, so a block's check adds two
+# n x 16 arrays beside the right-hand sides and the solutions
+_RESIDUAL_COLUMNS = 16
 # largest relative normal residual |b - N x| / |b| a solution may leave
 _MAX_REL_NORMAL_RESIDUAL = 1e-8
 
@@ -344,16 +356,23 @@ class LateralOperator:
         """Solve the normal equations for a C-ordered n x k block and check the residuals.
 
         One application of the factor solves every column; a zero column
-        comes back exactly zero, and only the nonzero ones are checked.  Each
-        column's norms are taken one column at a time, so a column gets the
-        same bits as in a one-column solve.  Returns the solutions (C-ordered)
-        and each column's right-hand side and normal residual b - N x norms;
-        raises SolverError if a relative residual is above
-        ``_MAX_REL_NORMAL_RESIDUAL`` or is not finite.
+        comes back exactly zero, and only the nonzero ones are checked.  The
+        residual is formed ``_RESIDUAL_COLUMNS`` columns at a time, subtracted
+        into its product, and each column's norms one column at a time; the
+        sparse product sums each column in the same order at any width, so a
+        column gets the same bits as in a one-column solve.  Returns the
+        solutions (C-ordered) and each column's right-hand side and normal
+        residual b - N x norms; raises SolverError if a relative residual is
+        above ``_MAX_REL_NORMAL_RESIDUAL`` or is not finite.
         """
         y = self._factor.solve(rhs)
-        r = rhs - self._normal @ y
-        norm0, res = (np.sqrt([_column_dots(c, c) for c in block.T]) for block in (rhs, r))
+        res = []
+        for start in range(0, rhs.shape[1], _RESIDUAL_COLUMNS):
+            cols = slice(start, start + _RESIDUAL_COLUMNS)
+            r = self._normal @ y[:, cols]
+            np.subtract(rhs[:, cols], r, out=r)
+            res += [_column_dots(c, c) for c in r.T]
+        norm0, res = np.sqrt([_column_dots(c, c) for c in rhs.T]), np.sqrt(res)
         cols = np.flatnonzero(norm0)
         rel = res[cols] / norm0[cols]
         missed = ~(rel <= _MAX_REL_NORMAL_RESIDUAL)  # true for NaN too
@@ -445,10 +464,20 @@ def sweep_errors(
     f_hat: ScalarField, f_true: ScalarField, plan: WeightPlan
 ) -> tuple[float, float]:
     """Norms of f_hat - f_true over the stability region and over the whole grid."""
-    diff = f_hat.with_values(f_hat.values - f_true.values)
-    err_region = discrete_norm(diff, region=stability_region(plan))
-    err_global = discrete_norm(diff)
+    (err_region,), (err_global,) = _stacked_sweep_errors(f_hat.values[None], f_true, plan)
     return err_region, err_global
+
+
+def _stacked_sweep_errors(
+    f_hats: np.ndarray, f_true: ScalarField, plan: WeightPlan
+) -> tuple[list[float], list[float]]:
+    """``sweep_errors`` of each f_hats[i], one norm stack per domain, each with its own bits."""
+    diffs = f_hats - f_true.values
+    g = f_true.geometry
+    return (
+        discrete_norms(g, f_true.kind, diffs, region=stability_region(plan)),
+        discrete_norms(g, f_true.kind, diffs),
+    )
 
 
 def sweep_levels(noise_levels) -> list[float]:
@@ -481,10 +510,12 @@ def stability_sweep(
     and ``R``, and its plan fixes the stability region of the error rows.
     Levels are processed in decreasing order (a single 0.0 level is allowed
     and lands last), ``_SOLVE_BLOCK`` at a time: a chunk's noisy bundles are
-    drawn, solved as one block by ``solve_many`` and measured for D(u).  The
-    empirical exponent is the least-squares slope of log err_region against
-    log D(u) over the rows where err_region dropped relative to the previous
-    row; fewer than three such rows leave the fit degenerate and raise.
+    drawn and solved as one block by ``solve_many``, of which only the f_hat
+    values are kept, and the chunk's D(u) and errors take one norm stack per
+    norm kind and domain.  The empirical exponent is the least-squares slope
+    of log err_region against log D(u) over the rows where err_region
+    dropped relative to the previous row; fewer than three such rows leave
+    the fit degenerate and raise.
     Noise draws derive from ``seed`` plus the row index, so a sweep is
     reproducible end to end.
     """
@@ -503,24 +534,19 @@ def stability_sweep(
         bundles = [
             add_noise(instance.data, level, seed=seed + start + i) for i, level in enumerate(chunk)
         ]
-        solutions = operator.solve_many(bundles)
-        for level, bundle, sol in zip(chunk, bundles, solutions):
-            err_region, err_global = sweep_errors(sol.f_hat, instance.f, plan)
-            if err_region > err_global:
-                raise SolverError(
-                    f"region error {err_region!r} exceeds global error {err_global!r} "
-                    f"at noise level {level!r}"
-                )
-            rows.append(
-                SweepRow(
-                    noise=level,
-                    d_of_u=compute_data_functional(bundle),
-                    err_region=err_region,
-                    err_global=err_global,
-                )
-            )
-            if level == 0.0:
+        f_hats = np.empty((len(chunk), *instance.f.values.shape))
+        for i, sol in enumerate(operator.solve_many(bundles)):
+            f_hats[i] = sol.f_hat.values
+            if chunk[i] == 0.0:
                 noiseless_f_hat = sol.f_hat
+        errors = _stacked_sweep_errors(f_hats, instance.f, plan)
+        for row in map(SweepRow, chunk, compute_data_functionals(bundles), *errors):
+            if row.err_region > row.err_global:
+                raise SolverError(
+                    f"region error {row.err_region!r} exceeds global error "
+                    f"{row.err_global!r} at noise level {row.noise!r}"
+                )
+            rows.append(row)
 
     decreasing = [
         i for i in range(1, len(rows)) if rows[i].err_region < rows[i - 1].err_region

@@ -394,15 +394,29 @@ def test_the_capsule_binding_solves_to_the_same_bits(tmp_path):
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # the two runs of `all` on the 13x11x13 grid take a few seconds together
-    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    # the runs of `all` on the 13x11x13 grid take a few seconds together; the
+    # sweep's levels fill two blocks and part of a third, and the grid splits
+    # into two arms, so a child pinned to one CPU solves them on one worker
+    cfg = base_config(tmp_path / "out")
+    levels = np.geomspace(1e-1, 1e-4, 2 * reconstruct_module._SOLVE_BLOCK + 4).tolist()
+    cfg["instance"]["noise_levels"] = [*levels, 0.0]
+    path = write_config(tmp_path, cfg)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         _run_at_blas_threads(path, out, threads)
         outputs.append(out)
+    # on one CPU both runs above had one worker already, and without CPU
+    # affinity (macOS, Windows) no child can be pinned to one
+    if hasattr(os, "sched_getaffinity") and factor_module._workers() == 2:
+        out = tmp_path / "one_cpu"
+        _run_at_blas_threads(path, out, "1", cpus={min(os.sched_getaffinity(0))})
+        outputs.append(out)
+    with (outputs[0] / "sweep.csv").open() as fh:
+        assert len(load_sweep_csv(fh)[0]) > 2 * reconstruct_module._SOLVE_BLOCK
     for name in ("carleman_rows.csv", "sweep.csv"):
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+        for out in outputs[1:]:
+            assert (out / name).read_bytes() == (outputs[0] / name).read_bytes()
 
 
 @pytest.mark.parametrize(

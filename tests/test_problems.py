@@ -30,6 +30,7 @@ from carleman_lab.problems import (
     coefficient_reduction,
     compute_apriori_bound,
     compute_data_functional,
+    compute_data_functionals,
     cross_time_profile,
     load_instance,
     make_instance,
@@ -226,6 +227,30 @@ def test_data_functional_vanishes_only_with_the_bundle(worked_geometry, quartic_
     zero = ScalarField.zeros(worked_geometry, FieldKind.AXIAL_TIME)
     silent = dataclasses.replace(quartic_instance.data, traces=(zero,) * len(BUNDLE_CHANNELS))
     assert compute_data_functional(silent) == 0.0
+
+
+def test_stacked_data_functionals_carry_each_bundles_own_bits(worked_geometry, quartic_instance):
+    # the sweep takes a block's D(u) from one norm stack per kind; each value
+    # must be the bundle's own functional, bit for bit, noisy, clean or zero
+    clean = quartic_instance.data
+    zero = ScalarField.zeros(worked_geometry, FieldKind.AXIAL_TIME)
+    silent = dataclasses.replace(clean, traces=(zero,) * len(BUNDLE_CHANNELS))
+    noisy = [add_noise(clean, level, seed=11 + i) for i, level in enumerate((0.1, 1e-3, 1e-6))]
+    bundles = [noisy[0], clean, silent, *noisy[1:], clean]
+    stacked = compute_data_functionals(bundles)
+    assert stacked == [compute_data_functional(bundle) for bundle in bundles]
+    assert stacked[1] == quartic_instance.d_of_u and stacked[2] == 0.0
+
+
+def test_stacked_data_functionals_refuse_bundles_of_two_grids(worked_geometry, quartic_instance):
+    # same shape, other axial length: one stack would weight it wrongly
+    other = dataclasses.replace(worked_geometry, ell=2.0)
+    clean = quartic_instance.data
+    moved = dataclasses.replace(
+        clean, traces=tuple(ScalarField(other, ch.values, ch.kind) for ch in clean.traces)
+    )
+    with pytest.raises(ValidationError, match="different grids"):
+        compute_data_functionals([clean, moved])
 
 
 def test_data_functional_is_degree_one_homogeneous(quartic_instance):

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import math
 import os
+import tracemalloc
 import types
 import warnings
 
@@ -37,6 +38,7 @@ from carleman_lab.problems import (
     Recipe,
     add_noise,
     axial_profile,
+    compute_data_functional,
     cross_time_profile,
     make_instance,
 )
@@ -50,6 +52,7 @@ from carleman_lab.reconstruct import (
     oracle_trace_reconstruct,
     stability_region,
     stability_sweep,
+    sweep_errors,
     sweep_levels,
     write_sweep_csv,
 )
@@ -327,6 +330,22 @@ def test_column_dots_give_a_column_the_same_bits_at_any_width(n):
         # n * eps * sum|a_i b_i| of the exact sum
         bound = 2 * n * np.finfo(float).eps * np.abs(a[:, j] * b[:, j]).sum()
         assert abs(block[j] - a[:, j] @ b[:, j]) <= bound
+
+
+def test_a_block_solve_keeps_fewer_than_three_blocks(small_instance, small_operator):
+    # the factor's output and its arms' copies come to about 2.3 blocks of
+    # the right-hand sides' size; the residual is then formed a slice at a
+    # time in place of its product, where N y whole beside y and rhs - N y
+    # reached 3 blocks
+    k = reconstruct._SOLVE_BLOCK
+    rhs = small_operator._rhs([add_noise(small_instance.data, 0.01, seed=i) for i in range(k)])
+    tracemalloc.start()
+    try:
+        small_operator._solve_block(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rhs.nbytes
 
 
 def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
@@ -677,6 +696,36 @@ def test_sweep_is_reproducible_per_seed(small_instance, small_operator):
     other = stability_sweep(small_instance, SWEEP_LEVELS, small_operator, seed=4)
     assert one.rows == two.rows
     assert one.rows != other.rows
+
+
+def test_stacked_sweep_rows_carry_each_rows_own_bits(small_instance, small_operator):
+    # a block's D(u) and errors come from one norm stack per kind; each row
+    # must equal the one-bundle functional and the one-field errors
+    levels = SWEEP_LEVELS + (0.0,)
+    report = stability_sweep(small_instance, levels, small_operator, seed=5)
+    bundles = [add_noise(small_instance.data, level, seed=5 + i) for i, level in enumerate(levels)]
+    solutions = list(small_operator.solve_many(bundles))  # one block, as in the sweep
+    for row, bundle, sol in zip(report.rows, bundles, solutions, strict=True):
+        assert row.d_of_u == compute_data_functional(bundle)
+        errors = sweep_errors(sol.f_hat, small_instance.f, report.plan)
+        assert (row.err_region, row.err_global) == errors
+    assert np.array_equal(report.noiseless_f_hat.values, solutions[-1].f_hat.values)
+
+
+def test_the_block_width_changes_no_answer(small_instance, small_operator, monkeypatch):
+    # three blocks at the default width; another width rounds the blocked
+    # triangular solves differently, but moves no noise draw or D(u) bit
+    # and the errors only at the rounding level
+    levels = [*np.geomspace(1e-1, 1e-4, 2 * reconstruct._SOLVE_BLOCK + 4), 0.0]
+    want = stability_sweep(small_instance, levels, small_operator, seed=1)
+    for width in (16, 1):
+        monkeypatch.setattr(reconstruct, "_SOLVE_BLOCK", width)
+        got = stability_sweep(small_instance, levels, small_operator, seed=1)
+        assert [(r.noise, r.d_of_u) for r in got.rows] == [(r.noise, r.d_of_u) for r in want.rows]
+        for g, w in zip(got.rows, want.rows, strict=True):
+            assert g.err_region == pytest.approx(w.err_region, rel=1e-6, abs=0)
+            assert g.err_global == pytest.approx(w.err_global, rel=1e-6, abs=0)
+        assert got.theta_emp == pytest.approx(want.theta_emp, rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize(
