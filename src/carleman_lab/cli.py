@@ -273,8 +273,8 @@ class ExperimentConfig:
 
     def regularization(self) -> Regularization:
         sb = self._block("solver")
-        # only the keys the block sets, so Regularization's defaults apply to the rest
-        options = {key: float(sb[key]) for key in ("carleman_s", "max_factor_gb") if key in sb}
+        # only a key the block sets, so Regularization's default applies otherwise
+        options = {"carleman_s": float(sb["carleman_s"])} if "carleman_s" in sb else {}
         return Regularization(tikhonov_weight=float(sb["mu"]), **options)
 
     def verify_settings(self) -> dict:

@@ -72,6 +72,8 @@ _BAND_BLOCK = 48
 # x' slabs from which the factor has heads, two arms and a separator: each
 # arm then keeps its head and at least the two band slabs the head couples with
 _SPLIT_SLABS = 10
+# largest factor ((b + nb) * (n - h) + 2 * h**2) * 8 bytes, in GB, that BandCholesky allocates
+_MAX_FACTOR_GB = 4.0
 
 
 @functools.cache
@@ -393,14 +395,14 @@ class _Arm:
             _dsyrk(nq, s - q0, -1.0, w, self._u(k + q0, k + q0))
 
     def forward(self, r: np.ndarray) -> tuple:
-        """The arm's half of U^T y = r: head, then band part, then its separator update.
+        """The arm's half of U^T y = r, r C-ordered: the head, then the band part.
 
-        Returns the part's solution (C-ordered, one row per unknown), the
-        head's (None without a head) and -W_S^T times the part's last s
-        rows, the update this arm sends the separator's right-hand side.
+        The part's rows are solved in place where they are contiguous in
+        ``r`` (an arm numbered forward), in a copy otherwise.  Returns the
+        part's solution (C-ordered, one row per unknown) and the head's.
         """
-        k, s, b, c = self.k, self.s, self.b, r.shape[1]
-        x = np.array(r[_slice(self.positions[:k])], order="C")
+        k, b, c = self.k, self.b, r.shape[1]
+        x = np.ascontiguousarray(r[_slice(self.positions[:k])])
         xa = x.ctypes.data
         y = None
         if self.head:
@@ -413,22 +415,28 @@ class _Arm:
             if lo < s0:
                 _dgemm(c, e - s0, s0 - lo, -1.0, _rows(xa, c, lo), self._u(lo, s0), xs)
             _dtrsm(c, e - s0, self._u(s0, s0), xs, side=b"R")
+        return x, y
+
+    def update(self, x: np.ndarray) -> np.ndarray:
+        """-W_S^T times the last s rows of the part's solution ``x``, in band order."""
+        k, s, c = self.k, self.s, x.shape[1]
         t = np.zeros((s, c))
-        ta, top = t.ctypes.data, k - s
+        xa, ta, top = x.ctypes.data, t.ctypes.data, k - s
         for q0, q1 in _blocks(s, self.nb):
             w = self._u(top + q0, k + q0)
             _dgemm(c, q1 - q0, s - q0, -1.0, _rows(xa, c, top + q0), w, _rows(ta, c, q0))
-        return x, y, t
+        # numpy copies both operands of an in-place add into a view of step -1
+        return t[:: self.positions.step]
 
-    def backward(self, state: tuple, x_sep: np.ndarray) -> tuple:
-        """The arm's half of U x = y, given the separator's solution (C-ordered) in the arm's order.
+    def backward(self, state: tuple, r: np.ndarray) -> None:
+        """The arm's half of U x = y in the C-ordered block ``r``, which holds the separator's solution.
 
-        ``state`` is what ``forward`` returned; returns the part's and the
-        head's solutions.
+        ``state`` is what ``forward`` returned; the part's and the head's
+        solutions are written to their rows of ``r``.
         """
-        k, s, b = self.k, self.s, self.b
-        x, y, _ = state
-        c = x.shape[1]
+        k, s, b, c = self.k, self.s, self.b, r.shape[1]
+        x, y = state
+        x_sep = np.ascontiguousarray(r[_slice(self.positions[k:])])
         xa, sa, top = x.ctypes.data, x_sep.ctypes.data, k - s
         for q0, q1 in _blocks(s, self.nb):
             w = self._u(top + q0, k + q0)
@@ -438,43 +446,46 @@ class _Arm:
             _dtrsm(c, e - s0, self._u(s0, s0), xs, side=b"R", trans=b"T")
             if lo < s0:
                 _dgemm(c, s0 - lo, e - s0, -1.0, xs, self._u(lo, s0), _rows(xa, c, lo), trans_b=b"T")
+        r[_slice(self.positions[:k])] = x  # no copy where x is a view of r
         if self.head:
             h = len(self.head)
             _dgemm(h, c, h, -1.0, _at(self.w), _rows(xa, c, 0), _at(y), trans_b=b"T")
             _dtrsm(h, c, _at(self.l), _at(y), uplo=b"L", trans=b"T")
-        return x, y
+            r[_slice(self.head)] = y
 
 
 class BandCholesky:
     """Upper Cholesky factor of a band-ordered normal matrix; ``solve`` applies its inverse.
 
-    Built from the n x n normal matrix (CSR) in ``band_order``, its grid and
-    a cap ``max_gb`` on the factor's storage.  Below ``_SPLIT_SLABS`` slabs
-    the factor is one ``_Arm``, from there on two, with heads and separator
-    of h = s = 2m unknowns, m per slab, and half-bandwidth b = 2m.  Each
-    head's factor, stored as the lower L = U^T, sits in the unused top-left
-    triangle of its own arm's band storage.  The right arm is numbered from
-    the far end.  Once both arms are factored (``_run``), the separator's
-    block of the normal matrix is added to the left arm's update, then the
-    right arm's, always in that order, and ``dpotrf`` factors the sum in the
-    left arm's storage.  In the order (left arm, right arm, separator) the
-    factor is upper triangular; a solve gives each arm all of the block's
-    columns, so a column's bits do not depend on the number of workers.
+    Built from the n x n normal matrix (CSR) in ``band_order`` and its grid.
+    Below ``_SPLIT_SLABS`` slabs the factor is one ``_Arm``, from there on
+    two, with heads and separator of h = s = 2m unknowns, m per slab, and
+    half-bandwidth b = 2m.  Each head's factor, stored as the lower L =
+    U^T, sits in the unused top-left triangle of its own arm's band
+    storage.  The right arm is numbered from the far end.  Once both arms
+    are factored (``_run``), the separator's block of the normal matrix is
+    added to the left arm's update, then the right arm's, always in that
+    order, and ``dpotrf`` factors the sum in the left arm's storage.  In the
+    order (left arm, right arm, separator) the factor is upper triangular; a
+    solve gives each arm all of the block's columns, so a column's bits do
+    not depend on the number of workers.  A solve works in one copy of the
+    block: the left arm and the separator in place, the right arm, numbered
+    backwards, on a copy of its rows.
 
     The factor stores n - h band columns (the separator's once in each arm)
     of b + 1 entries over nb - 1 zeros, nb = min(``_BAND_BLOCK``, b), the
     heads' factors among them, and each arm's h x h coupling ``w`` (h = 0
     without the split).  A factor whose ``((b + nb) * (n - h) + 2 * h**2) *
-    8`` bytes exceed ``max_gb`` GB is refused with ValidationError before it
-    is allocated; a head, band part or separator that is not positive
-    definite, or a factor that does not fit in memory, raises SolverError,
-    whichever worker meets it.
+    8`` bytes exceed ``_MAX_FACTOR_GB`` GB is refused with ValidationError
+    before it is allocated; a head, band part or separator that is not
+    positive definite, or a factor that does not fit in memory, raises
+    SolverError, whichever worker meets it.
     """
 
-    def __init__(self, normal: sp.csr_matrix, geometry: CylinderGeometry, max_gb: float):
+    def __init__(self, normal: sp.csr_matrix, geometry: CylinderGeometry):
         try:
             with _one_blas_thread():
-                self._build(normal, geometry.nt * (geometry.nx_n + 1), max_gb)
+                self._build(normal, geometry.nt * (geometry.nx_n + 1))
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(
@@ -482,7 +493,7 @@ class BandCholesky:
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
-    def _build(self, normal: sp.csr_matrix, slab: int, max_gb: float) -> None:
+    def _build(self, normal: sp.csr_matrix, slab: int) -> None:
         """Lay the matrix out in arms of ``slab``-unknown x' slabs and factor it."""
         n = normal.shape[0]
         slabs = n // slab
@@ -500,10 +511,10 @@ class BandCholesky:
         # so b = s
         b = self.half_bandwidth = max(int((rows - cols).max()), h)
         factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 2 * h * h) * 8 / 1e9
-        if factor_gb > max_gb:
+        if factor_gb > _MAX_FACTOR_GB:
             raise ValidationError(
                 f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
-                f"(half-bandwidth {b}), above max_factor_gb = {max_gb!r}"
+                f"(half-bandwidth {b}), above the limit of {_MAX_FACTOR_GB:g} GB"
             )
         if s:
             start = (slabs - 2) // 2 * slab  # the separator's first unknown
@@ -543,25 +554,15 @@ class BandCholesky:
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the inverse to the columns of an n x k block, any k; C-ordered result."""
         with _one_blas_thread():
-            states = _run([functools.partial(arm.forward, r) for arm in self.arms])
-            x = np.empty(r.shape)
+            x = np.array(r, dtype=np.float64, order="C")
+            states = _run([functools.partial(arm.forward, x) for arm in self.arms])
             sep = _slice(self.sep)
-            x[sep] = r[sep]
-            for arm, (_, _, t) in zip(self.arms, states):
-                x[_slice(arm.positions[arm.k :])] += t
+            for arm, (part, _) in zip(self.arms, states):
+                x[sep] += arm.update(part)
             if len(self.sep):
                 xs = x[sep]  # a view: the solves run in place
                 s, c = xs.shape
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R")
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R", trans=b"T")
-            tasks = [
-                functools.partial(
-                    arm.backward, state, np.ascontiguousarray(x[_slice(arm.positions[arm.k :])])
-                )
-                for arm, state in zip(self.arms, states)
-            ]
-            for arm, (part, y) in zip(self.arms, _run(tasks)):
-                x[_slice(arm.positions[: arm.k])] = part
-                if arm.head:
-                    x[_slice(arm.head)] = y
+            _run([functools.partial(arm.backward, state, x) for arm, state in zip(self.arms, states)])
             return x

@@ -628,6 +628,6 @@ def discrete_norms(
     for p in pieces:
         q = p[(slice(None), *sels)]
         terms = w * q * q
-        # one row per field: each row is summed as np.sum sums that field alone
-        totals += terms.reshape(len(stack), -1).sum(axis=1)
+        # one row of w.size terms per field (also for no fields), summed as np.sum sums it alone
+        totals += terms.reshape(len(stack), w.size).sum(axis=1)
     return [math.sqrt(total) for total in totals]

@@ -507,6 +507,8 @@ def compute_data_functionals(bundles: list[BoundaryBundle]) -> list[float]:
     The bundles must share one grid; each value carries the bits of its
     bundle's functional alone, since ``discrete_norms`` keeps each field's.
     """
+    if not bundles:
+        return []
     first = bundles[0].traces[0]
     if any(bundle.traces[0].geometry != first.geometry for bundle in bundles):
         raise ValidationError("the bundles of one data functional stack lie on different grids")

@@ -131,13 +131,11 @@ class Regularization:
 
     ``tikhonov_weight`` is the classical penalty on f and on grad(u);
     ``carleman_s`` switches the PDE rows to the weighted misfit (0 keeps the
-    plain Tikhonov formulation); ``max_factor_gb`` caps the factor's
-    storage, band, separator and heads, in GB (1e9 bytes).
+    plain Tikhonov formulation).
     """
 
     tikhonov_weight: float
     carleman_s: float = 0.0
-    max_factor_gb: float = 4.0
 
     def __post_init__(self):
         if not (self.tikhonov_weight > 0 and math.isfinite(self.tikhonov_weight)):
@@ -146,8 +144,6 @@ class Regularization:
             )
         if not (self.carleman_s >= 0 and math.isfinite(self.carleman_s)):
             raise ValidationError(f"carleman_s must be nonnegative, got {self.carleman_s!r}")
-        if not self.max_factor_gb > 0:
-            raise ValidationError(f"max_factor_gb must be positive, got {self.max_factor_gb!r}")
 
 
 # weight of the data-side Cauchy rows and of the zero-trace rows at x_n = 0
@@ -309,8 +305,8 @@ class LateralOperator:
     solutions all live in band order and the solvers map the result back.
     Of the scaled matrix it keeps only the transpose of its Cauchy rows, the
     one part a right-hand side reads; it drops the assembled and the scaled
-    matrix before the factorization runs.  A grid whose factor exceeds
-    ``reg.max_factor_gb`` is refused with ValidationError before anything is
+    matrix before the factorization runs.  A grid whose factor exceeds the
+    factor's size limit is refused with ValidationError before anything is
     allocated, and a factorization that fails raises SolverError.
     """
 
@@ -340,7 +336,7 @@ class LateralOperator:
         self._normal = (a.T @ a).tocsr()
         self._cauchy_t = a[cauchy].T
         del a
-        self._factor = factor.BandCholesky(self._normal, geometry, reg.max_factor_gb)
+        self._factor = factor.BandCholesky(self._normal, geometry)
 
     def _rhs(self, bundles: list[BoundaryBundle]) -> np.ndarray:
         """A^T b per bundle, as the columns of a C-ordered n x k block; b is zero off the Cauchy rows."""

@@ -174,7 +174,6 @@ def test_solver_defaults_fill_in(tmp_path):
     reg = loaded.regularization()
     assert reg.tikhonov_weight == 1e-6
     assert reg.carleman_s == 0.0
-    assert reg.max_factor_gb == 4.0
 
 
 def test_verify_settings_merge_defaults(tmp_path):
@@ -835,13 +834,26 @@ def test_exit_1_when_the_band_factor_exceeds_max_factor_gb(tmp_path, monkeypatch
         raise AssertionError("factored a grid above the size limit")
 
     monkeypatch.setattr(factor_module, "_dpbtrf", refuse)
-    cfg = base_config(tmp_path / "out")
-    cfg["solver"]["max_factor_gb"] = 1e-3
-    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(factor_module, "_MAX_FACTOR_GB", 1e-3)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli("--config", path, "--command", "reconstruct") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the band factor of the ")
-    assert "GB" in err and "max_factor_gb = 0.001" in err
+    assert re.search(r"needs [\d.]+ GB \(half-bandwidth \d+\), above the limit of 0\.001 GB$", err)
+    assert not (tmp_path / "out" / "reconstruction.npz").exists()
+
+
+def test_exit_1_on_the_retired_max_factor_gb_key(tmp_path, capsys):
+    # the factor's size limit is a constant of the factor, no longer a setting
+    cfg = base_config(tmp_path / "out")
+    cfg["solver"]["max_factor_gb"] = 8.0
+    path = write_config(tmp_path, cfg)
+    assert cli("--config", path, "--command", "reconstruct") == 1
+    assert capsys.readouterr().err == (
+        "error: config rejected at solver: Additional properties are not allowed "
+        "('max_factor_gb' was unexpected)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_on_cg_breakdown_in_a_sweep(tmp_path, monkeypatch, capsys):

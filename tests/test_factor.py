@@ -5,6 +5,8 @@ half-bandwidth two slabs, which every layout factors exactly and whose
 condition number is small enough that a dense solve agrees to 1e-12.
 """
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -62,7 +64,8 @@ def test_blocked_solve_matches_lapack(n, b, k, seed):
     arm.factor(None)
     assert np.array_equal(arm.ab[: b + 1], cb)
     r = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, k)))
-    got, _ = arm.backward(arm.forward(r), np.zeros((0, k)))
+    got = r.copy(order="C")  # the passes work in place in a C-ordered block
+    arm.backward(arm.forward(got), got)
     want = cho_solve_banded((cb, False), r)
     assert got.shape == (n, k)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -73,13 +76,36 @@ def test_band_cholesky_solves_a_band_in_either_layout(slabs):
     # one arm below ten slabs, two arms and a separator from ten on
     g = _grid(slabs)
     normal = _band_matrix(g, seed=slabs)
-    chol = factor.BandCholesky(normal, g, max_gb=1.0)
+    chol = factor.BandCholesky(normal, g)
     assert chol.half_bandwidth == 60
     assert len(chol.arms) == (2 if slabs >= factor._SPLIT_SLABS else 1)
     r = np.asfortranarray(np.random.default_rng(slabs).standard_normal((normal.shape[0], 3)))
     got = chol.solve(r)
     want = np.linalg.solve(normal.toarray(), r)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_both_workers_solve_in_one_block_without_lost_writes(monkeypatch):
+    # the arms write their own rows of one shared block at once; with thread
+    # switches forced every microsecond, repeated solves keep every bit and
+    # leave the right-hand sides as they were
+    monkeypatch.setattr(factor, "_workers", lambda: 2)
+    g = _grid(13)
+    normal = _band_matrix(g, seed=4)
+    r = np.random.default_rng(4).standard_normal((normal.shape[0], 5))
+    untouched = r.copy()
+    chol = factor.BandCholesky(normal, g)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first = chol.solve(r)
+        for _ in range(20):
+            assert np.array_equal(chol.solve(r), first)
+    finally:
+        sys.setswitchinterval(before)
+    assert np.array_equal(r, untouched)
+    want = np.linalg.solve(normal.toarray(), r)
+    assert np.linalg.norm(first - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +124,7 @@ def test_a_factor_that_is_not_positive_definite_raises_solver_error(slabs, negat
     else:
         # the heads and both arms stay positive definite, so only the
         # separator's own factorization can fail
-        sep = list(factor.BandCholesky(normal, g, max_gb=1.0).sep)
+        sep = list(factor.BandCholesky(normal, g).sep)
         flip = np.zeros(n)
         flip[sep] = -2.0 * normal.diagonal()[sep]
         normal = (normal + sp.diags(flip)).tocsr()
@@ -106,7 +132,7 @@ def test_a_factor_that_is_not_positive_definite_raises_solver_error(slabs, negat
         SolverError,
         match=rf"^factorization of the {n}-unknown normal matrix failed \(LinAlgError: {message}\)$",
     ):
-        factor.BandCholesky(normal, g, max_gb=1.0)
+        factor.BandCholesky(normal, g)
 
 
 def test_the_capsule_binding_factors_and_solves_to_the_same_bits(monkeypatch):
@@ -116,7 +142,7 @@ def test_the_capsule_binding_factors_and_solves_to_the_same_bits(monkeypatch):
     g = _grid(10)
     normal = _band_matrix(g, seed=2)
     r = np.random.default_rng(2).standard_normal((normal.shape[0], 3))
-    vendored = factor.BandCholesky(normal, g, max_gb=1.0)
+    vendored = factor.BandCholesky(normal, g)
     get, put = factor._openblas_threads()
     read = []
 
@@ -131,7 +157,7 @@ def test_the_capsule_binding_factors_and_solves_to_the_same_bits(monkeypatch):
         factor._openblas_threads.cache_clear()
         monkeypatch.setattr(factor, "_openblas", lambda: None)
         monkeypatch.setattr(factor, "_capsule", capsule)
-        chol = factor.BandCholesky(normal, g, max_gb=1.0)
+        chol = factor.BandCholesky(normal, g)
         got = chol.solve(r)
         assert factor._openblas_threads() is None
     finally:
@@ -175,7 +201,7 @@ def test_the_factor_and_its_solves_run_on_one_blas_thread(monkeypatch):
     before = get()
     put(2)
     try:
-        chol = factor.BandCholesky(normal, g, max_gb=1.0)
+        chol = factor.BandCholesky(normal, g)
         assert get() == 2
         chol.solve(np.ones((normal.shape[0], 2), order="F"))
         assert get() == 2

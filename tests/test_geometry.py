@@ -395,6 +395,7 @@ def test_stacked_norms_carry_the_bits_of_each_field_alone(region):
     for norm in NormKind:
         alone = [discrete_norm(ScalarField(g, a, kind), region, norm) for a in stack]
         assert discrete_norms(g, kind, stack, region, norm) == alone
+        assert discrete_norms(g, kind, stack[:0], region, norm) == []
     with pytest.raises(ValidationError, match="does not hold fields of shape"):
         discrete_norms(g, FieldKind.SPACE_ONLY, stack)
 

@@ -240,6 +240,7 @@ def test_stacked_data_functionals_carry_each_bundles_own_bits(worked_geometry, q
     stacked = compute_data_functionals(bundles)
     assert stacked == [compute_data_functional(bundle) for bundle in bundles]
     assert stacked[1] == quartic_instance.d_of_u and stacked[2] == 0.0
+    assert compute_data_functionals([]) == []
 
 
 def test_stacked_data_functionals_refuse_bundles_of_two_grids(worked_geometry, quartic_instance):

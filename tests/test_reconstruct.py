@@ -193,7 +193,6 @@ def test_oracle_rejects_bad_inputs(worked_geometry, quartic_instance, small_inst
         ({"tikhonov_weight": 1e-8, "carleman_s": -1.0}, "carleman_s"),
         ({"tikhonov_weight": math.inf}, "tikhonov_weight"),
         ({"tikhonov_weight": 1e-8, "carleman_s": math.nan}, "carleman_s"),
-        ({"tikhonov_weight": 1e-8, "max_factor_gb": 0.0}, "max_factor_gb"),
     ],
 )
 def test_regularization_rejects_bad_parameters(kwargs, message):
@@ -333,10 +332,10 @@ def test_column_dots_give_a_column_the_same_bits_at_any_width(n):
 
 
 def test_a_block_solve_keeps_fewer_than_three_blocks(small_instance, small_operator):
-    # the factor's output and its arms' copies come to about 2.3 blocks of
-    # the right-hand sides' size; the residual is then formed a slice at a
-    # time in place of its product, where N y whole beside y and rhs - N y
-    # reached 3 blocks
+    # the factor's output and its right arm's copy of its rows come to under
+    # two blocks of the right-hand sides' size; the residual is then formed a
+    # slice at a time in place of its product, where N y whole beside y and
+    # rhs - N y reached 3 blocks
     k = reconstruct._SOLVE_BLOCK
     rhs = small_operator._rhs([add_noise(small_instance.data, 0.01, seed=i) for i in range(k)])
     tracemalloc.start()
@@ -346,6 +345,22 @@ def test_a_block_solve_keeps_fewer_than_three_blocks(small_instance, small_opera
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * rhs.nbytes
+
+
+def test_the_factor_solves_into_one_block(small_instance, small_operator):
+    # the solve copies the right-hand sides once and works in that copy: the
+    # left arm and the separator in place, the right arm on a copy of its own
+    # rows, so it traces under two blocks (an output block beside a copy of
+    # each arm's rows reached 2.2)
+    k = reconstruct._SOLVE_BLOCK
+    rhs = small_operator._rhs([add_noise(small_instance.data, 0.01, seed=i) for i in range(k)])
+    tracemalloc.start()
+    try:
+        small_operator._factor.solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.95 * rhs.nbytes
 
 
 def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
@@ -395,7 +410,7 @@ def test_one_application_of_the_factor_solves_the_normal_equations(
 class _DenseCholesky:
     """A dense Cholesky factor with the interface of ``factor.BandCholesky``."""
 
-    def __init__(self, normal, geometry, max_gb):
+    def __init__(self, normal, geometry):
         self.cho = scipy.linalg.cho_factor(normal.toarray())
 
     def solve(self, block):
@@ -592,8 +607,9 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
 
     monkeypatch.setattr(factor, "_dpbtrf", refuse)
     monkeypatch.setattr(factor, "_dpotrf", refuse)
+    monkeypatch.setattr(factor, "_MAX_FACTOR_GB", 1e-3)
     inst = small_instance
-    reg = Regularization(tikhonov_weight=1e-8, max_factor_gb=1e-3)
+    reg = Regularization(tikhonov_weight=1e-8)
     # 2,028 unknowns, heads of 2 * 13 * 12 = 312 whose factors sit in their
     # arms' band storage beside their two 312 x 312 couplings, a band of the
     # other 1,404 at half-bandwidth 312 whose separator of 312 both arms
@@ -605,9 +621,9 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
 
 @pytest.mark.parametrize("nx_prime", [None, 9], ids=["split", "one-arm"])
 def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
-    quartic_recipe, small_operator, sweep_reg, nx_prime
+    quartic_recipe, small_operator, sweep_reg, nx_prime, monkeypatch
 ):
-    # a factor is built at a max_gb of exactly the bytes of its arms' band
+    # a factor is built at a limit of exactly the bytes of its arms' band
     # storage and couplings, and refused at 8 bytes fewer
     op = small_operator
     if nx_prime is not None:
@@ -620,9 +636,11 @@ def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
     arms = op._factor.arms
     assert len(arms) == (1 if nx_prime else 2)
     kept = sum(arm.ab.nbytes + (arm.w.nbytes if arm.head else 0) for arm in arms)
-    factor.BandCholesky(op._normal, op.geometry, max_gb=kept / 1e9)
+    monkeypatch.setattr(factor, "_MAX_FACTOR_GB", kept / 1e9)
+    factor.BandCholesky(op._normal, op.geometry)
+    monkeypatch.setattr(factor, "_MAX_FACTOR_GB", (kept - 8) / 1e9)
     with pytest.raises(ValidationError, match=r"needs .* GB \(half-bandwidth \d+\)"):
-        factor.BandCholesky(op._normal, op.geometry, max_gb=(kept - 8) / 1e9)
+        factor.BandCholesky(op._normal, op.geometry)
 
 
 def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instance):
