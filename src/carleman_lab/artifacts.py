@@ -1,13 +1,11 @@
-"""Two of the three artifact formats the commands write, and their loaders.
+"""The text format and the archive the commands write, and their loaders.
 
-* Table CSV: one header line, one line per row with floats in ``repr`` form
-  (rereading reproduces them bit for bit), then a ``key=value`` footer
-  block; LF line endings on every platform.
+* Table: one header line, one line per row with floats in ``repr`` form
+  (rereading reproduces them bit for bit), then a ``key = value`` footer
+  block; LF line endings on every platform.  The CSVs are tables with
+  rows; ``plan.txt`` is one with no rows (``weight.plan_report``).
 * Archive: a ``.npz`` of little-endian float64 arrays plus a ``meta``
   member holding a JSON document.
-
-The third is ``plan.txt``: ``key = value`` lines, written by
-``weight.plan_report`` and read by ``weight.load_plan_record``.
 
 The loaders raise ValidationError on any input they cannot read; only a
 failure to read the file itself escapes as OSError.
@@ -27,51 +25,62 @@ from .errors import ValidationError
 __all__ = [
     "write_table_csv",
     "load_table_csv",
-    "parse_float",
     "save_archive",
     "load_archive",
 ]
 
+def _text(value) -> str:
+    """A cell or footer value as written: a float in ``repr`` form, anything else by ``str``."""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
-def parse_float(text: str, what: str) -> float:
-    """``float(text)``, raising ValidationError that names ``what``."""
+
+def _parse(text: str, kind: type, what: str):
+    """``text`` as a float, int, bool or str, raising ValidationError that names ``what``."""
     try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"{what} is not a number: {text!r}") from None
+        return {"True": True, "False": False}[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        expected = {float: "a number", int: "an integer", bool: "True or False"}[kind]
+        raise ValidationError(f"{what} is not {expected}: {text!r}") from None
 
 
-def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, str]) -> None:
-    """CSV with repr floats and a key=value footer block, LF endings.
+def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, object]) -> None:
+    """Write a table: the header, rows of repr floats and a ``key = value`` footer, LF endings.
 
-    An empty footer key, a key holding ``=``, or a key or value holding
-    ``,`` or a line break, would not read back as that entry, so it raises
-    ValidationError before anything is written.
+    Footer values are written as cells are.  An empty footer key, a key
+    holding ``=``, a key or value holding ``,`` or a line break, or one with
+    whitespace at either end, would not read back as that entry, so it
+    raises ValidationError before anything is written.
     """
+    footer = {key: _text(value) for key, value in footer.items()}
     for key, value in footer.items():
-        if not key or "=" in key or any(c in f"{key}{value}" for c in ",\n\r"):
+        stripped = key == key.strip() and value == value.strip()
+        if not (key and stripped) or "=" in key or any(c in key + value for c in ",\n\r"):
             raise ValidationError(f"footer entry {key!r}: {value!r} would not read back")
     stream.write(header + "\n")
     for row in rows:
-        cells = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
-        stream.write(",".join(cells) + "\n")
+        stream.write(",".join(map(_text, row)) + "\n")
     for key, value in footer.items():
-        stream.write(f"{key}={value}\n")
+        stream.write(f"{key} = {value}\n")
 
 
-def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], dict]:
-    """Parse a table CSV back into float rows plus the footer mapping.
+def load_table_csv(
+    stream: IO[str], expected_header: str, types: Mapping[str, type] | None = None
+) -> tuple[list[tuple], dict]:
+    """Parse a table back into float rows plus the footer mapping, keys and values stripped.
 
-    A footer line without a key, a repeated footer key and a table row after
-    the footer raise ValidationError naming the line.
+    Each key of ``types`` must be in the footer, its value parsed as that
+    type (float, int, bool or str); other values stay strings.  A footer
+    line without a key or with a repeated one, a row after the footer, a
+    missing typed key and a typed value that does not parse raise
+    ValidationError.
     """
     try:
         lines = stream.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"CSV is not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"table is not UTF-8 text: {exc}") from exc
     header = lines[0].strip()
     if header != expected_header:
-        raise ValidationError(f"unexpected CSV header {header!r}")
+        raise ValidationError(f"unexpected table header {header!r}")
     ncols = len(expected_header.split(","))
     rows: list[tuple] = []
     footer: dict = {}
@@ -80,19 +89,23 @@ def load_table_csv(stream: IO[str], expected_header: str) -> tuple[list[tuple], 
         if not line:
             continue
         if "=" in line and "," not in line:
-            key, _, value = line.partition("=")
+            key, value = (part.strip() for part in line.split("=", 1))
             if not key:
-                raise ValidationError(f"CSV footer line {line!r} has no key")
+                raise ValidationError(f"footer line {line!r} has no key")
             if key in footer:
-                raise ValidationError(f"CSV footer line {line!r} repeats the key {key!r}")
+                raise ValidationError(f"footer line {line!r} repeats the key {key!r}")
             footer[key] = value
             continue
         if footer:
-            raise ValidationError(f"CSV row {line!r} comes after the footer")
+            raise ValidationError(f"table row {line!r} comes after the footer")
         parts = line.split(",")
         if len(parts) != ncols:
-            raise ValidationError(f"malformed CSV row {line!r}")
-        rows.append(tuple(parse_float(p, f"cell of CSV row {line!r}") for p in parts))
+            raise ValidationError(f"malformed table row {line!r}")
+        rows.append(tuple(_parse(p, float, f"cell of table row {line!r}") for p in parts))
+    for key, kind in (types or {}).items():
+        if key not in footer:
+            raise ValidationError(f"footer lacks the key {key!r}")
+        footer[key] = _parse(footer[key], kind, f"footer value {key}")
     return rows, footer
 
 

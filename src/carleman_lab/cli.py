@@ -388,12 +388,9 @@ class _Pipeline:
 
 def _cmd_plan(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     plan = pipe.plan
-    text = plan_report(plan)
-    for key, value in _stamp(pipe.cfg).items():
-        text += f"{key} = {value}\n"
     path = out_dir / "plan.txt"
     with path.open("w", newline="") as fh:
-        fh.write(text)
+        fh.write(plan_report(plan, _stamp(pipe.cfg)))
     _say(
         quiet,
         f"plan: beta={plan.beta!r} alpha={plan.alpha!r} "
@@ -415,10 +412,10 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     ]
     smin = "none" if report.s_min_emp is None else repr(report.s_min_emp)
     footer = {
-        "c_emp": repr(report.c_emp),
+        "c_emp": report.c_emp,
         "s_min_emp": smin,
-        "c_cap": repr(report.c_cap),
-        "corpus_size": str(report.corpus_size),
+        "c_cap": report.c_cap,
+        "corpus_size": report.corpus_size,
         "geometry": report.geometry_fingerprint,
         **_stamp(cfg),
     }
@@ -441,8 +438,8 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
             in_window += 1
         ident_rows.append((i, rc, rf, ratio))
     ident_footer = {
-        "in_window": str(in_window),
-        "members": str(len(ident_rows)),
+        "in_window": in_window,
+        "members": len(ident_rows),
         "geometry": coarse.fingerprint(),
         "geometry_fine": fine.fingerprint(),
         **_stamp(cfg),
@@ -501,7 +498,7 @@ def _cmd_sweep(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     # the levels are checked before the operator is factored
     levels = cfg.noise_levels()
     report = stability_sweep(pipe.instance, levels, pipe.operator, seed=seed)
-    footer = {"seed": str(seed), **_stamp(cfg)}
+    footer = {"seed": seed, **_stamp(cfg)}
     path = out_dir / "sweep.csv"
     with path.open("w", newline="") as fh:
         write_sweep_csv(report, fh, footer=footer)

@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 
     from .geometry import CylinderGeometry
 
-__all__ = ["band_order", "BandCholesky"]
+__all__ = ["band_order", "check_size", "BandCholesky"]
 
 
 def band_order(geometry: CylinderGeometry) -> np.ndarray:
@@ -72,8 +72,28 @@ _BAND_BLOCK = 48
 # x' slabs from which the factor has heads, two arms and a separator: each
 # arm then keeps its head and at least the two band slabs the head couples with
 _SPLIT_SLABS = 10
-# largest factor ((b + nb) * (n - h) + 2 * h**2) * 8 bytes, in GB, that BandCholesky allocates
+# largest factor, in GB, that BandCholesky allocates (see check_size)
 _MAX_FACTOR_GB = 4.0
+
+
+def check_size(geometry: CylinderGeometry, b: int | None = None) -> None:
+    """Refuse with ValidationError a factor on ``geometry`` above ``_MAX_FACTOR_GB`` GB.
+
+    The factor keeps ((b + nb) * (n - h) + 2 * h**2) doubles (see
+    ``BandCholesky``).  Without its half-bandwidth b, the grid alone gives
+    b = 2m, m unknowns per x' slab: exact from ``_SPLIT_SLABS`` slabs on, a
+    lower bound below, where b is about 3m.
+    """
+    m = geometry.nt * (geometry.nx_n + 1)
+    n = geometry.nx_prime * m
+    h = 2 * m if geometry.nx_prime >= _SPLIT_SLABS else 0
+    b = 2 * m if b is None else b
+    factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 2 * h * h) * 8 / 1e9
+    if factor_gb > _MAX_FACTOR_GB:
+        raise ValidationError(
+            f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
+            f"(half-bandwidth {b}), above the limit of {_MAX_FACTOR_GB:g} GB"
+        )
 
 
 @functools.cache
@@ -475,17 +495,16 @@ class BandCholesky:
     The factor stores n - h band columns (the separator's once in each arm)
     of b + 1 entries over nb - 1 zeros, nb = min(``_BAND_BLOCK``, b), the
     heads' factors among them, and each arm's h x h coupling ``w`` (h = 0
-    without the split).  A factor whose ``((b + nb) * (n - h) + 2 * h**2) *
-    8`` bytes exceed ``_MAX_FACTOR_GB`` GB is refused with ValidationError
-    before it is allocated; a head, band part or separator that is not
-    positive definite, or a factor that does not fit in memory, raises
-    SolverError, whichever worker meets it.
+    without the split).  A factor above ``_MAX_FACTOR_GB`` GB is refused by
+    ``check_size`` before it is allocated; a head, band part or separator
+    that is not positive definite, or a factor that does not fit in memory,
+    raises SolverError, whichever worker meets it.
     """
 
     def __init__(self, normal: sp.csr_matrix, geometry: CylinderGeometry):
         try:
             with _one_blas_thread():
-                self._build(normal, geometry.nt * (geometry.nx_n + 1))
+                self._build(normal, geometry)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             # LAPACK reports a matrix that is not positive definite as LinAlgError
             raise SolverError(
@@ -493,12 +512,12 @@ class BandCholesky:
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
-    def _build(self, normal: sp.csr_matrix, slab: int) -> None:
-        """Lay the matrix out in arms of ``slab``-unknown x' slabs and factor it."""
+    def _build(self, normal: sp.csr_matrix, geometry: CylinderGeometry) -> None:
+        """Lay the matrix out in arms of x' slabs and factor it."""
+        slab = geometry.nt * (geometry.nx_n + 1)
         n = normal.shape[0]
-        slabs = n // slab
         # the heads and the separator are two slabs each and come only together
-        h = s = 2 * slab if slabs >= _SPLIT_SLABS else 0
+        h = s = 2 * slab if geometry.nx_prime >= _SPLIT_SLABS else 0
         # the band's lower triangle by rows is its upper triangle by columns
         sub = normal[h : n - h]
         rows = np.repeat(np.arange(h, n - h), np.diff(sub.indptr))
@@ -510,14 +529,9 @@ class BandCholesky:
         # needs b >= h; the stencils reach exactly two slabs between the heads,
         # so b = s
         b = self.half_bandwidth = max(int((rows - cols).max()), h)
-        factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 2 * h * h) * 8 / 1e9
-        if factor_gb > _MAX_FACTOR_GB:
-            raise ValidationError(
-                f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
-                f"(half-bandwidth {b}), above the limit of {_MAX_FACTOR_GB:g} GB"
-            )
+        check_size(geometry, b)
         if s:
-            start = (slabs - 2) // 2 * slab  # the separator's first unknown
+            start = (geometry.nx_prime - 2) // 2 * slab  # the separator's first unknown
             self.arms = [
                 _Arm(range(h, start + s), s, b, range(h)),
                 _Arm(range(n - h - 1, start - 1, -1), s, b, range(n - 1, n - h - 1, -1)),

@@ -36,7 +36,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import factor
-from .artifacts import load_table_csv, parse_float, write_table_csv
+from .artifacts import load_table_csv, write_table_csv
 from .errors import SolverError, ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -257,9 +257,8 @@ def _lateral_matrix(
 # every CPU count, since the blocked triangular solves round differently at
 # another width: against blocks of 16, that 161-level sweep.csv keeps its
 # noise and D_u bytes, and its error columns move by at most 7.5e-8
-# relative.  Its peak RSS (perfbench sweep_dense, one BLAS thread) went
-# from 125.5 to 127.7 MB, with the residual formed in slices and only f_hat
-# kept per block
+# relative.  The residual is formed in slices and only f_hat is kept per
+# block, so a wider block adds little to the peak RSS
 _SOLVE_BLOCK = 48
 # columns of the residual N x formed at a time, so a block's check adds two
 # n x 16 arrays beside the right-hand sides and the solutions
@@ -307,7 +306,7 @@ class LateralOperator:
     one part a right-hand side reads; it drops the assembled and the scaled
     matrix before the factorization runs.  A grid whose factor exceeds the
     factor's size limit is refused with ValidationError before anything is
-    allocated, and a factorization that fails raises SolverError.
+    assembled, and a factorization that fails raises SolverError.
     """
 
     def __init__(
@@ -325,6 +324,7 @@ class LateralOperator:
         self.p0 = p0
         self.R = R
         self.reg = reg
+        factor.check_size(geometry)
         a, cauchy, self._cauchy_w = _lateral_matrix(geometry, plan, p0, R, reg)
         self._band_pos = factor.band_order(geometry)
         a = sp.csr_matrix((a.data, self._band_pos[a.indices], a.indptr), shape=a.shape)
@@ -611,17 +611,15 @@ _CSV_HEADER = "noise,D_u,err_region,err_global"
 
 
 def write_sweep_csv(
-    report: SweepReport, stream: IO[str], footer: Mapping[str, str] | None = None
+    report: SweepReport, stream: IO[str], footer: Mapping[str, object] | None = None
 ) -> None:
     """Emit the sweep as a table CSV whose footer opens with ``theta_emp``."""
     rows = [astuple(row) for row in report.rows]
-    footer = {"theta_emp": repr(report.theta_emp), **(footer or {})}
+    footer = {"theta_emp": report.theta_emp, **(footer or {})}
     write_table_csv(stream, _CSV_HEADER, rows, footer)
 
 
 def load_sweep_csv(stream: IO[str]) -> tuple[list[SweepRow], dict]:
-    """Parse a sweep CSV back into rows plus the footer mapping."""
-    rows, footer = load_table_csv(stream, _CSV_HEADER)
-    if "theta_emp" in footer:
-        footer["theta_emp"] = parse_float(footer["theta_emp"], "theta_emp")
+    """Parse a sweep CSV back into rows plus the footer mapping, whose ``theta_emp`` is required."""
+    rows, footer = load_table_csv(stream, _CSV_HEADER, {"theta_emp": float})
     return [SweepRow(*row) for row in rows], footer

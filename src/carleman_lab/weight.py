@@ -21,13 +21,15 @@ one-step refinement moves a tabulated level by more than 1 percent.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from .artifacts import parse_float
+from .artifacts import load_table_csv, write_table_csv
 from .errors import ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -392,7 +394,7 @@ def decay_integral(plan: WeightPlan, s: float, geometry: CylinderGeometry | None
 # ---- serialization -----------------------------------------------------------
 
 _REPORT_HEADER = "carleman weight plan v1"
-# every key of the report, in its order, with the type it is written and read as
+# every key of the report, in its order, with the type it is read back as
 _REPORT_KEYS = {
     "geometry": str,
     "gamma_side": str,
@@ -407,51 +409,24 @@ _REPORT_KEYS = {
 }
 
 
-def plan_report(plan: WeightPlan) -> str:
-    """Serialize a plan as a key = value report; floats use repr round-trips."""
+def plan_report(plan: WeightPlan, stamp: Mapping[str, str]) -> str:
+    """The plan as a table of no rows whose footer holds its scalars, then ``stamp``."""
     g = plan.geometry
     values = {**vars(g), **vars(plan)}
     values.update(geometry=g.fingerprint(), gamma_side=g.gamma_side.value)
-    lines = [_REPORT_HEADER]
-    for key, kind in _REPORT_KEYS.items():
-        val = values[key]
-        lines.append(f"{key} = {val!r}" if kind is float else f"{key} = {val}")
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    write_table_csv(text, _REPORT_HEADER, [], {**{k: values[k] for k in _REPORT_KEYS}, **stamp})
+    return text.getvalue()
 
 
 def load_plan_record(text: str) -> dict:
     """Parse a plan report back into a dict of scalars (inverse of plan_report).
 
-    Each key of the report is parsed as the type it was written as, and a
-    value that does not parse, a missing key or a repeated one raises
-    ValidationError.  Other keys stay strings, so callers may append extra
-    bookkeeping lines (hashes, version tags) without breaking the round trip.
+    Each key of the report is parsed as its type, and a value that does not
+    parse, a missing key, a repeated one or a table row raises
+    ValidationError.  Other keys, the stamp's among them, stay strings.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _REPORT_HEADER:
-        raise ValidationError("not a weight plan report (bad header line)")
-    out: dict = {}
-    for ln in lines[1:]:
-        if " = " not in ln:
-            raise ValidationError(f"malformed plan report line: {ln!r}")
-        key, _, raw = ln.partition(" = ")
-        if key in out:
-            raise ValidationError(f"plan report repeats the key {key!r}")
-        kind = _REPORT_KEYS.get(key, str)
-        if kind is float:
-            out[key] = parse_float(raw, f"plan report value {key}")
-        elif kind is int:
-            try:
-                out[key] = int(raw)
-            except ValueError:
-                raise ValidationError(f"malformed plan report line: {ln!r}") from None
-        elif kind is bool:
-            if raw not in ("True", "False"):
-                raise ValidationError(f"malformed plan report line: {ln!r}")
-            out[key] = raw == "True"
-        else:
-            out[key] = raw
-    missing = [key for key in _REPORT_KEYS if key not in out]
-    if missing:
-        raise ValidationError(f"plan report lacks the key {missing[0]!r}")
-    return out
+    rows, record = load_table_csv(io.StringIO(text), _REPORT_HEADER, _REPORT_KEYS)
+    if rows:
+        raise ValidationError(f"a plan report has no table rows, not {rows[0]!r}")
+    return record

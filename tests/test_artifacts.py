@@ -92,6 +92,9 @@ def test_table_csv_round_trips(rows, footer):
     write_table_csv(buf, CARLEMAN_CSV_HEADER, rows, footer)
     buf.seek(0)
     assert load_table_csv(buf, CARLEMAN_CSV_HEADER) == (rows, footer)
+    # a table written before the footers were spaced, as key=value, loads the same
+    unspaced = io.StringIO(buf.getvalue().replace(" = ", "="))
+    assert load_table_csv(unspaced, CARLEMAN_CSV_HEADER) == (rows, footer)
 
 
 @ROUND_TRIP
@@ -135,7 +138,11 @@ def test_damaged_sweep_csv_loads_or_is_rejected(spec):
 
 @pytest.mark.parametrize(
     "footer",
-    [{"note": "x,y"}, {"note": "x\ny"}, {"note": "x\ry"}, {"a,b": "1"}, {"a=b": "1"}, {"": "x"}],
+    [
+        {"note": "x,y"}, {"note": "x\ny"}, {"note": "x\ry"}, {"a,b": "1"}, {"a=b": "1"}, {"": "x"},
+        # these two were written, and read back as {'k': 'v'}
+        {"k": "v "}, {" k": "v"},
+    ],
 )
 def test_footer_that_would_not_read_back_is_refused(footer):
     buf = io.StringIO()
@@ -149,6 +156,9 @@ def test_bad_cells_and_bad_theta_are_rejected():
         load_table_csv(io.StringIO(TABLE.replace("0.125", "0.1x5")), CARLEMAN_CSV_HEADER)
     with pytest.raises(ValidationError, match="theta_emp"):
         load_sweep_csv(io.StringIO(SWEEP.replace("theta_emp=0.75", "theta_emp=oops")))
+    # a sweep without theta_emp loaded, and footer["theta_emp"] then raised KeyError
+    with pytest.raises(ValidationError, match="footer lacks the key 'theta_emp'"):
+        load_sweep_csv(io.StringIO(SWEEP.replace("theta_emp=0.75\n", "")))
 
 
 @pytest.mark.parametrize(
@@ -252,7 +262,8 @@ def test_a_missing_archive_stays_an_os_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def plan_text():
-    return plan_report(plan_parameters(TINY, (0.5, 1.0), delta0=0.5, lam=1.0, margin=1.1))
+    plan = plan_parameters(TINY, (0.5, 1.0), delta0=0.5, lam=1.0, margin=1.1)
+    return plan_report(plan, {"config_hash": "abc", "version": "0.1.0"})
 
 
 @settings(FUZZ, max_examples=150)  # enough to hit the three integer lines
@@ -272,20 +283,21 @@ def test_damaged_plan_record_loads_or_is_rejected(plan_text, data):
     [("nx_prime = 9", "nx_prime = x"), ("include_far_face = True", "include_far_face = Ture")],
 )
 def test_plan_record_rejects_a_malformed_count_or_flag(plan_text, line, junk):
-    with pytest.raises(ValidationError, match="malformed plan report line"):
+    key = line.partition(" = ")[0]
+    with pytest.raises(ValidationError, match=f"footer value {key} is not "):
         load_plan_record(plan_text.replace(line, junk))
 
 
 def test_plan_record_refuses_a_report_cut_short(plan_text):
     # a report cut before alpha loaded as 17 keys
     cut = plan_text[: plan_text.index("alpha = ")]
-    with pytest.raises(ValidationError, match="plan report lacks the key 'alpha'"):
+    with pytest.raises(ValidationError, match="footer lacks the key 'alpha'"):
         load_plan_record(cut)
 
 
 def test_plan_record_refuses_a_repeated_key(plan_text):
     # the second line won
-    with pytest.raises(ValidationError, match="plan report repeats the key 'beta'"):
+    with pytest.raises(ValidationError, match="repeats the key 'beta'"):
         load_plan_record(plan_text + "beta = 2.0\n")
 
 
@@ -295,7 +307,7 @@ def test_plan_record_rejects_a_malformed_float(plan_text, key, junk):
     lines = plan_text.splitlines()
     i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} = "))
     lines[i] = f"{key} = {junk.format(lines[i].partition(' = ')[2])}"
-    with pytest.raises(ValidationError, match=f"plan report value {key} is not a number"):
+    with pytest.raises(ValidationError, match=f"footer value {key} is not a number"):
         load_plan_record("\n".join(lines))
 
 

@@ -21,6 +21,7 @@ import pytest
 
 from carleman_lab import (
     __version__, cli as cli_module, factor as factor_module, reconstruct as reconstruct_module,
+    weight as weight_module,
 )
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
@@ -925,11 +926,14 @@ def test_hash_is_part_of_every_artifact(tmp_path):
     out = tmp_path / "out"
     expected = loaded.config_hash
     assert load_plan_record((out / "plan.txt").read_text())["config_hash"] == expected
-    for name, header in (("carleman_rows.csv", CARLEMAN_CSV_HEADER),
-                         ("lemma1_rows.csv", LEMMA1_CSV_HEADER)):
+    # every text report is a table of the one codec, plan.txt one without rows
+    for name, header in (("plan.txt", weight_module._REPORT_HEADER),
+                         ("carleman_rows.csv", CARLEMAN_CSV_HEADER),
+                         ("lemma1_rows.csv", LEMMA1_CSV_HEADER),
+                         ("sweep.csv", reconstruct_module._CSV_HEADER)):
         with open(out / name) as fh:
             _, footer = load_table_csv(fh, header)
-        assert footer["config_hash"] == expected
+        assert footer["config_hash"] == expected, name
     assert load_instance(out / "instance.npz").provenance["config_hash"] == expected
     assert load_reconstruction(out / "reconstruction.npz")[2]["config_hash"] == expected
     with open(out / "sweep.csv") as fh:

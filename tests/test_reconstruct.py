@@ -619,6 +619,23 @@ def test_operator_refuses_a_band_factor_above_the_limit(small_instance, small_pl
         LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, reg)
 
 
+def test_a_grid_above_the_limit_is_refused_before_assembly(small_instance, small_plan, monkeypatch):
+    # the README config at 61^3 was assembled, scaled and multiplied (410 MB)
+    # before its factor's size was checked; the grid alone gives the figure
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a grid above the size limit")
+
+    monkeypatch.setattr(reconstruct, "_lateral_matrix", refuse)
+    g = CylinderGeometry(
+        d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
+        gamma_side=GammaSide.HI, nx_prime=61, nx_n=61, nt=61,
+    )
+    inst, reg = small_instance, Regularization(tikhonov_weight=1e-6)
+    message = r"the 230702-unknown normal matrix needs 14\.5 GB \(half-bandwidth 7564\)"
+    with pytest.raises(ValidationError, match=message):
+        LateralOperator(g, small_plan, inst.p0, inst.R, reg)
+
+
 @pytest.mark.parametrize("nx_prime", [None, 9], ids=["split", "one-arm"])
 def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
     quartic_recipe, small_operator, sweep_reg, nx_prime, monkeypatch

@@ -260,7 +260,7 @@ def test_phi_field_rejects_mismatched_extents(worked_plan):
 
 
 def test_plan_report_roundtrips_all_scalars(worked_plan):
-    rec = load_plan_record(plan_report(worked_plan))
+    rec = load_plan_record(plan_report(worked_plan, {}))
     for key in ("beta", "alpha", "delta0", "sigma0", "sigma1", "c0", "d0", "d1",
                 "lam", "margin", "domain_lo", "domain_hi", "D0_lo", "D0_hi"):
         assert rec[key] == getattr(worked_plan, key)
