@@ -471,7 +471,7 @@ def _cmd_make_instance(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path
 def _cmd_reconstruct(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     solution = pipe.operator.solve(pipe.instance.data)
     inst, plan = pipe.instance, pipe.plan
-    err_region, err_global = sweep_errors(solution.f_hat, inst.f, plan)
+    (err_region,), (err_global,) = sweep_errors(solution.f_hat.values[None], inst.f, plan)
     scale_region = discrete_norm(inst.f, region=stability_region(plan))
     history = solution.residual_history
     meta = {

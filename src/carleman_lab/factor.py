@@ -72,23 +72,34 @@ _BAND_BLOCK = 48
 # x' slabs from which the factor has heads, two arms and a separator: each
 # arm then keeps its head and at least the two band slabs the head couples with
 _SPLIT_SLABS = 10
-# largest factor, in GB, that BandCholesky allocates (see check_size)
+# largest factor, in GB, that check_size admits
 _MAX_FACTOR_GB = 4.0
 
 
-def check_size(geometry: CylinderGeometry, b: int | None = None) -> None:
+def _band(geometry: CylinderGeometry) -> tuple[int, int]:
+    """The factor's head size h and half-bandwidth b on ``geometry``, from the grid alone.
+
+    With m = nt * (nx_n + 1) unknowns per x' slab: h = b = 2m from
+    ``_SPLIT_SLABS`` slabs on, where the heads take the one-sided x'
+    stencils; h = 0 and b = 3m + 2(nx_n + 1) below, where a PDE row at an x'
+    face and a t face couples the one-sided x' stencil's three slabs with
+    the one-sided t stencil's two steps.
+    """
+    m = geometry.nt * (geometry.nx_n + 1)
+    if geometry.nx_prime >= _SPLIT_SLABS:
+        return 2 * m, 2 * m
+    return 0, 3 * m + 2 * (geometry.nx_n + 1)
+
+
+def check_size(geometry: CylinderGeometry) -> None:
     """Refuse with ValidationError a factor on ``geometry`` above ``_MAX_FACTOR_GB`` GB.
 
     The factor keeps ((b + nb) * (n - h) + 2 * h**2) doubles (see
-    ``BandCholesky``).  Without its half-bandwidth b, the grid alone gives
-    b = 2m, m unknowns per x' slab: exact from ``_SPLIT_SLABS`` slabs on, a
-    lower bound below, where b is about 3m.
+    ``BandCholesky`` and ``_band``).
     """
-    m = geometry.nt * (geometry.nx_n + 1)
-    n = geometry.nx_prime * m
-    h = 2 * m if geometry.nx_prime >= _SPLIT_SLABS else 0
-    b = 2 * m if b is None else b
-    factor_gb = ((b + max(1, min(_BAND_BLOCK, b))) * (n - h) + 2 * h * h) * 8 / 1e9
+    n = geometry.nx_prime * geometry.nt * (geometry.nx_n + 1)
+    h, b = _band(geometry)
+    factor_gb = ((b + min(_BAND_BLOCK, b)) * (n - h) + 2 * h * h) * 8 / 1e9
     if factor_gb > _MAX_FACTOR_GB:
         raise ValidationError(
             f"the band factor of the {n}-unknown normal matrix needs {factor_gb:.3g} GB "
@@ -479,26 +490,26 @@ class BandCholesky:
 
     Built from the n x n normal matrix (CSR) in ``band_order`` and its grid.
     Below ``_SPLIT_SLABS`` slabs the factor is one ``_Arm``, from there on
-    two, with heads and separator of h = s = 2m unknowns, m per slab, and
-    half-bandwidth b = 2m.  Each head's factor, stored as the lower L =
-    U^T, sits in the unused top-left triangle of its own arm's band
-    storage.  The right arm is numbered from the far end.  Once both arms
-    are factored (``_run``), the separator's block of the normal matrix is
-    added to the left arm's update, then the right arm's, always in that
-    order, and ``dpotrf`` factors the sum in the left arm's storage.  In the
-    order (left arm, right arm, separator) the factor is upper triangular; a
-    solve gives each arm all of the block's columns, so a column's bits do
-    not depend on the number of workers.  A solve works in one copy of the
-    block: the left arm and the separator in place, the right arm, numbered
-    backwards, on a copy of its rows.
+    two, with heads and separator of h = s = 2m unknowns, m per slab; the
+    grid gives h and the half-bandwidth b (``_band``).  Each head's factor,
+    stored as the lower L = U^T, sits in the unused top-left triangle of its
+    own arm's band storage.  The right arm is numbered from the far end.
+    Once both arms are factored (``_run``), the separator's block of the
+    normal matrix is added to the left arm's update, then the right arm's,
+    always in that order, and ``dpotrf`` factors the sum in the left arm's
+    storage.  In the order (left arm, right arm, separator) the factor is
+    upper triangular; a solve gives each arm all of the block's columns, so
+    a column's bits do not depend on the number of workers.  A solve works
+    in one copy of the block: the left arm and the separator in place, the
+    right arm, numbered backwards, on a copy of its rows.
 
     The factor stores n - h band columns (the separator's once in each arm)
     of b + 1 entries over nb - 1 zeros, nb = min(``_BAND_BLOCK``, b), the
     heads' factors among them, and each arm's h x h coupling ``w`` (h = 0
-    without the split).  A factor above ``_MAX_FACTOR_GB`` GB is refused by
-    ``check_size`` before it is allocated; a head, band part or separator
-    that is not positive definite, or a factor that does not fit in memory,
-    raises SolverError, whichever worker meets it.
+    without the split); ``check_size`` counts them from the grid alone.  A
+    normal matrix that reaches beyond b, a head, band part or separator that
+    is not positive definite, or a factor that does not fit in memory raises
+    SolverError, whichever worker meets it.
     """
 
     def __init__(self, normal: sp.csr_matrix, geometry: CylinderGeometry):
@@ -516,8 +527,10 @@ class BandCholesky:
         """Lay the matrix out in arms of x' slabs and factor it."""
         slab = geometry.nt * (geometry.nx_n + 1)
         n = normal.shape[0]
-        # the heads and the separator are two slabs each and come only together
-        h = s = 2 * slab if geometry.nx_prime >= _SPLIT_SLABS else 0
+        # the heads and the separator are two slabs each and come only together;
+        # b >= h, the corner each head's update lands in
+        h, b = _band(geometry)
+        s, self.half_bandwidth = h, b
         # the band's lower triangle by rows is its upper triangle by columns
         sub = normal[h : n - h]
         rows = np.repeat(np.arange(h, n - h), np.diff(sub.indptr))
@@ -525,11 +538,13 @@ class BandCholesky:
         inner = (cols >= h) & (cols <= rows)
         cols, rows, values = cols[inner], rows[inner], sub.data[inner]
         del sub, inner
-        # each head's update is written into an h x h corner of the band, which
-        # needs b >= h; the stencils reach exactly two slabs between the heads,
-        # so b = s
-        b = self.half_bandwidth = max(int((rows - cols).max()), h)
-        check_size(geometry, b)
+        # an entry beyond b would be lost from the band storage
+        reach = int((rows - cols).max())
+        if reach > b:
+            raise SolverError(
+                f"the normal matrix reaches {reach} off the diagonal, beyond the grid's "
+                f"half-bandwidth {b}"
+            )
         if s:
             start = (geometry.nx_prime - 2) // 2 * slab  # the separator's first unknown
             self.arms = [

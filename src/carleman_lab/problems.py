@@ -52,7 +52,6 @@ __all__ = [
     "BoundaryBundle",
     "BUNDLE_CHANNELS",
     "ProblemInstance",
-    "make_bundle",
     "make_instance",
     "add_noise",
     "coefficient_reduction",
@@ -203,7 +202,7 @@ class Recipe:
 
 # The lateral data channels in their fixed order, each with the derivative
 # steps (axis, order) applied left to right to y = du/dx_n before the trace on
-# the data side.  ``make_bundle`` and the Cauchy rows of the lateral solver
+# the data side.  ``_make_bundle`` and the Cauchy rows of the lateral solver
 # both read this table.
 BUNDLE_CHANNELS = {
     "y": (),
@@ -258,7 +257,7 @@ def _ct_to_volume(field: ScalarField) -> np.ndarray:
     return field.values[:, None, :]
 
 
-def make_bundle(u: ScalarField) -> BoundaryBundle:
+def _make_bundle(u: ScalarField) -> BoundaryBundle:
     """Lateral data bundle of a solution field, by finite differences."""
     y = dxn(u)
     traces = []
@@ -333,7 +332,7 @@ def _validated_instance(
         f=f,
         R=R,
         p0=p0,
-        data=make_bundle(u),
+        data=_make_bundle(u),
         d_of_u=math.nan,
         apriori_bound=math.nan,
         provenance=provenance,

@@ -19,9 +19,9 @@ factors it once, keeping of the matrix only the transpose of the Cauchy
 rows, the one block with data, and solves any number of bundles against it;
 the stability sweep leans on that to rerun the solver across noise levels
 and fit an empirical Holder exponent from the decreasing part of the error
-curve, solving its levels in blocks of ``_SOLVE_BLOCK`` bundles, one
-application of the factor per block, and measuring each block's D(u) and
-errors with one norm stack per kind.
+curve.  It solves ``_SOLVE_BLOCK`` levels at a time, one application of the
+factor per block, straight into a stack of f_hat values (``f_hats``), and
+measures each block's D(u) and errors with one norm stack per kind.
 
 scipy is imported on first use, by the operator build, so a command that
 never builds an operator never loads it.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -252,13 +252,10 @@ def _lateral_matrix(
 
 
 # bundles per block solve in a sweep.  A solve streams the factor once per
-# block, so at 21x17x21 a 48-column block costs about what a 16-column one
-# does, and 161 levels take 4 blocks, not 11.  The width is one constant for
-# every CPU count, since the blocked triangular solves round differently at
-# another width: against blocks of 16, that 161-level sweep.csv keeps its
-# noise and D_u bytes, and its error columns move by at most 7.5e-8
-# relative.  The residual is formed in slices and only f_hat is kept per
-# block, so a wider block adds little to the peak RSS
+# block, so a wide block costs about what a narrow one does.  The width is
+# one constant for every CPU count, since the blocked triangular solves
+# round differently at another width.  The residual is formed in slices and
+# only f_hat is kept per block, so a wider block adds little to the peak RSS
 _SOLVE_BLOCK = 48
 # columns of the residual N x formed at a time, so a block's check adds two
 # n x 16 arrays beside the right-hand sides and the solutions
@@ -306,7 +303,8 @@ class LateralOperator:
     one part a right-hand side reads; it drops the assembled and the scaled
     matrix before the factorization runs.  A grid whose factor exceeds the
     factor's size limit is refused with ValidationError before anything is
-    assembled, and a factorization that fails raises SolverError.
+    assembled (``factor.check_size`` counts it from the grid alone), and a
+    factorization that fails raises SolverError.
     """
 
     def __init__(
@@ -323,7 +321,6 @@ class LateralOperator:
         self.plan = plan
         self.p0 = p0
         self.R = R
-        self.reg = reg
         factor.check_size(geometry)
         a, cauchy, self._cauchy_w = _lateral_matrix(geometry, plan, p0, R, reg)
         self._band_pos = factor.band_order(geometry)
@@ -381,38 +378,33 @@ class LateralOperator:
 
     def solve(self, bundle: BoundaryBundle) -> LateralSolution:
         """Solve the joint least-squares problem for one data bundle."""
-        (solution,) = self.solve_many([bundle])
-        return solution
-
-    def solve_many(self, bundles: Iterable[BoundaryBundle]) -> Iterator[LateralSolution]:
-        """Solve for several data bundles as one block; yield a solution per bundle.
-
-        The factor is applied to the whole block at once and each column's
-        residual is checked (see ``_solve_block``).  The solutions are
-        yielded in bundle order and built on demand, so a caller that drops
-        each one keeps a single solution's fields alive.
-        """
-        bundles = list(bundles)
-        if not bundles:
-            return
-        y, norm0, res = self._solve_block(self._rhs(bundles))
+        y, norm0, res = self._solve_block(self._rhs([bundle]))
+        history = (float(norm0[0]), float(res[0])) if norm0[0] else (0.0,)
         g = self.geometry
         nq = g.nx_prime * g.nx_n * g.nt
-        for j in range(len(bundles)):
-            history = (float(norm0[j]), float(res[j])) if norm0[j] else (0.0,)
-            z = (y[:, j] / self._col_norms)[self._band_pos]
-            u_hat = ScalarField(
-                g, z[:nq].reshape(g.nx_prime, g.nx_n, g.nt), FieldKind.SPACE_TIME
-            )
-            f_hat = ScalarField(
-                g, z[nq:].reshape(g.nx_prime, g.nt), FieldKind.CROSS_SECTION_TIME
-            )
-            yield LateralSolution(
-                u_hat=u_hat,
-                f_hat=f_hat,
-                iterations=len(history) - 1,
-                residual_history=history,
-            )
+        z = (y[:, 0] / self._col_norms)[self._band_pos]
+        return LateralSolution(
+            u_hat=ScalarField(g, z[:nq].reshape(g.nx_prime, g.nx_n, g.nt), FieldKind.SPACE_TIME),
+            f_hat=ScalarField(g, z[nq:].reshape(g.nx_prime, g.nt), FieldKind.CROSS_SECTION_TIME),
+            iterations=len(history) - 1,
+            residual_history=history,
+        )
+
+    def f_hats(self, bundles: list[BoundaryBundle]) -> np.ndarray:
+        """The f_hat values of several bundles, solved as one block, as a C-ordered (k, nx', nt) stack.
+
+        The factor is applied to the whole block at once and each column's
+        residual is checked (see ``_solve_block``); only the f rows are taken
+        out of band order and unscaled.  No bundles give a (0, nx', nt) stack.
+        """
+        g = self.geometry
+        if not bundles:
+            return np.empty((0, g.nx_prime, g.nt))
+        y = self._solve_block(self._rhs(bundles))[0]
+        f = self._band_pos[g.nx_prime * g.nx_n * g.nt :]
+        # contiguous, so the norm stacks sum each row as they sum one field
+        stack = np.ascontiguousarray((y[f] / self._col_norms[f, None]).T)
+        return stack.reshape(len(bundles), g.nx_prime, g.nt)
 
 
 def lateral_reconstruct(
@@ -457,17 +449,12 @@ def stability_region(plan: WeightPlan) -> Region:
 
 
 def sweep_errors(
-    f_hat: ScalarField, f_true: ScalarField, plan: WeightPlan
-) -> tuple[float, float]:
-    """Norms of f_hat - f_true over the stability region and over the whole grid."""
-    (err_region,), (err_global,) = _stacked_sweep_errors(f_hat.values[None], f_true, plan)
-    return err_region, err_global
-
-
-def _stacked_sweep_errors(
     f_hats: np.ndarray, f_true: ScalarField, plan: WeightPlan
 ) -> tuple[list[float], list[float]]:
-    """``sweep_errors`` of each f_hats[i], one norm stack per domain, each with its own bits."""
+    """Norms of each f_hats[i] - f_true over the stability region and over the whole grid.
+
+    One norm stack per domain; each entry has the bits of its field's own norm.
+    """
     diffs = f_hats - f_true.values
     g = f_true.geometry
     return (
@@ -506,9 +493,9 @@ def stability_sweep(
     and ``R``, and its plan fixes the stability region of the error rows.
     Levels are processed in decreasing order (a single 0.0 level is allowed
     and lands last), ``_SOLVE_BLOCK`` at a time: a chunk's noisy bundles are
-    drawn and solved as one block by ``solve_many``, of which only the f_hat
-    values are kept, and the chunk's D(u) and errors take one norm stack per
-    norm kind and domain.  The empirical exponent is the least-squares slope
+    drawn and solved as one block into a stack of f_hat values by
+    ``operator.f_hats``, and the chunk's D(u) and errors take one norm stack
+    per norm kind and domain.  The empirical exponent is the least-squares slope
     of log err_region against log D(u) over the rows where err_region
     dropped relative to the previous row; fewer than three such rows leave
     the fit degenerate and raise.
@@ -530,12 +517,10 @@ def stability_sweep(
         bundles = [
             add_noise(instance.data, level, seed=seed + start + i) for i, level in enumerate(chunk)
         ]
-        f_hats = np.empty((len(chunk), *instance.f.values.shape))
-        for i, sol in enumerate(operator.solve_many(bundles)):
-            f_hats[i] = sol.f_hat.values
-            if chunk[i] == 0.0:
-                noiseless_f_hat = sol.f_hat
-        errors = _stacked_sweep_errors(f_hats, instance.f, plan)
+        f_hats = operator.f_hats(bundles)
+        if 0.0 in chunk:
+            noiseless_f_hat = instance.f.with_values(f_hats[chunk.index(0.0)])
+        errors = sweep_errors(f_hats, instance.f, plan)
         for row in map(SweepRow, chunk, compute_data_functionals(bundles), *errors):
             if row.err_region > row.err_global:
                 raise SolverError(

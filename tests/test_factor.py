@@ -73,16 +73,30 @@ def test_blocked_solve_matches_lapack(n, b, k, seed):
 
 @pytest.mark.parametrize("slabs", [9, 10, 13])
 def test_band_cholesky_solves_a_band_in_either_layout(slabs):
-    # one arm below ten slabs, two arms and a separator from ten on
+    # one arm below ten slabs, two arms and a separator from ten on; the
+    # grid gives the stored band, 3 * 30 + 2 * 6 = 102 below ten slabs,
+    # which holds the two-slab band with zeros beyond it
     g = _grid(slabs)
     normal = _band_matrix(g, seed=slabs)
     chol = factor.BandCholesky(normal, g)
-    assert chol.half_bandwidth == 60
+    assert chol.half_bandwidth == (60 if slabs >= factor._SPLIT_SLABS else 102)
     assert len(chol.arms) == (2 if slabs >= factor._SPLIT_SLABS else 1)
     r = np.asfortranarray(np.random.default_rng(slabs).standard_normal((normal.shape[0], 3)))
     got = chol.solve(r)
     want = np.linalg.solve(normal.toarray(), r)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_a_normal_matrix_wider_than_the_grids_band_raises_solver_error():
+    # an entry beyond the grid's half-bandwidth would be lost from the band
+    # storage, so the factor names both figures instead
+    g = _grid(10)
+    n, b = g.nx_prime * 30, 61
+    upper = sp.dia_matrix((_spd_band(n, b, seed=0), b - np.arange(b + 1)), shape=(n, n))
+    normal = (upper + sp.triu(upper, 1).T).tocsr()
+    message = r"^the normal matrix reaches 61 off the diagonal, beyond the grid's half-bandwidth 60$"
+    with pytest.raises(SolverError, match=message):
+        factor.BandCholesky(normal, g)
 
 
 def test_both_workers_solve_in_one_block_without_lost_writes(monkeypatch):

@@ -363,18 +363,22 @@ def test_the_factor_solves_into_one_block(small_instance, small_operator):
     assert peak <= 1.95 * rhs.nbytes
 
 
-def test_solve_many_agrees_with_single_solves(small_instance, small_operator):
+def test_f_hats_agree_with_single_solves(small_instance, small_operator):
+    # one bundle's row has the bits of its solve, which takes the same block
+    # path; a wider block rounds the triangular solves differently
+    op, g = small_operator, small_instance.geometry
     bundles = [add_noise(small_instance.data, level, seed=2) for level in (0.1, 0.0, 1e-3)]
     bundles.insert(1, silent_bundle(small_instance))
-    block = list(small_operator.solve_many(bundles))
-    silent = block.pop(1)
+    stack = op.f_hats(bundles)
+    assert stack.flags.c_contiguous and stack.shape == (len(bundles), g.nx_prime, g.nt)
+    silent = op.solve(bundles[1])
     assert silent.iterations == 0 and silent.residual_history == (0.0,)
-    assert not silent.f_hat.values.any() and not silent.u_hat.values.any()
-    del bundles[1]
-    for got, want in zip(block, map(small_operator.solve, bundles), strict=True):
-        assert got.iterations == want.iterations == 1
+    assert not stack[1].any() and not silent.f_hat.values.any() and not silent.u_hat.values.any()
+    for row, bundle in zip(stack, bundles, strict=True):
+        want = op.solve(bundle)
+        assert np.array_equal(op.f_hats([bundle])[0], want.f_hat.values)
         scale = np.linalg.norm(want.f_hat.values)
-        assert np.linalg.norm(got.f_hat.values - want.f_hat.values) <= 1e-8 * scale
+        assert np.linalg.norm(row - want.f_hat.values) <= 1e-8 * scale
 
 
 def _one_solve_cases():
@@ -401,10 +405,9 @@ def test_one_application_of_the_factor_solves_the_normal_equations(
     reg = Regularization(tikhonov_weight=mu, carleman_s=s)
     op = LateralOperator(g, plan, inst.p0, inst.R, reg)
     bundles = [inst.data] + [add_noise(inst.data, level, seed=3) for level in (0.1, 1e-3)]
-    for sol in op.solve_many(bundles):
-        assert sol.iterations == 1
-        first, last = sol.residual_history
-        assert last <= 1e-10 * first
+    _, norm0, res = op._solve_block(op._rhs(bundles))
+    assert norm0.all()
+    assert (res <= 1e-10 * norm0).all()
 
 
 class _DenseCholesky:
@@ -427,12 +430,13 @@ def test_the_operator_needs_only_the_factor_interface(
     op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
     assert isinstance(op._factor, _DenseCholesky)
     bundles = [inst.data] + [add_noise(inst.data, level, seed=3) for level in (0.1, 1e-3)]
-    for got, want in zip(op.solve_many(bundles), small_operator.solve_many(bundles), strict=True):
-        first, last = got.residual_history
-        assert last <= reconstruct._MAX_REL_NORMAL_RESIDUAL * first
-        for name in ("u_hat", "f_hat"):
-            dense, band = getattr(got, name).values, getattr(want, name).values
-            assert np.linalg.norm(dense - band) <= 1e-6 * np.linalg.norm(band)
+    _, norm0, res = op._solve_block(op._rhs(bundles))
+    assert (res <= reconstruct._MAX_REL_NORMAL_RESIDUAL * norm0).all()
+    for dense, band in zip(op.f_hats(bundles), small_operator.f_hats(bundles), strict=True):
+        assert np.linalg.norm(dense - band) <= 1e-6 * np.linalg.norm(band)
+    got, want = op.solve(inst.data), small_operator.solve(inst.data)
+    dense, band = got.u_hat.values, want.u_hat.values
+    assert np.linalg.norm(dense - band) <= 1e-6 * np.linalg.norm(band)
 
 
 def test_an_operator_builds_and_solves_without_cpu_affinity(
@@ -504,7 +508,9 @@ def test_band_factor_solves_the_normal_equations(small_operator, small_instance)
 
 
 def test_no_bundles_give_no_solutions(small_operator):
-    assert list(small_operator.solve_many([])) == []
+    g = small_operator.geometry
+    stack = small_operator.f_hats([])
+    assert stack.shape == (0, g.nx_prime, g.nt) and stack.flags.c_contiguous
 
 
 def test_rhs_is_a_c_ordered_block_of_the_cauchy_products(small_operator, small_instance):
@@ -636,12 +642,56 @@ def test_a_grid_above_the_limit_is_refused_before_assembly(small_instance, small
         LateralOperator(g, small_plan, inst.p0, inst.R, reg)
 
 
+def test_a_grid_below_ten_slabs_is_refused_before_assembly(small_instance, small_plan, monkeypatch):
+    # below ten x' slabs b = 3m + 2(nx_n + 1) = 290 at 9^3, whose factor
+    # needs 0.00219 GB; a limit of 0.002 GB refuses it from the grid alone,
+    # where b = 2m = 180 (0.00148 GB) let it be assembled before a second check
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a grid above the size limit")
+
+    monkeypatch.setattr(reconstruct, "_lateral_matrix", refuse)
+    monkeypatch.setattr(factor, "_MAX_FACTOR_GB", 2e-3)
+    g = CylinderGeometry(
+        d_lo=0.0, d_hi=1.0, ell=1.0, delta=1.0,
+        gamma_side=GammaSide.HI, nx_prime=9, nx_n=9, nt=9,
+    )
+    inst, reg = small_instance, Regularization(tikhonov_weight=1e-6)
+    message = r"the 810-unknown normal matrix needs 0\.00219 GB \(half-bandwidth 290\)"
+    with pytest.raises(ValidationError, match=message):
+        LateralOperator(g, small_plan, inst.p0, inst.R, reg)
+
+
+@pytest.mark.parametrize("side", [GammaSide.HI, GammaSide.LO], ids=["HI", "LO"])
+@pytest.mark.parametrize(
+    "grid", [(4, 4, 4), (5, 9, 9), (9, 11, 13), (9, 6, 17), (10, 5, 7), (13, 11, 13)],
+    ids=lambda grid: "x".join(map(str, grid)),
+)
+def test_the_grid_gives_the_band_of_the_normal_matrix(quartic_recipe, sweep_reg, side, grid):
+    # the factor stores the band the grid alone gives: three slabs and two
+    # time steps below ten x' slabs, two slabs between the heads from ten on;
+    # the normal matrix reaches exactly that far
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, side, *grid)
+    inst = make_instance(g, quartic_recipe)
+    d0 = (0.5, 1.0) if side is GammaSide.HI else (0.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # region corners off the coarse grid's nodes
+        plan = plan_parameters(g, d0, delta0=0.7, lam=1.0, margin=1.1)
+    op = LateralOperator(g, plan, inst.p0, inst.R, sweep_reg)
+    m = g.nt * (g.nx_n + 1)
+    h = 2 * m if g.nx_prime >= factor._SPLIT_SLABS else 0
+    n = op._normal.shape[0]
+    band = op._normal[h : n - h, h : n - h].tocoo()
+    reach = int(np.abs(band.row - band.col).max())
+    assert reach == op._factor.half_bandwidth == factor._band(g)[1]
+    assert reach == (2 * m if h else 3 * m + 2 * (g.nx_n + 1))
+
+
 @pytest.mark.parametrize("nx_prime", [None, 9], ids=["split", "one-arm"])
 def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
     quartic_recipe, small_operator, sweep_reg, nx_prime, monkeypatch
 ):
-    # a factor is built at a limit of exactly the bytes of its arms' band
-    # storage and couplings, and refused at 8 bytes fewer
+    # the grid passes at a limit of exactly the bytes of its factor's arms'
+    # band storage and couplings, and is refused at 8 bytes fewer
     op = small_operator
     if nx_prime is not None:
         g = dataclasses.replace(op.geometry, nx_prime=nx_prime)
@@ -654,10 +704,11 @@ def test_the_factor_limit_counts_exactly_the_arrays_the_factor_keeps(
     assert len(arms) == (1 if nx_prime else 2)
     kept = sum(arm.ab.nbytes + (arm.w.nbytes if arm.head else 0) for arm in arms)
     monkeypatch.setattr(factor, "_MAX_FACTOR_GB", kept / 1e9)
-    factor.BandCholesky(op._normal, op.geometry)
+    factor.check_size(op.geometry)
     monkeypatch.setattr(factor, "_MAX_FACTOR_GB", (kept - 8) / 1e9)
-    with pytest.raises(ValidationError, match=r"needs .* GB \(half-bandwidth \d+\)"):
-        factor.BandCholesky(op._normal, op.geometry)
+    b = op._factor.half_bandwidth
+    with pytest.raises(ValidationError, match=rf"needs .* GB \(half-bandwidth {b}\)"):
+        factor.check_size(op.geometry)
 
 
 def test_operator_rejects_bad_inputs(small_instance, small_plan, quartic_instance):
@@ -739,12 +790,12 @@ def test_stacked_sweep_rows_carry_each_rows_own_bits(small_instance, small_opera
     levels = SWEEP_LEVELS + (0.0,)
     report = stability_sweep(small_instance, levels, small_operator, seed=5)
     bundles = [add_noise(small_instance.data, level, seed=5 + i) for i, level in enumerate(levels)]
-    solutions = list(small_operator.solve_many(bundles))  # one block, as in the sweep
-    for row, bundle, sol in zip(report.rows, bundles, solutions, strict=True):
+    f_hats = small_operator.f_hats(bundles)  # one block, as in the sweep
+    for row, bundle, f_hat in zip(report.rows, bundles, f_hats, strict=True):
         assert row.d_of_u == compute_data_functional(bundle)
-        errors = sweep_errors(sol.f_hat, small_instance.f, report.plan)
-        assert (row.err_region, row.err_global) == errors
-    assert np.array_equal(report.noiseless_f_hat.values, solutions[-1].f_hat.values)
+        (err_region,), (err_global,) = sweep_errors(f_hat[None], small_instance.f, report.plan)
+        assert (row.err_region, row.err_global) == (err_region, err_global)
+    assert np.array_equal(report.noiseless_f_hat.values, f_hats[-1])
 
 
 def test_the_block_width_changes_no_answer(small_instance, small_operator, monkeypatch):
