@@ -24,8 +24,8 @@ which releases the GIL, on one thread of scipy's OpenBLAS.  Where scipy
 vendors that library (``scipy.libs/libscipy_openblas*.so``, as its wheels
 do) the binding takes the routines straight from it and imports no scipy
 module; elsewhere it reads them from the capsules of ``scipy.linalg``,
-which wrap the same routines.  The workers are one per CPU the process may
-run on, at most two, and the layout does not depend on them, so the bits
+which wrap the same routines.  The arms run on the package's workers
+(``workers.run``), and the layout does not depend on them, so the bits
 depend on neither the CPU count nor the BLAS thread count.
 """
 
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import workers
 from .errors import SolverError, ValidationError
 
 if TYPE_CHECKING:
@@ -282,31 +283,6 @@ def _dgemm(
     )
 
 
-def _workers() -> int:
-    """Threads for the two arms: one per CPU this process may run on, at most two.
-
-    Where the OS has no CPU affinity (macOS, Windows), every CPU counts.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cpus or 1)
-
-
-def _run(tasks: list) -> list:
-    """Call each task and return their results in order.
-
-    With two tasks and two workers a helper thread runs the second while the
-    caller runs the first.  The helper is joined before this returns or
-    raises, and either task's exception propagates.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if len(tasks) == 1 or _workers() == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(tasks[1])
-        return [tasks[0](), second.result()]
-
-
 # ---- the band factor --------------------------------------------------------------
 
 
@@ -494,7 +470,7 @@ class BandCholesky:
     grid gives h and the half-bandwidth b (``_band``).  Each head's factor,
     stored as the lower L = U^T, sits in the unused top-left triangle of its
     own arm's band storage.  The right arm is numbered from the far end.
-    Once both arms are factored (``_run``), the separator's block of the
+    Once both arms are factored (``workers.run``), the separator's block of the
     normal matrix is added to the left arm's update, then the right arm's,
     always in that order, and ``dpotrf`` factors the sum in the left arm's
     storage.  In the order (left arm, right arm, separator) the factor is
@@ -561,7 +537,7 @@ class BandCholesky:
         own &= _local(self.sep, rows) < s
         i, j, values = _local(self.sep, cols[own]), _local(self.sep, rows[own]), values[own]
         del rows, cols
-        _run([functools.partial(arm.factor, normal) for arm in self.arms])
+        workers.run([functools.partial(arm.factor, normal) for arm in self.arms])
         if s:
             # the separator's block, minus the left arm's update, minus the
             # right arm's, whose order runs the other way
@@ -584,7 +560,7 @@ class BandCholesky:
         """Apply the inverse to the columns of an n x k block, any k; C-ordered result."""
         with _one_blas_thread():
             x = np.array(r, dtype=np.float64, order="C")
-            states = _run([functools.partial(arm.forward, x) for arm in self.arms])
+            states = workers.run([functools.partial(arm.forward, x) for arm in self.arms])
             sep = _slice(self.sep)
             for arm, (part, _) in zip(self.arms, states):
                 x[sep] += arm.update(part)
@@ -593,5 +569,7 @@ class BandCholesky:
                 s, c = xs.shape
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R")
                 _dtrsm(c, s, self.u_sep, _at(xs.T), side=b"R", trans=b"T")
-            _run([functools.partial(arm.backward, state, x) for arm, state in zip(self.arms, states)])
+            workers.run(
+                [functools.partial(arm.backward, state, x) for arm, state in zip(self.arms, states)]
+            )
             return x

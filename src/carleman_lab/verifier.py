@@ -17,24 +17,30 @@ normalized by its maximum, so integrands stay inside (0, 1] and only the
 reported logarithms carry the (possibly huge) factor ``exp(2 s max phi)``.
 
 Over a corpus, the weight is built once per run and stacked over the
-strengths, with the quadrature weights folded in.  Each member writes its
-derivatives and its four volume integrands (Hessian, gradient, value and
-heat residual squares) into one workspace kept for the run, so no member
-and no strength keeps a volume of its own.  A member's volume sums at every
-strength are then one product of the 4-row integrand stack with the weight
-stack, and its face sums one smaller product each.  That product order
-differs from summing each side alone, so the sums move in their trailing
-digits only (about 1e-14 relative).  The surface H2 norms of the weighted
-traces are formed once per member, on one stack per face shape.
+strengths, with the quadrature weights folded in; it is read-only and
+shared.  Each worker streams its members through a workspace of its own,
+four volumes: the volume integrands (Hessian, gradient, value and heat
+residual squares) are summed at every strength two at a time, each pair in
+one product with the weight stack as soon as it is complete, and their
+face values are gathered before a volume is reused, so no member and no
+strength keeps a volume of its own.  That product order differs from
+summing each side alone, so the sums move in their trailing digits only
+(about 1e-14 relative).  The surface H2 norms of the weighted traces are
+formed once per member, on one stack over the strengths per face.  On a
+large enough grid the caller verifies the even members and one helper
+thread the odd ones; each member's sums are its own, so the rows carry the
+same bits either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -268,7 +274,9 @@ def _products(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``out[i, k] = sum_v terms[i, v] * weights[k, v]``, in numpy's own loops.
 
     With ``optimize`` off, einsum calls no BLAS and starts no thread, and each
-    entry carries the same bits however many rows ``weights`` has.
+    entry carries the same bits however many rows ``terms`` and ``weights``
+    have, as long as ``terms`` has two or more: a one-by-one product groups
+    its sum differently.
     """
     return np.einsum("iv,kv->ik", terms, weights)
 
@@ -276,15 +284,22 @@ def _products(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class _Sides:
     """Both sides of the weighted inequality at fixed strengths, one field per call.
 
-    The weight is built and stacked over the strengths once:
-    ``we[k] = wq * exp(2 s_k (phi - max phi))`` on the volume, and the same
-    exponential times the face weights on the lateral faces and at the two
-    ends of the time window.  A call writes the field's six derivatives and
-    its four volume integrands into the workspace of the run (the only volume
-    it allocates is the passing center-tap product of an order-2 stencil),
-    and forms each family of sums as one product against the stacked weight.  The surface H2 norms of the weighted traces are
-    formed on one stack per face shape and summed in ``_LATERAL_FACES`` order.
+    Holds only what every call reads and none writes: the weight, built and
+    stacked over the strengths once, ``we[k] = wq * exp(2 s_k (phi - max phi))``
+    on the volume, and the same exponential times the face weights on the
+    lateral faces and at the two ends of the time window.  Each worker brings
+    its own workspace of ``WORKSPACE`` volumes (``workspace()``).  A call
+    streams the field through it: the four volume integrands are summed
+    against the stacked weight two at a time, the Hessian and gradient
+    squares as soon as both are complete, then the value and heat residual
+    squares, and the face values are gathered before a volume is reused.
+    The only volume a call allocates is the passing center-tap product of an
+    order-2 stencil.  The surface H2 norms of the weighted traces are formed
+    on one stack over the strengths per face, a face at a time, and summed
+    in ``_LATERAL_FACES`` order.
     """
+
+    WORKSPACE = 4
 
     def __init__(self, plan: WeightPlan, g: CylinderGeometry, s_values, p0: ScalarField | None):
         for s in s_values:
@@ -323,74 +338,77 @@ class _Sides:
             half_traces.append(_lateral_traces(half, g))
         # exp(s (phi - max phi)) on each lateral face, stacked over the strengths
         self.half = [np.stack(face) for face in zip(*half_traces)]
-        del phi, shifted, wq, half  # freed before the workspace is allocated
 
-        # ux, un, ut, uxx, unn, uxn and one scratch; then hess, grad, u^2, heat^2
-        self.derivatives = np.empty((7, *shape))
-        self.terms = np.empty((4, *shape))
+    def workspace(self) -> np.ndarray:
+        """The volumes one worker's calls write into."""
+        return np.empty((self.WORKSPACE, *self.g.shape(FieldKind.SPACE_TIME)))
 
     def _trace_h2(self, u: ScalarField) -> list[float]:
         """(1/s) surface H2 energy of u * exp(s (phi - max phi)) on the lateral faces, per s."""
-        n = len(self.s_values)
-        traces = [trace(u, face) for face in _LATERAL_FACES]
-        energies = [0.0] * n
-        for pair in ((0, 1), (2, 3)):  # the two faces of each shape, on one stack
-            stack = np.concatenate([traces[f].values * self.half[f] for f in pair])
-            norms = discrete_norms(self.g, traces[pair[0]].kind, stack, kind=NormKind.H2_SURFACE)
-            for j, norm in enumerate(norms):
-                energies[j % n] += norm**2
+        energies = [0.0] * len(self.s_values)
+        for face, half in zip(_LATERAL_FACES, self.half):  # one stack over the strengths per face
+            t = trace(u, face)
+            norms = discrete_norms(self.g, t.kind, t.values * half, kind=NormKind.H2_SURFACE)
+            energies = [energy + norm**2 for energy, norm in zip(energies, norms)]
         return [energy / s for energy, s in zip(energies, self.s_values)]
 
-    def __call__(self, u: ScalarField) -> list[CarlemanSides]:
+    def __call__(self, u: ScalarField, work: np.ndarray) -> list[CarlemanSides]:
         _check_field(u)
         g, v = self.g, u.values
-        ux, un, ut, uxx, unn, uxn, tmp = self.derivatives
-        hess, grad, usq, heat_sq = self.terms
-        h_xp, h_xn, h_t = (g.spacing(a) for a in FieldKind.SPACE_TIME.axes)
-        diff_array(v, 0, h_xp, 1, out=ux)
-        diff_array(v, 1, h_xn, 1, out=un)
-        diff_array(v, 2, h_t, 1, out=ut)
-        diff_array(v, 0, h_xp, 2, out=uxx)
-        diff_array(v, 1, h_xn, 2, out=unn)
-        diff_array(ux, 1, h_xn, 1, out=uxn)
-
-        # hess = uxx^2 + 2 uxn^2 + unn^2, grad = ux^2 + un^2,
-        # heat = ut - (uxx + unn) - p0 u
-        np.multiply(uxx, uxx, out=hess)
-        np.multiply(uxn, 2.0, out=tmp)
-        tmp *= uxn
-        hess += tmp
-        np.multiply(unn, unn, out=tmp)
-        hess += tmp
-        np.multiply(ux, ux, out=grad)
-        np.multiply(un, un, out=tmp)
-        grad += tmp
-        np.multiply(v, v, out=usq)
-        np.add(uxx, unn, out=tmp)
-        np.subtract(ut, tmp, out=tmp)
-        if self.p0 is not None:
-            np.multiply(self.p0, v, out=uxx)
-            tmp -= uxx
-        np.multiply(tmp, tmp, out=heat_sq)
-
         n = len(self.s_values)
-        terms = self.terms.reshape(4, -1)
-        volume = _products(terms, self.we.reshape(n, -1))
+        we = self.we.reshape(n, -1)
+        flat = work.reshape(self.WORKSPACE, -1)
+        a, b, c, d = work
+        h_xp, h_xn, h_t = (g.spacing(axis) for axis in FieldKind.SPACE_TIME.axes)
+
+        # hess = uxx^2 + 2 uxn^2 + unn^2 into a, grad = ux^2 + un^2 into b;
+        # d keeps uxx + unn for the heat residual
+        diff_array(v, 0, h_xp, 1, out=c)  # ux
+        diff_array(c, 1, h_xn, 1, out=b)  # uxn
+        diff_array(v, 0, h_xp, 2, out=d)  # uxx
+        np.multiply(d, d, out=a)
+        b *= b
+        b *= 2.0
+        a += b
+        diff_array(v, 1, h_xn, 2, out=b)  # unn
+        d += b
+        b *= b
+        a += b
+        np.multiply(c, c, out=b)
+        diff_array(v, 1, h_xn, 1, out=c)  # un
+        c *= c
+        b += c
         # grad + ut^2 and u^2 on the lateral faces, grad and u^2 at the ends
-        lateral = np.take(terms[1:3], self.lateral, axis=1)
-        lateral[0] += np.take(ut, self.lateral) ** 2
+        lateral = np.empty((2, self.lateral.size))
+        terminal = np.empty((2, self.terminal.size))
+        np.take(b, self.lateral, out=lateral[0])
+        np.take(b, self.terminal, out=terminal[0])
+        hess, grad = _products(flat[:2], we)
+
+        # u^2 into c, heat = ut - (uxx + unn) - p0 u into d, squared
+        diff_array(v, 2, h_t, 1, out=c)  # ut
+        lateral[0] += np.take(c, self.lateral) ** 2
+        np.subtract(c, d, out=d)
+        if self.p0 is not None:
+            np.multiply(self.p0, v, out=b)
+            d -= b
+        d *= d
+        np.multiply(v, v, out=c)
+        np.take(c, self.lateral, out=lateral[1])
+        np.take(c, self.terminal, out=terminal[1])
+        usq, heat = _products(flat[2:], we)
+
         lateral = _products(lateral, self.lateral_we)
-        terminal = _products(np.take(terms[1:3], self.terminal, axis=1), self.terminal_we)
+        terminal = _products(terminal, self.terminal_we)
         trace_h2 = self._trace_h2(u)
 
         rows = []
         for k, s in enumerate(self.s_values):
-            hess_k, grad_k, usq_k, heat_k = volume[:, k]
             rows.append(
                 CarlemanSides(
                     s=s,
-                    lhs=float(hess_k / s + s * grad_k + s**3 * usq_k),
-                    residual=float(heat_k),
+                    lhs=float(hess[k] / s + s * grad[k] + s**3 * usq[k]),
+                    residual=float(heat[k]),
                     lateral_grad=float(s**3 * lateral[0, k]),
                     lateral_val=float(s**3 * lateral[1, k]),
                     trace_h2=trace_h2[k],
@@ -413,10 +431,20 @@ def carleman_sides(
     the weighted field on the lateral faces, and s^3 terminal energies.
     """
     _check_field(u)  # before the weight is laid out on the field's grid
-    return _Sides(plan, u.geometry, (s,), p0)(u)[0]
+    sides = _Sides(plan, u.geometry, (s,), p0)
+    return sides(u, sides.workspace())[0]
 
 
 # ---- corpus-level verification ----------------------------------------------------
+
+
+# the volume, in nodes, from which a helper thread takes the odd members.
+# Below it two threads gain nothing or lose, most likely because the short
+# numpy calls convoy on the GIL.  In process, on two cores of a shared Xeon,
+# 40 members took (medians, one thread against two) 0.11-0.19 s against
+# 0.15-0.19 s at 14,553 nodes (the README grid), 0.23 s against 0.22-0.27 s
+# at 70,785 (33^3) and 0.41 s against 0.28-0.37 s at 136,161 (41^3)
+_PARALLEL_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -442,8 +470,11 @@ def verify_carleman(
 
     Every row equals ``carleman_sides(member.sample(g), plan, s, p0)``: both
     run the same code, and its sums carry the same bits at one strength as
-    at many.  The weight is built once per run, the derivatives once per
-    member, into one workspace for the whole corpus.
+    at many.  The weight is built once per run and shared; the caller
+    verifies the even members and, from ``_PARALLEL_NODES`` nodes on, one
+    helper thread the odd ones (``workers.run``), each in a workspace of its
+    own.  The rows come back in member order, with the same bits on one
+    worker as on two.
     ``s_min_emp`` is the smallest strength at which every corpus member's
     ratio is at or below ``c_cap`` (None when no strength qualifies).
     """
@@ -456,11 +487,21 @@ def verify_carleman(
     if not corpus:
         raise ValidationError("the corpus must hold at least one field")
     sides_at = _Sides(plan, g, s_values, p0)
+
+    def verify_members(first: int) -> list[list[CarlemanSides]]:
+        work = sides_at.workspace()
+        # sampled on reaching it, so one member's field per worker is alive at a time
+        return [sides_at(member.sample(g), work) for member in corpus[first::2]]
+
+    # the caller takes the even members, and one helper the odd ones
+    halves = workers.run(
+        [functools.partial(verify_members, first) for first in range(min(2, len(corpus)))],
+        serial=math.prod(g.shape(FieldKind.SPACE_TIME)) < _PARALLEL_NODES,
+    )
     rows = []
     by_s: dict[float, list[float]] = {s: [] for s in s_values}
-    for i, member in enumerate(corpus):
-        # sampled on reaching it, so one member's field is alive at a time
-        for sides in sides_at(member.sample(g)):
+    for i in range(len(corpus)):
+        for sides in halves[i % 2][i // 2]:
             rows.append((i, sides))
             by_s[sides.s].append(sides.ratio)
     c_emp = max(sides.ratio for _, sides in rows)

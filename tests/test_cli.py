@@ -21,7 +21,7 @@ import pytest
 
 from carleman_lab import (
     __version__, cli as cli_module, factor as factor_module, reconstruct as reconstruct_module,
-    weight as weight_module,
+    weight as weight_module, workers,
 )
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
@@ -323,21 +323,24 @@ import carleman_lab.cli as cli
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 loaded = [scipy_modules()]
+thread_pool = "concurrent.futures" in sys.modules
 for command in ("plan", "verify"):
     assert cli.main(["--config", sys.argv[1], "--command", command, "--quiet"]) == 0
     loaded.append(scipy_modules())
-print(json.dumps(loaded))
+print(json.dumps([loaded, thread_pool]))
 """
 
 
 def test_plan_and_verify_never_load_scipy(tmp_path):
-    # a fresh interpreter, since this process has scipy loaded already
+    # a fresh interpreter, since this process has scipy loaded already; the
+    # import of the CLI also leaves out the thread pool, whose import takes
+    # several milliseconds and is made only when a helper thread starts
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_MODULES_AFTER_PLAN_AND_VERIFY, str(path)],
         env=_child_env(), check=True, capture_output=True, text=True, timeout=300,
     )
-    assert json.loads(done.stdout) == [[], [], []]
+    assert json.loads(done.stdout) == [[[], [], []], False]
     assert {p.name for p in (tmp_path / "out").iterdir()} == {
         "plan.txt", "carleman_rows.csv", "lemma1_rows.csv",
     }
@@ -408,7 +411,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(out)
     # on one CPU both runs above had one worker already, and without CPU
     # affinity (macOS, Windows) no child can be pinned to one
-    if hasattr(os, "sched_getaffinity") and factor_module._workers() == 2:
+    if hasattr(os, "sched_getaffinity") and workers.count() == 2:
         out = tmp_path / "one_cpu"
         _run_at_blas_threads(path, out, "1", cpus={min(os.sched_getaffinity(0))})
         outputs.append(out)
@@ -436,7 +439,7 @@ def test_readme_grid_outputs_do_not_depend_on_blas_threads(tmp_path, command, na
     assert one.read_bytes() == two.read_bytes()
     # on one CPU every run above had one worker already, and without CPU
     # affinity (macOS, Windows) no child can be pinned to one
-    if hasattr(os, "sched_getaffinity") and factor_module._workers() == 2:
+    if hasattr(os, "sched_getaffinity") and workers.count() == 2:
         cpu = min(os.sched_getaffinity(0))
         _run_at_blas_threads(path, tmp_path / "one_cpu", "1", command, cpus={cpu})
         assert (tmp_path / "one_cpu" / name).read_bytes() == one.read_bytes()
@@ -734,7 +737,7 @@ def test_exit_2_on_factorization_failure(tmp_path, monkeypatch, capsys, exc):
 
 
 @pytest.mark.skipif(
-    factor_module._workers() < 2, reason="on one CPU the caller runs both arms"
+    workers.count() < 2, reason="on one CPU the caller runs both arms"
 )
 @pytest.mark.parametrize(
     "exc", [np.linalg.LinAlgError("9-th leading minor not positive definite"), MemoryError()]

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from carleman_lab import factor
+from carleman_lab import factor, workers
 from carleman_lab.errors import SolverError
 from carleman_lab.geometry import CylinderGeometry, GammaSide
 
@@ -103,7 +103,7 @@ def test_both_workers_solve_in_one_block_without_lost_writes(monkeypatch):
     # the arms write their own rows of one shared block at once; with thread
     # switches forced every microsecond, repeated solves keep every bit and
     # leave the right-hand sides as they were
-    monkeypatch.setattr(factor, "_workers", lambda: 2)
+    monkeypatch.setattr(workers, "count", lambda: 2)
     g = _grid(13)
     normal = _band_matrix(g, seed=4)
     r = np.random.default_rng(4).standard_normal((normal.shape[0], 5))

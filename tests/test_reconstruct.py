@@ -24,7 +24,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from carleman_lab import factor, reconstruct
+from carleman_lab import factor, reconstruct, workers
 from carleman_lab.errors import SolverError, ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
@@ -442,10 +442,10 @@ def test_the_operator_needs_only_the_factor_interface(
 def test_an_operator_builds_and_solves_without_cpu_affinity(
     small_instance, small_plan, sweep_reg, small_operator, monkeypatch
 ):
-    # macOS and Windows have no os.sched_getaffinity: the factor then counts
+    # macOS and Windows have no os.sched_getaffinity: the workers then count
     # every CPU, and the worker count leaves the bits as they are
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert factor._workers() == min(2, os.cpu_count())
+    assert workers.count() == min(2, os.cpu_count())
     inst = small_instance
     op = LateralOperator(inst.geometry, small_plan, inst.p0, inst.R, sweep_reg)
     got, want = op.solve(inst.data), small_operator.solve(inst.data)

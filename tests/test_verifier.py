@@ -9,12 +9,16 @@ Hand-derived reference values used below:
   maximum is e^1 and the log offset of the shifted integrals is 2*s*e.
 """
 
+import concurrent.futures  # noqa: F401  (loaded here, so a traced peak counts no module code)
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from carleman_lab import verifier, workers
 from carleman_lab.errors import ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
@@ -418,14 +422,13 @@ def test_verify_rows_agree_with_the_plain_sums_to_trailing_digits(worked_plan, w
             assert getattr(sides, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
-# every volume the sides keep for a run: the weight at each strength, six
-# derivatives and one scratch, and the four volume integrands
-_WORKSPACE_VOLUMES = 7 + 4
-# what may come on top for a moment: the order-2 stencil's center-tap
-# product (one volume), the sampling's copy (one volume), and the stacked
-# surface norms of the lateral faces and the faces' weights (under two
-# volumes on this grid)
-_TRANSIENT_VOLUMES = 4
+# the volumes each worker keeps for a run: its workspace and the sampled
+# field, and for a moment the order-2 stencil's center-tap product or one
+# lateral face's stacked H2 derivatives (each about one volume on this grid)
+_WORKER_VOLUMES = verifier._Sides.WORKSPACE + 2
+# shared by the workers: the weight at each strength, and the faces' weights
+# (about 1.1 volumes on this grid)
+_SHARED_VOLUMES = len(S_GRID) + 2
 
 
 @pytest.mark.parametrize("with_p0", [False, True])
@@ -434,8 +437,12 @@ def test_verify_peak_memory_stays_within_the_workspace(worked_plan, with_p0):
     volume = 8 * math.prod(g.shape(FieldKind.SPACE_TIME))
     p0 = ScalarField.constant(g, FieldKind.CROSS_SECTION_TIME, 2.0) if with_p0 else None
     corpus = smooth_corpus(2, seed=2, kind=FieldKind.SPACE_TIME)
-    sampled_field = 1
-    bound = len(S_GRID) + _WORKSPACE_VOLUMES + sampled_field + _TRANSIENT_VOLUMES
+    # above the size floor, so with two CPUs a second worker verifies the
+    # odd member; two workers stay within the bound of the one 11-volume
+    # workspace this layout replaced
+    assert math.prod(g.shape(FieldKind.SPACE_TIME)) >= verifier._PARALLEL_NODES
+    bound = _SHARED_VOLUMES + workers.count() * _WORKER_VOLUMES
+    assert bound <= len(S_GRID) + 16
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -448,3 +455,77 @@ def test_verify_peak_memory_stays_within_the_workspace(worked_plan, with_p0):
         if not tracing:
             tracemalloc.stop()
     assert peak < bound * volume, peak / volume
+
+
+@pytest.mark.parametrize("with_p0", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_rows_keep_their_bits_and_order_on_two_workers(worked_plan, monkeypatch, size, with_p0):
+    # with the size floor at 0 the odd members go to the helper thread: the
+    # rows come back in member order, each equal to carleman_sides bit for
+    # bit, with thread switches forced every microsecond
+    monkeypatch.setattr(verifier, "_PARALLEL_NODES", 0)
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 9, 13, 7, extended=True)
+    p0 = None
+    if with_p0:
+        p0 = ScalarField.from_function(
+            g, FieldKind.CROSS_SECTION_TIME, lambda x, t: 1.0 + x * np.cos(t)
+        )
+    corpus = smooth_corpus(size, seed=29, kind=FieldKind.SPACE_TIME)
+    s_values = (2.0, 3.5, 8.0)
+    expected = [
+        (i, carleman_sides(member.sample(g), worked_plan, s, p0))
+        for i, member in enumerate(corpus)
+        for s in s_values
+    ]
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 2):
+            monkeypatch.setattr(workers, "count", lambda count=count: count)
+            report = verify_carleman(worked_plan, corpus, s_values, p0, geometry=g)
+            assert report.rows == tuple(expected), count
+    finally:
+        sys.setswitchinterval(before)
+
+
+class _Failing:
+    """A corpus member whose sampling raises, remembering the thread it ran on."""
+
+    def __init__(self):
+        self.threads = []
+
+    def sample(self, geometry):
+        self.threads.append(threading.current_thread())
+        raise RuntimeError("member 1 failed")
+
+
+def test_a_failure_on_the_helper_reaches_the_caller(worked_plan, monkeypatch):
+    monkeypatch.setattr(verifier, "_PARALLEL_NODES", 0)
+    monkeypatch.setattr(workers, "count", lambda: 2)
+    g = CylinderGeometry(0.0, 1.0, 1.0, 1.0, GammaSide.HI, 9, 13, 7, extended=True)
+    failing = _Failing()
+    corpus = smooth_corpus(3, seed=29, kind=FieldKind.SPACE_TIME)
+    corpus[1] = failing
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="member 1 failed"):
+        verify_carleman(worked_plan, corpus, (2.0, 3.5), geometry=g)
+    (helper,) = failing.threads
+    assert helper is not threading.current_thread()
+    assert not helper.is_alive()
+    assert threading.active_count() == threads
+
+
+def test_a_readme_grid_verify_starts_no_helper_thread(worked_plan, monkeypatch):
+    # the README grid's extended volume lies below the size floor, where two
+    # threads gain nothing over one
+    g = worked_plan.geometry.extend()
+    assert math.prod(g.shape(FieldKind.SPACE_TIME)) < verifier._PARALLEL_NODES
+
+    def refuse(thread):
+        raise AssertionError("started a helper thread below the size floor")
+
+    monkeypatch.setattr(workers, "count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    corpus = smooth_corpus(4, seed=3, kind=FieldKind.SPACE_TIME)
+    report = verify_carleman(worked_plan, corpus, S_GRID)
+    assert len(report.rows) == 4 * len(S_GRID)
