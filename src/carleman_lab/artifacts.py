@@ -1,4 +1,4 @@
-"""The text format and the archive the commands write, and their loaders.
+"""The text format and the archive the commands write, the one writer, and the loaders.
 
 * Table: one header line, one line per row with floats in ``repr`` form
   (rereading reproduces them bit for bit), then a ``key = value`` footer
@@ -6,6 +6,12 @@
   rows; ``plan.txt`` is one with no rows (``weight.plan_report``).
 * Archive: a ``.npz`` of little-endian float64 arrays plus a ``meta``
   member holding a JSON document.
+
+``write_artifact`` is the one writer: it writes a temporary file beside the path,
+then ``os.replace``s it onto the path, so an artifact lands whole or not at all; any
+exception, ``KeyboardInterrupt`` included, removes the temporary file.  No
+``fsync``: a kill loses no written data, a power cut can.  A symlink at the path is
+replaced, not written through.
 
 The loaders raise ValidationError on any input they cannot read; only a
 failure to read the file itself escapes as OSError.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 from typing import IO, Callable, Mapping
 
@@ -23,9 +30,10 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "write_table_csv",
+    "write_artifact",
+    "table_text",
     "load_table_csv",
-    "save_archive",
+    "archive_bytes",
     "load_archive",
 ]
 
@@ -43,24 +51,33 @@ def _parse(text: str, kind: type, what: str):
         raise ValidationError(f"{what} is not {expected}: {text!r}") from None
 
 
-def write_table_csv(stream: IO[str], header: str, rows, footer: Mapping[str, object]) -> None:
-    """Write a table: the header, rows of repr floats and a ``key = value`` footer, LF endings.
+def write_artifact(path, data: str | bytes) -> None:
+    """Write ``data``, a str as UTF-8, to exactly ``path``, whole or not at all."""
+    # named by pid and opened as a plain file is, so its mode follows the umask
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # only after a failure is it still there
+
+
+def table_text(header: str, rows, footer: Mapping[str, object]) -> str:
+    """A table: the header, rows of repr floats and a ``key = value`` footer, LF endings.
 
     Footer values are written as cells are.  An empty footer key, a key
     holding ``=``, a key or value holding ``,`` or a line break, or one with
-    whitespace at either end, would not read back as that entry, so it
-    raises ValidationError before anything is written.
+    whitespace at either end, would not read back, so it raises ValidationError.
     """
     footer = {key: _text(value) for key, value in footer.items()}
     for key, value in footer.items():
         stripped = key == key.strip() and value == value.strip()
         if not (key and stripped) or "=" in key or any(c in key + value for c in ",\n\r"):
             raise ValidationError(f"footer entry {key!r}: {value!r} would not read back")
-    stream.write(header + "\n")
-    for row in rows:
-        stream.write(",".join(map(_text, row)) + "\n")
-    for key, value in footer.items():
-        stream.write(f"{key} = {value}\n")
+    lines = [header, *(",".join(map(_text, row)) for row in rows)]
+    lines += [f"{key} = {value}" for key, value in footer.items()]
+    return "".join(line + "\n" for line in lines)
 
 
 def load_table_csv(
@@ -109,22 +126,19 @@ def load_table_csv(
     return rows, footer
 
 
-def save_archive(path, arrays: Mapping[str, np.ndarray], meta: Mapping) -> None:
-    """Write ``meta`` as a JSON member, then the arrays as little-endian doubles.
-
-    The file lands at exactly ``path``: an open file keeps ``np.savez`` from
-    appending ``.npz`` to a path without that suffix.
-    """
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **{k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()},
-        )
+def archive_bytes(arrays: Mapping[str, np.ndarray], meta: Mapping) -> bytes:
+    """An archive: ``meta`` as a JSON member, then the arrays as little-endian doubles."""
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **{k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()},
+    )
+    return buf.getvalue()
 
 
 def load_archive(path, what: str, build: Callable[[dict, dict], object]):
-    """Read an archive of ``save_archive`` and return ``build(arrays, meta)``.
+    """Read an archive of ``archive_bytes`` and return ``build(arrays, meta)``.
 
     ``what`` names the archive kind in the error message.  A damaged zip, a
     missing member or meta key, or a value ``build`` rejects all raise

@@ -34,7 +34,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import __version__
-from .artifacts import load_archive, load_table_csv, save_archive, write_table_csv
+from .artifacts import archive_bytes, load_archive, load_table_csv, table_text, write_artifact
 from .errors import SolverError, ValidationError, clipped, shown
 from .geometry import CylinderGeometry, FieldKind, GammaSide, discrete_norm
 from .problems import (
@@ -389,8 +389,7 @@ class _Pipeline:
 def _cmd_plan(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     plan = pipe.plan
     path = out_dir / "plan.txt"
-    with path.open("w", newline="") as fh:
-        fh.write(plan_report(plan, _stamp(pipe.cfg)))
+    write_artifact(path, plan_report(plan, _stamp(pipe.cfg)))
     _say(
         quiet,
         f"plan: beta={plan.beta!r} alpha={plan.alpha!r} "
@@ -420,8 +419,7 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
         **_stamp(cfg),
     }
     carleman_path = out_dir / "carleman_rows.csv"
-    with carleman_path.open("w", newline="") as fh:
-        write_table_csv(fh, CARLEMAN_CSV_HEADER, rows, footer)
+    write_artifact(carleman_path, table_text(CARLEMAN_CSV_HEADER, rows, footer))
 
     ident_corpus = smooth_corpus(
         int(vs["lemma1_members"]), int(vs["lemma1_seed"]), kind=FieldKind.SPACE_ONLY
@@ -445,8 +443,7 @@ def _cmd_verify(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
         **_stamp(cfg),
     }
     lemma1_path = out_dir / "lemma1_rows.csv"
-    with lemma1_path.open("w", newline="") as fh:
-        write_table_csv(fh, LEMMA1_CSV_HEADER, ident_rows, ident_footer)
+    write_artifact(lemma1_path, table_text(LEMMA1_CSV_HEADER, ident_rows, ident_footer))
 
     _say(
         quiet,
@@ -483,7 +480,8 @@ def _cmd_reconstruct(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
         **_stamp(pipe.cfg),
     }
     path = out_dir / "reconstruction.npz"
-    save_archive(path, {"f_hat": solution.f_hat.values, "u_hat": solution.u_hat.values}, meta)
+    arrays = {"f_hat": solution.f_hat.values, "u_hat": solution.u_hat.values}
+    write_artifact(path, archive_bytes(arrays, meta))
     _say(
         quiet,
         f"reconstruct: err_region={err_region!r} err_global={err_global!r} "
@@ -498,10 +496,8 @@ def _cmd_sweep(pipe: _Pipeline, out_dir: Path, quiet: bool) -> list[Path]:
     # the levels are checked before the operator is factored
     levels = cfg.noise_levels()
     report = stability_sweep(pipe.instance, levels, pipe.operator, seed=seed)
-    footer = {"seed": seed, **_stamp(cfg)}
     path = out_dir / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        write_sweep_csv(report, fh, footer=footer)
+    write_sweep_csv(report, path, footer={"seed": seed, **_stamp(cfg)})
     _say(quiet, f"sweep: {len(report.rows)} rows, theta_emp={report.theta_emp!r}")
     return [path]
 

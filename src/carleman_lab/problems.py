@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .artifacts import load_archive, save_archive
+from .artifacts import archive_bytes, load_archive, write_artifact
 from .errors import ValidationError, shown
 from .geometry import (
     CylinderGeometry,
@@ -574,7 +574,7 @@ def save_instance(inst: ProblemInstance, path) -> None:
     }
     channels = {f"bundle_{name}": ch for name, ch in inst.data.channels().items()}
     fields = {"u": inst.u, "f": inst.f, "R": inst.R, "p0": inst.p0, **channels}
-    save_archive(path, {name: fld.values for name, fld in fields.items()}, meta)
+    write_artifact(path, archive_bytes({name: fld.values for name, fld in fields.items()}, meta))
 
 
 def _instance_from_archive(arrays: dict, meta: dict) -> ProblemInstance:

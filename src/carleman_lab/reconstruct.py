@@ -36,7 +36,7 @@ from typing import IO, TYPE_CHECKING, Mapping
 import numpy as np
 
 from . import factor
-from .artifacts import load_table_csv, write_table_csv
+from .artifacts import load_table_csv, table_text, write_artifact
 from .errors import SolverError, ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -595,13 +595,11 @@ def corollary_check(sweep: SweepReport, instance: ProblemInstance) -> CorollaryR
 _CSV_HEADER = "noise,D_u,err_region,err_global"
 
 
-def write_sweep_csv(
-    report: SweepReport, stream: IO[str], footer: Mapping[str, object] | None = None
-) -> None:
-    """Emit the sweep as a table CSV whose footer opens with ``theta_emp``."""
+def write_sweep_csv(report: SweepReport, path, footer: Mapping[str, object] | None = None) -> None:
+    """Write the sweep to ``path`` as a table CSV whose footer opens with ``theta_emp``."""
     rows = [astuple(row) for row in report.rows]
     footer = {"theta_emp": report.theta_emp, **(footer or {})}
-    write_table_csv(stream, _CSV_HEADER, rows, footer)
+    write_artifact(path, table_text(_CSV_HEADER, rows, footer))
 
 
 def load_sweep_csv(stream: IO[str]) -> tuple[list[SweepRow], dict]:

@@ -324,8 +324,6 @@ class _Sides:
         self.we = np.empty((n, *shape))
         self.lateral_we = np.empty((n, self.lateral.size))
         self.terminal_we = np.empty((n, self.terminal.size))
-        half = np.empty(shape)
-        half_traces = []
         for k, s in enumerate(self.s_values):
             e = self.we[k]
             np.multiply(shifted, 2.0 * s, out=e)
@@ -333,11 +331,7 @@ class _Sides:
             np.multiply(w_lateral, np.take(e, self.lateral), out=self.lateral_we[k])
             np.multiply(w_terminal, np.take(e, self.terminal), out=self.terminal_we[k])
             e *= wq
-            np.multiply(shifted, s, out=half)
-            np.exp(half, out=half)
-            half_traces.append(_lateral_traces(half, g))
-        # exp(s (phi - max phi)) on each lateral face, stacked over the strengths
-        self.half = [np.stack(face) for face in zip(*half_traces)]
+        self.half = [np.exp(np.multiply.outer(self.s_values, f)) for f in _lateral_traces(shifted, g)]
 
     def workspace(self) -> np.ndarray:
         """The volumes one worker's calls write into."""

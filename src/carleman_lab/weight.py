@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import load_table_csv, write_table_csv
+from .artifacts import load_table_csv, table_text
 from .errors import ValidationError
 from .geometry import (
     CylinderGeometry,
@@ -414,9 +414,7 @@ def plan_report(plan: WeightPlan, stamp: Mapping[str, str]) -> str:
     g = plan.geometry
     values = {**vars(g), **vars(plan)}
     values.update(geometry=g.fingerprint(), gamma_side=g.gamma_side.value)
-    text = io.StringIO()
-    write_table_csv(text, _REPORT_HEADER, [], {**{k: values[k] for k in _REPORT_KEYS}, **stamp})
-    return text.getvalue()
+    return table_text(_REPORT_HEADER, [], {**{k: values[k] for k in _REPORT_KEYS}, **stamp})
 
 
 def load_plan_record(text: str) -> dict:

@@ -8,7 +8,6 @@ cross-section with data side HI, the quartic manufactured instance, seeds 7
 and 11 for the corpora, seed 0 for the noise sweeps.
 """
 
-import io
 import math
 
 import numpy as np
@@ -290,7 +289,7 @@ def test_criterion_8_slice_recovery(quartic_instance, acceptance_operator, capsy
 
 
 def test_criterion_9_sweep_determinism(
-    acceptance_sweep, quartic_instance, worked_plan, sweep_reg, capsys
+    acceptance_sweep, quartic_instance, worked_plan, sweep_reg, capsys, tmp_path
 ):
     # a fresh operator, so the check also covers assembly and factorization
     repeat = stability_sweep(
@@ -299,10 +298,10 @@ def test_criterion_9_sweep_determinism(
         sweep_operator(quartic_instance, worked_plan, sweep_reg),
         seed=SWEEP_SEED,
     )
-    first, second = io.StringIO(), io.StringIO()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_sweep_csv(acceptance_sweep, first)
     write_sweep_csv(repeat, second)
     failures = []
-    check(failures, first.getvalue().encode() == second.getvalue().encode(),
+    check(failures, first.read_bytes() == second.read_bytes(),
           "same seed produced different CSV bytes")
     verdict(capsys, 9, "sweep determinism", failures)

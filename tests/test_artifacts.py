@@ -9,13 +9,15 @@ kind.  Runs are derandomized and bounded so the file stays fast.
 
 import io
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from carleman_lab.artifacts import load_archive, save_archive, write_table_csv
+from carleman_lab.artifacts import archive_bytes, load_archive, table_text, write_artifact
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
     load_config,
@@ -88,12 +90,10 @@ char = st.sampled_from(CHARS)
     footer=st.dictionaries(footer_keys, footer_values, max_size=4),
 )
 def test_table_csv_round_trips(rows, footer):
-    buf = io.StringIO()
-    write_table_csv(buf, CARLEMAN_CSV_HEADER, rows, footer)
-    buf.seek(0)
-    assert load_table_csv(buf, CARLEMAN_CSV_HEADER) == (rows, footer)
+    text = table_text(CARLEMAN_CSV_HEADER, rows, footer)
+    assert load_table_csv(io.StringIO(text), CARLEMAN_CSV_HEADER) == (rows, footer)
     # a table written before the footers were spaced, as key=value, loads the same
-    unspaced = io.StringIO(buf.getvalue().replace(" = ", "="))
+    unspaced = io.StringIO(text.replace(" = ", "="))
     assert load_table_csv(unspaced, CARLEMAN_CSV_HEADER) == (rows, footer)
 
 
@@ -103,11 +103,11 @@ def test_table_csv_round_trips(rows, footer):
     theta=finite,
     footer=st.dictionaries(footer_keys.filter(lambda k: k != "theta_emp"), footer_values),
 )
-def test_sweep_csv_round_trips(rows, theta, footer):
-    buf = io.StringIO()
-    write_sweep_csv(SweepReport(tuple(rows), theta, None, None), buf, footer=footer)
-    buf.seek(0)
-    back, back_footer = load_sweep_csv(buf)
+def test_sweep_csv_round_trips(tmp_path_factory, rows, theta, footer):
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    write_sweep_csv(SweepReport(tuple(rows), theta, None, None), path, footer=footer)
+    with path.open() as fh:
+        back, back_footer = load_sweep_csv(fh)
     assert back == rows
     assert back_footer == {"theta_emp": theta, **footer}
 
@@ -145,10 +145,8 @@ def test_damaged_sweep_csv_loads_or_is_rejected(spec):
     ],
 )
 def test_footer_that_would_not_read_back_is_refused(footer):
-    buf = io.StringIO()
     with pytest.raises(ValidationError, match="would not read back"):
-        write_table_csv(buf, CARLEMAN_CSV_HEADER, [(0, 2.0, 0.5, 0.25, 1.0, 0.5)], footer)
-    assert buf.getvalue() == ""
+        table_text(CARLEMAN_CSV_HEADER, [(0, 2.0, 0.5, 0.25, 1.0, 0.5)], footer)
 
 
 def test_bad_cells_and_bad_theta_are_rejected():
@@ -198,12 +196,10 @@ def instance_bytes(tiny_instance, archive_dir):
 
 
 @pytest.fixture(scope="module")
-def reconstruction_bytes(archive_dir):
-    path = archive_dir / "reconstruction.npz"
+def reconstruction_bytes():
     rng = np.random.default_rng(3)
     arrays = {"f_hat": rng.standard_normal((9, 9)), "u_hat": rng.standard_normal((9, 7, 9))}
-    save_archive(path, arrays, {"err_region": 0.5, "iterations": 2})
-    return path.read_bytes()
+    return archive_bytes(arrays, {"err_region": 0.5, "iterations": 2})
 
 
 def damaged_archive(data, draw, path):
@@ -238,14 +234,14 @@ def test_archive_loaders_reject_a_file_that_is_not_a_zip(tmp_path):
 
 def test_instance_meta_without_geometry_is_rejected(tiny_instance, tmp_path):
     path = tmp_path / "nogeo.npz"
-    save_archive(path, {"u": tiny_instance.u.values}, {"provenance": {}})
+    write_artifact(path, archive_bytes({"u": tiny_instance.u.values}, {"provenance": {}}))
     with pytest.raises(ValidationError, match="not an instance archive"):
         load_instance(path)
 
 
 def test_archive_is_written_at_exactly_the_given_path(tmp_path):
     path = tmp_path / "x.bin"
-    save_archive(path, {"f_hat": np.arange(3.0)}, {"iterations": 1})
+    write_artifact(path, archive_bytes({"f_hat": np.arange(3.0)}, {"iterations": 1}))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
     arrays, meta = load_archive(path, "an archive", lambda arrays, meta: (arrays, meta))
     assert np.array_equal(arrays["f_hat"], np.arange(3.0))
@@ -255,6 +251,38 @@ def test_archive_is_written_at_exactly_the_given_path(tmp_path):
 def test_a_missing_archive_stays_an_os_error(tmp_path):
     with pytest.raises(OSError):
         load_archive(tmp_path / "absent.npz", "an archive", lambda arrays, meta: meta)
+
+
+# ---- the writer ---------------------------------------------------------------------
+
+
+def test_an_interrupt_at_the_replace_leaves_the_old_artifact_and_no_temporary_file(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "plan.txt"
+    path.write_text("old\n")
+
+    def interrupted(src, dst):
+        assert (Path(src).read_text(), Path(dst)) == ("new\n", path)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_artifact(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
+
+
+def test_an_artifact_gets_the_mode_of_a_plainly_opened_file(tmp_path):
+    # under umask 022 a plain file is 0644, where tempfile.mkstemp gives 0600
+    umask = os.umask(0o022)
+    try:
+        write_artifact(tmp_path / "artifact.csv", "x\n")
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "artifact.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 # ---- plan record and config ---------------------------------------------------------

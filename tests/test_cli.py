@@ -6,6 +6,7 @@ frozen parameter values hold exactly.
 """
 
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 
 from carleman_lab import (
-    __version__, cli as cli_module, factor as factor_module, reconstruct as reconstruct_module,
-    weight as weight_module, workers,
+    __version__, artifacts as artifacts_module, cli as cli_module, factor as factor_module,
+    reconstruct as reconstruct_module, weight as weight_module, workers,
 )
 from carleman_lab.cli import (
     CARLEMAN_CSV_HEADER,
@@ -884,6 +885,41 @@ def test_exit_3_when_an_artifact_cannot_be_written(tmp_path, capsys):
     assert cli("--config", path, "--command", "plan") == 3
     assert "error: " in capsys.readouterr().err
     assert taken.read_text() == "a file where the output directory should go\n"
+
+
+class _DiskFull:
+    """A file for writing whose write lands half its bytes, then fails as a full disk does."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command, name", [("plan", "plan.txt"), ("make-instance", "instance.npz")])
+def test_a_failed_write_exits_3_and_leaves_the_previous_artifact_whole(
+    tmp_path, monkeypatch, capsys, command, name
+):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out))
+    assert cli("--config", path, "--command", command, "--quiet") == 0
+    before = (out / name).read_bytes()
+    # the writer's one open, so the write of every artifact fails half done
+    monkeypatch.setattr(artifacts_module, "open", _DiskFull, raising=False)
+    assert cli("--config", path, "--command", command, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "No space left on device" in err
+    assert (out / name).read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_exit_3_on_missing_config(tmp_path, capsys):

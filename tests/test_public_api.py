@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` must exist in that module, no
-module imports another package module's private names, and every name a
-module imports from the package is used there or exported."""
+module imports another package module's private names, every name a
+module imports from the package is used there or exported, and only
+``artifacts`` writes a file."""
 
 import ast
 import importlib
@@ -72,3 +73,33 @@ def test_every_name_imported_from_the_package_is_used_or_exported():
     package = Path(carleman_lab.__file__).parent
     found = {name for path in sorted(package.glob("*.py")) for name in _unused_imports(path)}
     assert found == HELD_FOR_THE_TRACER
+
+
+def _may_write(mode: ast.expr) -> bool:
+    """A mode argument that is no string literal, or one that opens for writing."""
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not literal or bool(set(mode.value) & set("wax+"))
+
+
+def _writes(path: Path):
+    """Each call in ``path`` that opens a file for writing or writes one whole, as file:line."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) or path.open(mode)
+            modes = node.args[at : at + 1] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            writes = any(map(_may_write, modes))
+        else:
+            on_numpy = getattr(getattr(func, "value", None), "id", None) in ("np", "numpy")
+            writes = name in ("write_text", "write_bytes") or on_numpy and name.startswith("save")
+        if writes:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_only_the_artifacts_module_writes_a_file():
+    package = Path(carleman_lab.__file__).parent
+    modules = [path for path in sorted(package.glob("*.py")) if path.stem != "artifacts"]
+    assert [line for path in modules for line in _writes(path)] == []

@@ -874,22 +874,21 @@ def test_corollary_requires_a_noiseless_row(worked_sweep, quartic_instance):
 # ---- CSV round trip ----------------------------------------------------------------
 
 
-def test_sweep_csv_roundtrip(worked_sweep):
-    buf = io.StringIO()
-    write_sweep_csv(worked_sweep, buf, footer={"seed": "0"})
-    buf.seek(0)
-    rows, footer = load_sweep_csv(buf)
+def test_sweep_csv_roundtrip(worked_sweep, tmp_path):
+    write_sweep_csv(worked_sweep, tmp_path / "sweep.csv", footer={"seed": "0"})
+    with (tmp_path / "sweep.csv").open() as fh:
+        rows, footer = load_sweep_csv(fh)
     assert rows == list(worked_sweep.rows)
     assert footer["theta_emp"] == worked_sweep.theta_emp
     assert footer["seed"] == "0"
 
 
-def test_sweep_csv_is_byte_stable(worked_sweep):
-    one, two = io.StringIO(), io.StringIO()
+def test_sweep_csv_is_byte_stable(worked_sweep, tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     write_sweep_csv(worked_sweep, one)
     write_sweep_csv(worked_sweep, two)
-    assert one.getvalue() == two.getvalue()
-    assert "\r" not in one.getvalue()
+    assert one.read_bytes() == two.read_bytes()
+    assert b"\r" not in one.read_bytes()
 
 
 def test_sweep_csv_rejects_malformed_input():
