@@ -46,11 +46,6 @@ __all__ = [
     "diff_array_sharp",
     "diff_matrix",
     "diff",
-    "dxp",
-    "dxn",
-    "dt",
-    "dxp2",
-    "dxn2",
     "laplacian",
     "face_index",
     "trace",
@@ -414,31 +409,11 @@ def diff(u: ScalarField, axis: str, order: int = 1) -> ScalarField:
     return ScalarField._adopt(u.geometry, values, u.kind)
 
 
-def dxp(u: ScalarField) -> ScalarField:
-    return diff(u, "xp", 1)
-
-
-def dxn(u: ScalarField) -> ScalarField:
-    return diff(u, "xn", 1)
-
-
-def dt(u: ScalarField) -> ScalarField:
-    return diff(u, "t", 1)
-
-
-def dxp2(u: ScalarField) -> ScalarField:
-    return diff(u, "xp", 2)
-
-
-def dxn2(u: ScalarField) -> ScalarField:
-    return diff(u, "xn", 2)
-
-
 def laplacian(u: ScalarField) -> ScalarField:
     """Spatial Laplacian (cross-section plus axial second derivatives)."""
     if "xp" not in u.axes or "xn" not in u.axes:
         raise ValidationError(f"laplacian needs both spatial axes, got kind {u.kind.name}")
-    return u.with_values(dxp2(u).values + dxn2(u).values)
+    return u.with_values(diff(u, "xp", 2).values + diff(u, "xn", 2).values)
 
 
 # ---- traces -----------------------------------------------------------------

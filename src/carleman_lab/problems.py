@@ -34,9 +34,6 @@ from .geometry import (
     diff,
     discrete_norm,
     discrete_norms,
-    dt,
-    dxn,
-    dxp,
     laplacian,
     trace,
 )
@@ -202,8 +199,8 @@ class Recipe:
 
 # The lateral data channels in their fixed order, each with the derivative
 # steps (axis, order) applied left to right to y = du/dx_n before the trace on
-# the data side.  ``_make_bundle`` and the Cauchy rows of the lateral solver
-# both read this table.
+# the data side.  ``_validated_instance``, which forms each channel's field
+# once, and the Cauchy rows of the lateral solver both read this table.
 BUNDLE_CHANNELS = {
     "y": (),
     "y_xp": (("xp", 1),),
@@ -257,64 +254,24 @@ def _ct_to_volume(field: ScalarField) -> np.ndarray:
     return field.values[:, None, :]
 
 
-def _make_bundle(u: ScalarField) -> BoundaryBundle:
-    """Lateral data bundle of a solution field, by finite differences."""
-    y = dxn(u)
-    traces = []
-    for steps in BUNDLE_CHANNELS.values():
-        c = y
-        for axis, order in steps:
-            c = diff(c, axis, order)
-        traces.append(trace(c, Face.GAMMA_SIDE))
-    return BoundaryBundle(tuple(traces))
+def _pde_residual(
+    u: ScalarField, f: ScalarField, R: ScalarField, p0: ScalarField
+) -> tuple[ScalarField, float]:
+    """PDE residual of ``u`` and the largest magnitude of its four terms."""
+    terms = (
+        diff(u, "t", 1).values,
+        laplacian(u).values,
+        _ct_to_volume(p0) * u.values,
+        R.values * _ct_to_volume(f),
+    )
+    ut, lap, p0u, rf = terms
+    scale = max(*(np.max(np.abs(term)) for term in terms), 1e-30)
+    return ScalarField(u.geometry, ut - lap - p0u - rf, FieldKind.SPACE_TIME), scale
 
 
 def residual_field(inst: ProblemInstance) -> ScalarField:
     """PDE residual of the stored solution (zero up to discretization)."""
-    vals = (
-        dt(inst.u).values
-        - laplacian(inst.u).values
-        - _ct_to_volume(inst.p0) * inst.u.values
-        - inst.R.values * _ct_to_volume(inst.f)
-    )
-    return ScalarField(inst.geometry, vals, FieldKind.SPACE_TIME)
-
-
-def _validate_instance(inst: ProblemInstance, trace_tol: float):
-    g = inst.geometry
-    scale = max(
-        np.max(np.abs(dt(inst.u).values)),
-        np.max(np.abs(laplacian(inst.u).values)),
-        np.max(np.abs(_ct_to_volume(inst.p0) * inst.u.values)),
-        np.max(np.abs(inst.R.values * _ct_to_volume(inst.f))),
-        1e-30,
-    )
-    h = max(g.spacing("xp"), g.spacing("xn"), g.spacing("t"))
-    res = np.max(np.abs(residual_field(inst).values))
-    if res > 10.0 * h * h * scale:
-        raise ValidationError(
-            f"PDE residual {res:.3e} exceeds 10 h^2 times the term scale {scale:.3e}"
-        )
-    u_face = trace(inst.u, Face.XN_ZERO).max_abs()
-    u_scale = max(inst.u.max_abs(), 1e-30)
-    if u_face > trace_tol * u_scale:
-        raise ValidationError(
-            f"solution trace at x_n = 0 is {u_face:.3e}, above {trace_tol:g} of scale {u_scale:.3e}"
-        )
-    # The discrete axial derivative at the face carries the one-sided
-    # truncation error of the stencil, so it only vanishes to O(h^2) even
-    # though the recipe enforces a'(0) = 0 analytically.
-    y_face = trace(dxn(inst.u), Face.XN_ZERO).max_abs()
-    y_scale = max(dxn(inst.u).max_abs(), 1e-30)
-    if y_face > 10.0 * h * h * y_scale:
-        raise ValidationError(
-            f"axial derivative trace at x_n = 0 is {y_face:.3e}, above 10 h^2 of scale {y_scale:.3e}"
-        )
-    r_face = np.min(np.abs(trace(inst.R, Face.XN_ZERO).values))
-    if r_face <= 1e-12 * max(inst.R.max_abs(), 1e-30):
-        raise ValidationError(
-            f"source profile R vanishes somewhere on x_n = 0 (min |R| = {r_face:.3e})"
-        )
+    return _pde_residual(inst.u, inst.f, inst.R, inst.p0)[0]
 
 
 def _validated_instance(
@@ -325,23 +282,60 @@ def _validated_instance(
     provenance: dict,
     trace_tol: float,
 ) -> ProblemInstance:
-    """The instance of ``u`` with its lateral data and summaries, once it passes the checks."""
-    inst = ProblemInstance(
-        geometry=u.geometry,
+    """The instance of ``u`` with its lateral data and summaries, once it passes the checks.
+
+    Each derivative is formed once: y = du/dx_n and each bundle channel's
+    volume, which also give the checks on y and the a-priori bound, and the
+    four PDE terms, which give both the residual and its scale.
+    """
+    g = u.geometry
+    residual, scale = _pde_residual(u, f, R, p0)
+    h = max(g.spacing("xp"), g.spacing("xn"), g.spacing("t"))
+    res = residual.max_abs()
+    if res > 10.0 * h * h * scale:
+        raise ValidationError(
+            f"PDE residual {res:.3e} exceeds 10 h^2 times the term scale {scale:.3e}"
+        )
+    u_face = trace(u, Face.XN_ZERO).max_abs()
+    u_scale = max(u.max_abs(), 1e-30)
+    if u_face > trace_tol * u_scale:
+        raise ValidationError(
+            f"solution trace at x_n = 0 is {u_face:.3e}, above {trace_tol:g} of scale {u_scale:.3e}"
+        )
+    # a channel whose steps extend another's (y_xnt extends y_xn) starts from its field
+    fields = {(): diff(u, "xn", 1)}
+    for steps in BUNDLE_CHANNELS.values():
+        for k in range(len(steps)):
+            if steps[: k + 1] not in fields:
+                fields[steps[: k + 1]] = diff(fields[steps[:k]], *steps[k])
+    channels = {name: fields[steps] for name, steps in BUNDLE_CHANNELS.items()}
+    # The discrete axial derivative at the face carries the one-sided
+    # truncation error of the stencil, so it only vanishes to O(h^2) even
+    # though the recipe enforces a'(0) = 0 analytically.
+    y = channels["y"]
+    y_face = trace(y, Face.XN_ZERO).max_abs()
+    y_scale = max(y.max_abs(), 1e-30)
+    if y_face > 10.0 * h * h * y_scale:
+        raise ValidationError(
+            f"axial derivative trace at x_n = 0 is {y_face:.3e}, above 10 h^2 of scale {y_scale:.3e}"
+        )
+    r_face = np.min(np.abs(trace(R, Face.XN_ZERO).values))
+    if r_face <= 1e-12 * max(R.max_abs(), 1e-30):
+        raise ValidationError(
+            f"source profile R vanishes somewhere on x_n = 0 (min |R| = {r_face:.3e})"
+        )
+    data = BoundaryBundle(tuple(trace(c, Face.GAMMA_SIDE) for c in channels.values()))
+    grads = [channels[name] for name in ("y_xp", "y_xn", "y_t")]
+    return ProblemInstance(
+        geometry=g,
         u=u,
         f=f,
         R=R,
         p0=p0,
-        data=_make_bundle(u),
-        d_of_u=math.nan,
-        apriori_bound=math.nan,
+        data=data,
+        d_of_u=compute_data_functional(data),
+        apriori_bound=_apriori_bound(y, grads),
         provenance=provenance,
-    )
-    _validate_instance(inst, trace_tol)
-    return replace(
-        inst,
-        d_of_u=compute_data_functional(inst.data),
-        apriori_bound=compute_apriori_bound(inst),
     )
 
 
@@ -462,8 +456,9 @@ def coefficient_reduction(
             f"Cauchy values of v_p and v_q differ by {val_gap:.3e} at x_n = 0 "
             f"(allowed 1e-10 of scale {scale:.3e})"
         )
-    dscale = max(dxn(v_p).max_abs(), dxn(v_q).max_abs(), 1e-30)
-    der_gap = trace(dxn(v_p) - dxn(v_q), Face.XN_ZERO).max_abs()
+    y_p, y_q = diff(v_p, "xn", 1), diff(v_q, "xn", 1)
+    dscale = max(y_p.max_abs(), y_q.max_abs(), 1e-30)
+    der_gap = trace(y_p - y_q, Face.XN_ZERO).max_abs()
     if der_gap > 1e-10 * dscale:
         raise ValidationError(
             f"Cauchy derivatives of v_p and v_q differ by {der_gap:.3e} at x_n = 0"
@@ -533,9 +528,12 @@ def compute_apriori_bound(inst: ProblemInstance) -> float:
     norm, so the bound is degree-1 homogeneous in u, and the data functional
     of a clean instance never exceeds it.
     """
-    y = dxn(inst.u)
-    grads = [dxp(y), dxn(y), dt(y)]
+    y = diff(inst.u, "xn", 1)
+    return _apriori_bound(y, [diff(y, axis, 1) for axis in ("xp", "xn", "t")])
 
+
+def _apriori_bound(y: ScalarField, grads: list[ScalarField]) -> float:
+    """``compute_apriori_bound`` from y = du/dx_n and its three first derivatives."""
     terminal = sum(
         discrete_norm(trace(y, face), kind=NormKind.H1_SURFACE)
         for face in (Face.T_PLUS_DELTA, Face.T_MINUS_DELTA)

@@ -44,10 +44,10 @@ from .geometry import (
     FieldKind,
     Region,
     ScalarField,
+    diff,
     diff_matrix,
     discrete_norm,
     discrete_norms,
-    dxn2,
     face_index,
     quadrature_weights,
     time_slice,
@@ -118,7 +118,7 @@ def oracle_trace_reconstruct(u: ScalarField, R: ScalarField) -> ScalarField:
         raise ValidationError(
             f"|R| drops to {floor:.3e} at the x_n = 0 face, below the floor {_ORACLE_R_FLOOR:.3e}"
         )
-    unn_face = trace(dxn2(u), Face.XN_ZERO)
+    unn_face = trace(diff(u, "xn", 2), Face.XN_ZERO)
     return unn_face.with_values(-unn_face.values / r_face.values)
 
 
@@ -150,12 +150,6 @@ class Regularization:
 _BOUNDARY_ROW_WEIGHT = 100.0
 
 
-def _unit_row(n: int, idx: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    return sp.csr_matrix(([1.0], [idx], [0, 1]), shape=(1, n))
-
-
 def _lateral_matrix(
     geometry: CylinderGeometry,
     plan: WeightPlan,
@@ -167,7 +161,7 @@ def _lateral_matrix(
 
     Row blocks, each carrying the square root of its trapezoid weights:
 
-    * PDE residual dt(u) - lap(u) - p0*u - R*f on the whole cylinder,
+    * PDE residual du/dt - lap(u) - p0*u - R*f on the whole cylinder,
       multiplied by the shifted Carleman factor e^(s(phi - max phi));
     * Cauchy mismatch of every bundle channel on the data side;
     * value and normal-derivative rows at the x_n = 0 face;
@@ -205,10 +199,10 @@ def _lateral_matrix(
     vol = {(axis, order): volume(axis, order) for axis in axes for order in (1, 2)}
     dxp_v, dxn_v = vol["xp", 1], vol["xn", 1]
 
-    _, gamma_idx = face_index(g, Face.GAMMA_SIDE)
-    _, zero_idx = face_index(g, Face.XN_ZERO)
-    t_gamma = sp.kron(_unit_row(nxp, gamma_idx), sp.kron(eye["xn"], eye["t"]), format="csr")
-    t_zero = sp.kron(eye["xp"], sp.kron(_unit_row(nxn, zero_idx), eye["t"]), format="csr")
+    # the rows of u's nodes on the data-side face and on the x_n = 0 face
+    nodes = np.arange(nq).reshape(nxp, nxn, nt)
+    gamma = nodes[face_index(g, Face.GAMMA_SIDE)[1]].ravel()
+    zero = nodes[:, face_index(g, Face.XN_ZERO)[1]].ravel()
 
     # PDE block with the shifted exponential weight (identically 1 at s = 0)
     phi = phi_field(plan, g).values
@@ -225,7 +219,7 @@ def _lateral_matrix(
     blocks = [[pde_w @ heat, -(pde_w @ r_map)]]
 
     # Cauchy mismatch rows, one block per recorded channel: the channel's
-    # derivative steps applied to y = dxn(u) in order, then the data-side trace
+    # derivative steps applied to y = du/dx_n in order, then the data-side trace
     w_face = np.sqrt(quadrature_weights(g, FieldKind.AXIAL_TIME).ravel())
     cauchy_w = math.sqrt(_BOUNDARY_ROW_WEIGHT) * w_face
     cauchy_scale = sp.diags(cauchy_w)
@@ -233,13 +227,13 @@ def _lateral_matrix(
         op = dxn_v
         for step in steps:
             op = vol[step] @ op
-        blocks.append([cauchy_scale @ (t_gamma @ op), None])
+        blocks.append([cauchy_scale @ op[gamma], None])
 
     # zero Cauchy data at the x_n = 0 face
     w0 = np.sqrt(quadrature_weights(g, FieldKind.CROSS_SECTION_TIME).ravel())
     face_scale = sp.diags(math.sqrt(_BOUNDARY_ROW_WEIGHT) * w0)
-    blocks.append([face_scale @ t_zero, None])
-    blocks.append([face_scale @ (t_zero @ dxn_v), None])
+    blocks.append([face_scale @ sp.identity(nq, format="csr")[zero], None])
+    blocks.append([face_scale @ dxn_v[zero], None])
 
     # Tikhonov rows
     sqrt_mu = math.sqrt(reg.tikhonov_weight)
@@ -575,10 +569,10 @@ def corollary_check(sweep: SweepReport, instance: ProblemInstance) -> CorollaryR
     plan = sweep.plan
     region = stability_region(plan)
     xp_only = Region(xp=(plan.D0_lo, plan.D0_hi))
-    diff = sweep.noiseless_f_hat.with_values(
+    f_error = sweep.noiseless_f_hat.with_values(
         sweep.noiseless_f_hat.values - instance.f.values
     )
-    slice_error = discrete_norm(time_slice(diff, 0.0), region=xp_only)
+    slice_error = discrete_norm(time_slice(f_error, 0.0), region=xp_only)
     slice_scale = discrete_norm(time_slice(instance.f, 0.0), region=xp_only)
     noiseless_row = next(r for r in sweep.rows if r.noise == 0.0)
     region_scale = discrete_norm(instance.f, region=region)

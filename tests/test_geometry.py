@@ -19,11 +19,6 @@ from carleman_lab.geometry import (
     diff_matrix,
     discrete_norm,
     discrete_norms,
-    dt,
-    dxn,
-    dxn2,
-    dxp,
-    dxp2,
     laplacian,
     time_slice,
     trace,
@@ -138,7 +133,7 @@ def test_first_derivative_exact_on_quadratics():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: xn * xn)
     expect = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: 2 * xn)
-    assert np.max(np.abs(dxn(u).values - expect.values)) < 1e-13
+    assert np.max(np.abs(diff(u, "xn", 1).values - expect.values)) < 1e-13
 
 
 def test_second_derivative_exact_on_cubics():
@@ -146,7 +141,7 @@ def test_second_derivative_exact_on_cubics():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: xn**3)
     expect = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: 6 * xn)
-    assert np.max(np.abs(dxn2(u).values - expect.values)) < 1e-12
+    assert np.max(np.abs(diff(u, "xn", 2).values - expect.values)) < 1e-12
 
 
 def test_laplacian_annihilates_harmonic_quadratic():
@@ -159,7 +154,7 @@ def test_time_derivative_exact_on_quadratic():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.CROSS_SECTION_TIME, lambda xp, t: t * t + xp)
     expect = ScalarField.from_function(g, FieldKind.CROSS_SECTION_TIME, lambda xp, t: 2 * t)
-    assert np.max(np.abs(dt(u).values - expect.values)) < 1e-13
+    assert np.max(np.abs(diff(u, "t", 1).values - expect.values)) < 1e-13
 
 
 def test_laplacian_two_grid_ratio_near_four():
@@ -188,7 +183,7 @@ def test_diff_rejects_missing_axis_and_bad_order():
     g = small_geometry()
     f = ScalarField.zeros(g, FieldKind.CROSS_SECTION)
     with pytest.raises(ValidationError, match="no 'xn' axis"):
-        dxn(f)
+        diff(f, "xn", 1)
     u = ScalarField.zeros(g, FieldKind.SPACE_ONLY)
     with pytest.raises(ValidationError, match="order"):
         diff(u, "xn", 3)
@@ -246,7 +241,7 @@ def test_dxn_of_even_extension_is_antisymmetric_exactly():
     g = small_geometry()
     rng = np.random.default_rng(11)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_ONLY)), FieldKind.SPACE_ONLY)
-    w = dxn(mirrored(u)).values
+    w = diff(mirrored(u), "xn", 1).values
     i0 = (w.shape[1] - 1) // 2
     assert np.array_equal(w[:, i0], np.zeros(w.shape[0]))
     for k in range(1, i0 + 1):
@@ -257,7 +252,7 @@ def test_dxn2_of_even_extension_is_symmetric_exactly():
     g = small_geometry()
     rng = np.random.default_rng(12)
     u = ScalarField(g, rng.standard_normal(g.shape(FieldKind.SPACE_ONLY)), FieldKind.SPACE_ONLY)
-    w = dxn2(mirrored(u)).values
+    w = diff(mirrored(u), "xn", 2).values
     i0 = (w.shape[1] - 1) // 2
     for k in range(1, i0 + 1):
         assert np.array_equal(w[:, i0 + k], w[:, i0 - k])
@@ -268,8 +263,8 @@ def test_face_stencil_mismatch_after_extension_shrinks_second_order():
     # extension sees a central one; the gap is pure h^2 for a cubic profile.
     def gap(g):
         u = ScalarField.from_function(g, FieldKind.SPACE_ONLY, lambda xp, xn: np.sin(xp) * xn**3)
-        w = dxn(mirrored(u)).values
-        return np.max(np.abs(w[:, g.nx_n - 1:] - dxn(u).values))
+        w = diff(mirrored(u), "xn", 1).values
+        return np.max(np.abs(w[:, g.nx_n - 1:] - diff(u, "xn", 1).values))
 
     g = small_geometry()
     ratio = gap(g) / gap(g.refine())

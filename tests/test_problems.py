@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from carleman_lab import geometry
 from carleman_lab.errors import ValidationError
 from carleman_lab.geometry import (
     CylinderGeometry,
@@ -12,8 +13,7 @@ from carleman_lab.geometry import (
     FieldKind,
     GammaSide,
     ScalarField,
-    dt,
-    dxn2,
+    diff,
     laplacian,
     trace,
 )
@@ -131,17 +131,35 @@ def test_a_bundle_of_six_traces_is_refused(quartic_instance):
 def test_trace_identity_relates_source_to_second_derivative(worked_geometry, quartic_instance):
     # f * R = -d2u/dxn2 on x_n = 0, up to the one-sided stencil error on x^4
     lhs = quartic_instance.f.values * trace(quartic_instance.R, Face.XN_ZERO).values
-    rhs = -trace(dxn2(quartic_instance.u), Face.XN_ZERO).values
+    rhs = -trace(diff(quartic_instance.u, "xn", 2), Face.XN_ZERO).values
     h = worked_geometry.spacing("xn")
     scale = quartic_instance.u.max_abs()
     assert np.max(np.abs(lhs - rhs)) <= 30 * h * h * max(scale, 1.0)
+
+
+def test_an_instance_build_takes_each_volume_derivative_once(
+    monkeypatch, worked_geometry, quartic_recipe
+):
+    # y = du/dx_n, the six channels past y (y_xnt from y_xn), du/dt and the
+    # two terms of the Laplacian; the norms' face stacks have other shapes
+    volume = worked_geometry.shape(FieldKind.SPACE_TIME)
+    calls = []
+    stencil = geometry.diff_array
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape == volume)
+        return stencil(a, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "diff_array", counted)
+    make_instance(worked_geometry, quartic_recipe)
+    assert sum(calls) == 10
 
 
 def instance_of(g, a, r_scale=1.0):
     """The instance of u = a(x_n) e^t, f = 1, p0 = 0, with R = r_scale (du/dt - Lap u)
     on the discrete operator, so that r_scale = 1 leaves no PDE residual."""
     u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: a(xn) * np.exp(t))
-    R = u.with_values(r_scale * (dt(u).values - laplacian(u).values))
+    R = u.with_values(r_scale * (diff(u, "t", 1).values - laplacian(u).values))
     one = ScalarField.constant(g, FieldKind.CROSS_SECTION_TIME, 1.0)
     zero = ScalarField.zeros(g, FieldKind.CROSS_SECTION_TIME)
     return _validated_instance(u, one, R, zero, {}, trace_tol=1e-12)

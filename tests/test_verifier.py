@@ -27,12 +27,8 @@ from carleman_lab.geometry import (
     GammaSide,
     NormKind,
     ScalarField,
+    diff,
     discrete_norm,
-    dt,
-    dxn,
-    dxn2,
-    dxp,
-    dxp2,
     quadrature_weights,
     trace,
 )
@@ -371,8 +367,9 @@ def plain_sides(u, plan, s, p0=None):
     """The sums of the weighted inequality as one np.sum each, weight folded in last."""
     g = u.geometry
     v = u.values
-    ux, un, ut = dxp(u).values, dxn(u).values, dt(u).values
-    uxx, unn, uxn = dxp2(u).values, dxn2(u).values, dxn(dxp(u)).values
+    ux, un, ut = (diff(u, axis, 1).values for axis in ("xp", "xn", "t"))
+    uxx, unn = diff(u, "xp", 2).values, diff(u, "xn", 2).values
+    uxn = diff(diff(u, "xp", 1), "xn", 1).values
     hess = uxx * uxx + 2.0 * uxn * uxn + unn * unn
     grad = ux * ux + un * un
     usq = v**2
