@@ -15,7 +15,10 @@ noiseless instance), ``sweep`` (noise ladder CSV), ``all`` (the pipeline in
 that order).  Exit codes: 0 success, 1 configuration or validation failure
 (a value that overflows the arithmetic it feeds included), 2 solver failure
 (a factorization, or a solve whose relative normal residual is above 1e-8)
-or running out of memory, 3 filesystem trouble.
+or running out of memory, 3 filesystem trouble, 130 interrupted (Ctrl-C).  An
+interrupted run keeps the artifacts that landed before it, each whole, and
+writes no other.  If the interrupt lands while the helper thread runs a
+factor arm or half of the verify corpus, the run exits once that task ends.
 """
 
 from __future__ import annotations
@@ -570,6 +573,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -9,9 +9,10 @@ where the verifier samples its corpus and checks the weighted inequality.
 All derivatives are second-order finite differences: central stencils in the
 interior, one-sided second-order stencils on the first and last node of the
 differentiation axis.  One coefficient table, ``_STENCILS``, drives the array
-stencils (``diff_array``, behind ``diff``), the sparse matrices of the lateral
-solver (``diff_matrix``) and the fourth-order end rows of
-``diff_array_sharp``.  All integrals are trapezoidal.
+stencils: ``diff_array``, behind ``diff``, and the fourth-order end rows of
+``diff_array_sharp``.  The sparse matrices of the lateral solver
+(``diff_matrix``) are read off ``diff_array``, so they carry its bits.  All
+integrals are trapezoidal.
 
 One node rule picks the nodes of an interval, for the regions of
 ``discrete_norm`` and for every node set of the weight planner:
@@ -56,7 +57,19 @@ __all__ = [
     "discrete_norms",
 ]
 
-_MIN_NODES = 4  # the widest one-sided stencil spans four nodes
+# Stencils by derivative order: (denominator, interior taps on nodes i-1, i,
+# i+1, second- and fourth-order first-row taps on nodes 0, 1, ...).  The outer
+# interior taps are -1 or +1; a last row mirrors its first row, sign flipped
+# for odd orders.  The fourth-order order-1 row, (-25/12, 4, -3, 4/3, -1/4) / h,
+# is doubled to share the denominator 2h: a power of two, so the same bits.
+_STENCILS = {
+    1: (lambda h: 2.0 * h, (-1.0, 0.0, 1.0), (-3.0, 4.0, -1.0),
+        (-25.0 / 6.0, 8.0, -6.0, 8.0 / 3.0, -0.5)),
+    2: (lambda h: h * h, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0),
+        (15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0)),
+}
+# the widest one-sided stencil spans four nodes
+_MIN_NODES = max(len(first) for _, _, first, _ in _STENCILS.values())
 _MAX_NODES = np.iinfo(np.intp).max // 8  # float64 nodes whose byte count numpy can index
 
 
@@ -313,37 +326,11 @@ class ScalarField:
 # ---- finite differences ---------------------------------------------------
 
 
-# Stencils by derivative order: (denominator, interior taps on nodes i-1, i,
-# i+1, second- and fourth-order first-row taps on nodes 0, 1, ...).  The outer
-# interior taps are -1 or +1; a last row mirrors its first row, sign flipped
-# for odd orders.  The fourth-order order-1 row, (-25/12, 4, -3, 4/3, -1/4) / h,
-# is doubled to share the denominator 2h: a power of two, so the same bits.
-_STENCILS = {
-    1: (lambda h: 2.0 * h, (-1.0, 0.0, 1.0), (-3.0, 4.0, -1.0),
-        (-25.0 / 6.0, 8.0, -6.0, 8.0 / 3.0, -0.5)),
-    2: (lambda h: h * h, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0),
-        (15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0)),
-}
-
-
-def _mirrored(first: tuple, order: int) -> tuple:
-    """Last-row taps mirroring the first row's: reversed, sign flipped for odd orders."""
-    sign = -1.0 if order % 2 else 1.0
-    return tuple(sign * c for c in reversed(first))
-
-
-def _stencil(order: int, h: float):
-    """Denominator, interior taps, first-row and last-row taps of ``order``."""
-    if order not in _STENCILS:
-        raise ValidationError(f"derivative order must be 1 or 2, got {order}")
-    denominator, interior, first, _ = _STENCILS[order]
-    return denominator(h), interior, first, _mirrored(first, order)
-
-
 def _end_rows(b: np.ndarray, out: np.ndarray, den: float, first: tuple, order: int) -> None:
     """Write the one-sided end rows along axis 0: ``first`` on nodes 0, 1, ...
     of ``b``, its mirror on nodes ..., -2, -1, each divided by ``den``."""
-    for row, step, taps in ((0, 1, first), (-1, -1, _mirrored(first, order)[::-1])):
+    sign = -1.0 if order % 2 else 1.0
+    for row, step, taps in ((0, 1, first), (-1, -1, [sign * c for c in first])):
         acc = taps[0] * b[row]
         for k in range(1, len(taps)):
             acc = acc + taps[k] * b[row + step * k]
@@ -358,7 +345,10 @@ def diff_array(
     With ``out`` the stencil is written there, in the same operations as into
     a fresh array, so both give the same bits; ``out`` may not overlap ``a``.
     """
-    den, (left, center, _), first, _ = _stencil(order, h)
+    if order not in _STENCILS:
+        raise ValidationError(f"derivative order must be 1 or 2, got {order}")
+    denominator, (left, center, _), first, _ = _STENCILS[order]
+    den = denominator(h)
     if out is None:
         out = np.empty_like(a)
     elif out.shape != a.shape:
@@ -389,17 +379,21 @@ def diff_array_sharp(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.n
 def diff_matrix(n: int, h: float, order: int = 1) -> sp.csr_matrix:
     """The ``diff_array`` stencil on an axis of ``n`` nodes, as a sparse matrix.
 
+    The entries are read off ``diff_array``, so both carry the same bits.  No
+    row reaches more than r = ``_MIN_NODES - 1`` nodes from its diagonal, so
+    ``diff_array`` runs on 2r + 1 interleaved combs, comb c a unit at every
+    node j with j mod (2r + 1) = c: within r of row i each comb holds one
+    node, and row i of the comb is that node's entry, one tap divided by
+    ``den``.  That takes O(n) memory, where the identity would take n x n.
     Stores no explicit zeros: ``2n + 2`` entries for order 1, ``3n + 2`` for 2.
     """
     import scipy.sparse as sp  # on first use, so commands without a solve never load scipy
 
-    den, interior, first, last = _stencil(order, h)
-    taps = [(off, c) for off, c in zip((-1, 0, 1), interior) if c]
-    k, inner = len(first), np.arange(1, n - 1)
-    rows = np.concatenate([np.zeros(k, int), np.repeat(inner, len(taps)), np.full(k, n - 1)])
-    cols = [np.arange(k), (inner[:, None] + [off for off, _ in taps]).ravel(), np.arange(n - k, n)]
-    vals = np.concatenate([first, np.tile([c for _, c in taps], n - 2), last])
-    return sp.csr_matrix((vals * (1.0 / den), (rows, np.concatenate(cols))), shape=(n, n))
+    r = _MIN_NODES - 1
+    width = 2 * r + 1
+    combs = diff_array(np.eye(width)[np.arange(n) % width], 0, h, order)
+    i, c = np.nonzero(combs)
+    return sp.csr_matrix((combs[i, c], (i, i - r + (c - i + r) % width)), shape=(n, n))
 
 
 def diff(u: ScalarField, axis: str, order: int = 1) -> ScalarField:

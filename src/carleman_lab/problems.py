@@ -54,8 +54,6 @@ __all__ = [
     "coefficient_reduction",
     "compute_data_functional",
     "compute_data_functionals",
-    "compute_apriori_bound",
-    "residual_field",
     "save_instance",
     "load_instance",
 ]
@@ -267,11 +265,6 @@ def _pde_residual(
     ut, lap, p0u, rf = terms
     scale = max(*(np.max(np.abs(term)) for term in terms), 1e-30)
     return ScalarField(u.geometry, ut - lap - p0u - rf, FieldKind.SPACE_TIME), scale
-
-
-def residual_field(inst: ProblemInstance) -> ScalarField:
-    """PDE residual of the stored solution (zero up to discretization)."""
-    return _pde_residual(inst.u, inst.f, inst.R, inst.p0)[0]
 
 
 def _validated_instance(
@@ -519,8 +512,9 @@ def compute_data_functionals(bundles: list[BoundaryBundle]) -> list[float]:
     return [math.sqrt(a**2 + b**2 + c**2) for a, b, c in zip(y_xp, h1, h2)]
 
 
-def compute_apriori_bound(inst: ProblemInstance) -> float:
-    """Sum of the solution norms that bound the stability estimate.
+def _apriori_bound(y: ScalarField, grads: list[ScalarField]) -> float:
+    """Sum of the solution norms that bound the stability estimate, from
+    y = du/dx_n and its three first derivatives ``grads``.
 
     Terminal H1 energies, lateral value and gradient energies on both
     cross-section sides, surface H2 energies on all four lateral faces, and
@@ -528,12 +522,6 @@ def compute_apriori_bound(inst: ProblemInstance) -> float:
     norm, so the bound is degree-1 homogeneous in u, and the data functional
     of a clean instance never exceeds it.
     """
-    y = diff(inst.u, "xn", 1)
-    return _apriori_bound(y, [diff(y, axis, 1) for axis in ("xp", "xn", "t")])
-
-
-def _apriori_bound(y: ScalarField, grads: list[ScalarField]) -> float:
-    """``compute_apriori_bound`` from y = du/dx_n and its three first derivatives."""
     terminal = sum(
         discrete_norm(trace(y, face), kind=NormKind.H1_SURFACE)
         for face in (Face.T_PLUS_DELTA, Face.T_MINUS_DELTA)

@@ -11,9 +11,11 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -920,6 +922,50 @@ def test_a_failed_write_exits_3_and_leaves_the_previous_artifact_whole(
     assert "No space left on device" in err
     assert (out / name).read_bytes() == before
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def _assert_interrupted(code, err, out):
+    assert code == 130
+    assert err == "error: interrupted\n", err
+    # plan.txt landed before the interrupt; verify's tables never began to
+    assert sorted(p.name for p in out.iterdir()) == ["plan.txt"]
+
+
+def test_an_interrupt_exits_130_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli_module._RUNNERS, "verify", interrupt)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out))
+    code = cli("--config", path, "--command", "all", "--quiet")
+    _assert_interrupted(code, capsys.readouterr().err, out)
+
+
+def test_sigint_during_a_run_exits_130_with_one_error_line(tmp_path):
+    # the README grid verifies on the caller alone, so the signal lands in the
+    # corpus.  It is sent a while after plan.txt lands: numpy's module set-up
+    # swallows an interrupt that lands in verify's first import of numpy.random
+    cfg = dict(README_CONFIG, verify={"corpus_size": 20000})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "carleman_lab.cli", "--config", str(path),
+         "--command", "all", "--out", str(out), "--quiet"],
+        env=_child_env(OPENBLAS_NUM_THREADS="1"), stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "plan.txt").exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    _assert_interrupted(child.returncode, err, out)
 
 
 def test_exit_3_on_missing_config(tmp_path, capsys):

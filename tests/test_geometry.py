@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_stencil_refuses_an_out_that_overlaps_its_input_or_has_another_shape():
         diff_array(a, 0, 0.1, 1, out=np.empty((8, 6)))
     diff_array(stack[0], 1, 0.1, 1, out=stack[1])  # a disjoint slice of one buffer is fine
 
-@pytest.mark.parametrize("n", [4, 5, 9])
+@pytest.mark.parametrize("n", [4, 5, 6, 9, 11, 21, 41, 50, 76])
 @pytest.mark.parametrize("order", [1, 2])
 def test_sparse_stencil_matches_array_stencil(n, order):
     h = 1.0 / (n - 1)
@@ -232,6 +233,24 @@ def test_sparse_stencil_matches_array_stencil(n, order):
         v = rng.standard_normal(n)
         expected = diff_array(v, 0, h, order)
         assert np.max(np.abs(m @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # the matrix carries the array stencil's bits; at 6, 11, 21, 41, 50 and 76
+    # nodes an end-row tap rounded as tap * (1 / den) misses them by an ulp
+    for span in (1.0, 2.0):
+        h = span / (n - 1)
+        assert np.array_equal(diff_matrix(n, h, order).toarray(), diff_array(np.eye(n), 0, h, order))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_sparse_stencil_of_a_long_axis_holds_no_square_array(order):
+    n = 100_000
+    tracemalloc.start()
+    try:
+        m = diff_matrix(n, 1.0 / (n - 1), order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == np.count_nonzero(m.data) == (2 * n + 2 if order == 1 else 3 * n + 2)
+    assert peak < 64e6  # one n x n float64 array would take 80 GB
 
 
 # ---- even reflection across x_n = 0 ------------------------------------------

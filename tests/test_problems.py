@@ -28,13 +28,11 @@ from carleman_lab.problems import (
     add_noise,
     axial_profile,
     coefficient_reduction,
-    compute_apriori_bound,
     compute_data_functional,
     compute_data_functionals,
     cross_time_profile,
     load_instance,
     make_instance,
-    residual_field,
     save_instance,
     _validated_instance,
 )
@@ -107,7 +105,11 @@ def test_source_profile_has_closed_form(worked_geometry, quartic_instance):
 
 
 def test_residual_is_small_relative_to_term_scale(worked_geometry, quartic_instance):
-    res = np.max(np.abs(residual_field(quartic_instance).values))
+    inst = quartic_instance
+    u = inst.u.values
+    # du/dt = Lap u + p0 u + R f, the cross-section-time factors spread along x_n
+    rhs = laplacian(inst.u).values + inst.p0.values[:, None] * u + inst.R.values * inst.f.values[:, None]
+    res = np.max(np.abs(diff(inst.u, "t", 1).values - rhs))
     h = max(worked_geometry.spacing(a) for a in ("xp", "xn", "t"))
     scale = quartic_instance.R.max_abs()
     assert res <= 10 * h * h * scale
@@ -325,11 +327,16 @@ def test_data_functional_matches_quadrature_oracle(worked_geometry, quartic_inst
     assert quartic_instance.d_of_u == pytest.approx(want, rel=1e-10)
 
 
-def test_apriori_bound_is_degree_one_homogeneous(quartic_instance):
-    u = quartic_instance.u
-    scaled = dataclasses.replace(quartic_instance, u=u.with_values(2.5 * u.values))
-    got = compute_apriori_bound(scaled)
-    assert got == pytest.approx(2.5 * quartic_instance.apriori_bound, rel=1e-13)
+def test_apriori_bound_is_degree_one_homogeneous(worked_geometry, quartic_recipe):
+    # u = a * b with a constant b, so the second build's u is 2.5 times the first's
+    bounds = [
+        make_instance(
+            worked_geometry,
+            dataclasses.replace(quartic_recipe, b=cross_time_profile("constant", value=value)),
+        ).apriori_bound
+        for value in (1.0, 2.5)
+    ]
+    assert bounds[1] == pytest.approx(2.5 * bounds[0], rel=1e-13)
 
 
 def test_data_functional_bounded_by_apriori_bound(quartic_instance):

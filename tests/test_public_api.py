@@ -1,10 +1,12 @@
 """Every name a module lists in ``__all__`` must exist in that module, no
 module imports another package module's private names, every name a
-module imports from the package is used there or exported, and only
-``artifacts`` writes a file."""
+module imports from the package is used there or exported, only
+``artifacts`` writes a file, and every public function has a caller outside
+the tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -103,3 +105,54 @@ def test_only_the_artifacts_module_writes_a_file():
     package = Path(carleman_lab.__file__).parent
     modules = [path for path in sorted(package.glob("*.py")) if path.stem != "artifacts"]
     assert [line for path in modules for line in _writes(path)] == []
+
+
+# public functions whose only callers are the tests that check the paper's criteria
+CRITERION_CARRIERS = {
+    "weight.decay_integral": "criterion 4",
+    "reconstruct.oracle_trace_reconstruct": "criteria 5 and 6",
+    "reconstruct.corollary_check": "criterion 8",
+    "problems.coefficient_reduction": "the coefficient-to-source reduction",
+}
+
+
+def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """The names and attribute names ``tree`` reads, outside a top-level ``def skip``."""
+    nodes = [n for n in tree.body if not (isinstance(n, ast.FunctionDef) and n.name == skip)]
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in nodes
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _hook_targets(tree: ast.AST) -> set[str]:
+    """The function names a ``HOOKS`` table of (module, attribute path, ...) rows reaches by name."""
+    return {
+        row.elts[1].value.split(".")[-1]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "HOOKS" for t in node.targets)
+        for row in node.value.elts
+    }
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    package = Path(carleman_lab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    harness = sorted((package.parents[1] / "perfbench").glob("*.py"))
+    outside = set().union(*(
+        _references(tree) | _hook_targets(tree)
+        for tree in (ast.parse(path.read_text()) for path in harness if not path.stem.startswith("test_"))
+    ))
+    uncalled = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("carleman_lab" if stem == "__init__" else f"carleman_lab.{stem}")
+        others = set().union(*(r for s, r in refs.items() if s != stem))
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                if name not in _references(tree, skip=name) | others | outside:
+                    uncalled.append(f"{stem}.{name}")
+    assert sorted(uncalled) == sorted(CRITERION_CARRIERS)
