@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import signal
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -72,8 +73,6 @@ __all__ = [
     "CARLEMAN_CSV_HEADER",
     "LEMMA1_CSV_HEADER",
 ]
-
-COMMANDS = ("plan", "verify", "make-instance", "reconstruct", "sweep", "all")
 
 CARLEMAN_CSV_HEADER = "member,s,lhs,rhs,log_scale,ratio"
 LEMMA1_CSV_HEADER = "member,coarse,fine,ratio"
@@ -512,6 +511,7 @@ _RUNNERS = {
     "reconstruct": _cmd_reconstruct,
     "sweep": _cmd_sweep,
 }
+COMMANDS = (*_RUNNERS, "all")
 
 
 def run(command: str, cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> list[Path]:
@@ -552,6 +552,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir())
         out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command not in ("plan", "make-instance"):
+            # verify's corpus and the solver's scipy.sparse import numpy.random, whose
+            # set-up swallows a KeyboardInterrupt: import it with SIGINT only recorded
+            caught = []
+            previous = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
+            try:
+                import numpy.random  # noqa: F401
+            finally:
+                signal.signal(signal.SIGINT, previous)
+            if caught:
+                raise KeyboardInterrupt
         written = run(args.command, cfg, out_dir, quiet=args.quiet)
         for path in written:
             _say(args.quiet, f"wrote {path}")

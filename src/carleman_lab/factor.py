@@ -67,8 +67,8 @@ def band_order(geometry: CylinderGeometry) -> np.ndarray:
     return np.concatenate([u_pos.ravel(), pos[:, :, g.nx_n].ravel()])
 
 
-# rows per diagonal block of the blocked triangular solves; 32-48 ran fastest
-# at half-bandwidths 1,170 and 2,324, where 128 took 1.4-2x as long
+# rows per diagonal block of the blocked triangular solves, which another width rounds
+# differently; at half-bandwidth 1,512 a 48-column solve took 144 ms, 167 at 32, 198 at 128
 _BAND_BLOCK = 48
 # x' slabs from which the factor has heads, two arms and a separator: each
 # arm then keeps its head and at least the two band slabs the head couples with
@@ -544,11 +544,8 @@ class BandCholesky:
             u = left.u[left.k :, left.k :]
             u[i, j] += values
             right = self.arms[1].u[-s:, -s:][::-1, ::-1].T
-            for q0, q1 in _blocks(s, _BAND_BLOCK):
-                u[:q0, q0:q1] += right[:q0, q0:q1]
-                square = u[q0:q1, q0:q1]
-                upper = np.triu(np.ones(square.shape, dtype=bool))
-                np.add(square, right[q0:q1, q0:q1], out=square, where=upper)
+            # only the upper triangle: the strict lower one of u aliases the band
+            np.add(u, right, out=u, where=np.triu(np.ones((s, s), dtype=bool)))
             info = _dpotrf(u)
             if info != 0:
                 raise np.linalg.LinAlgError(

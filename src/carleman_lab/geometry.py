@@ -307,17 +307,13 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    # Differences of fields on one grid, without unwrapping the arrays.
-
-    def _coerce(self, other):
-        if isinstance(other, ScalarField):
-            if other.kind is not self.kind or other.geometry != self.geometry:
-                raise ValidationError("field arithmetic requires matching geometry and kind")
-            return other.values
-        return other
-
     def __sub__(self, other):
-        return self.with_values(self.values - self._coerce(other))
+        """The difference of two fields of one kind on one grid; anything else is a TypeError."""
+        if not isinstance(other, ScalarField):
+            return NotImplemented
+        if other.kind is not self.kind or other.geometry != self.geometry:
+            raise ValidationError("field arithmetic requires matching geometry and kind")
+        return self.with_values(self.values - other.values)
 
     def __repr__(self):
         return f"ScalarField({self.kind.name}, shape={self.values.shape})"
@@ -500,9 +496,6 @@ class Region:
     xn: tuple[float, float] | None = None
     t: tuple[float, float] | None = None
 
-    def bounds(self, axis: str):
-        return getattr(self, axis)
-
 
 def _axis_selection(geometry: CylinderGeometry, axis: str, bounds) -> slice:
     if bounds is None:
@@ -524,7 +517,7 @@ def _region_weights(
     sels = []
     w = None
     for a in kind.axes:
-        bounds = None if region is None else region.bounds(a)
+        bounds = None if region is None else getattr(region, a)
         sel = _axis_selection(geometry, a, bounds)
         sels.append(sel)
         n = sel.stop - sel.start

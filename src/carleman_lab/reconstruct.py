@@ -569,9 +569,7 @@ def corollary_check(sweep: SweepReport, instance: ProblemInstance) -> CorollaryR
     plan = sweep.plan
     region = stability_region(plan)
     xp_only = Region(xp=(plan.D0_lo, plan.D0_hi))
-    f_error = sweep.noiseless_f_hat.with_values(
-        sweep.noiseless_f_hat.values - instance.f.values
-    )
+    f_error = sweep.noiseless_f_hat - instance.f
     slice_error = discrete_norm(time_slice(f_error, 0.0), region=xp_only)
     slice_scale = discrete_norm(time_slice(instance.f, 0.0), region=xp_only)
     noiseless_row = next(r for r in sweep.rows if r.noise == 0.0)

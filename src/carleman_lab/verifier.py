@@ -464,11 +464,11 @@ def verify_carleman(
 
     Every row equals ``carleman_sides(member.sample(g), plan, s, p0)``: both
     run the same code, and its sums carry the same bits at one strength as
-    at many.  The weight is built once per run and shared; the caller
-    verifies the even members and, from ``_PARALLEL_NODES`` nodes on, one
-    helper thread the odd ones (``workers.run``), each in a workspace of its
-    own.  The rows come back in member order, with the same bits on one
-    worker as on two.
+    at many.  The weight is built once per run and shared.  Below
+    ``_PARALLEL_NODES`` nodes one workspace takes every member; from there on
+    the caller takes the even members and one helper thread the odd ones
+    (``workers.run``), each in a workspace of its own.  The rows come back in
+    member order, with the same bits on one worker as on two.
     ``s_min_emp`` is the smallest strength at which every corpus member's
     ratio is at or below ``c_cap`` (None when no strength qualifies).
     """
@@ -482,20 +482,20 @@ def verify_carleman(
         raise ValidationError("the corpus must hold at least one field")
     sides_at = _Sides(plan, g, s_values, p0)
 
-    def verify_members(first: int) -> list[list[CarlemanSides]]:
+    def verify_members(members: list[CorpusField]) -> list[list[CarlemanSides]]:
         work = sides_at.workspace()
         # sampled on reaching it, so one member's field per worker is alive at a time
-        return [sides_at(member.sample(g), work) for member in corpus[first::2]]
+        return [sides_at(member.sample(g), work) for member in members]
 
-    # the caller takes the even members, and one helper the odd ones
-    halves = workers.run(
-        [functools.partial(verify_members, first) for first in range(min(2, len(corpus)))],
-        serial=math.prod(g.shape(FieldKind.SPACE_TIME)) < _PARALLEL_NODES,
-    )
+    # from _PARALLEL_NODES on, the caller takes the even members and a helper the odd ones
+    parts = [corpus]
+    if math.prod(g.shape(FieldKind.SPACE_TIME)) >= _PARALLEL_NODES:
+        parts = [corpus[first::2] for first in range(min(2, len(corpus)))]
+    results = workers.run([functools.partial(verify_members, part) for part in parts])
     rows = []
     by_s: dict[float, list[float]] = {s: [] for s in s_values}
     for i in range(len(corpus)):
-        for sides in halves[i % 2][i // 2]:
+        for sides in results[i % len(parts)][i // len(parts)]:
             rows.append((i, sides))
             by_s[sides.s].append(sides.ratio)
     c_emp = max(sides.ratio for _, sides in rows)

@@ -23,14 +23,14 @@ def count() -> int:
     return min(2, cpus or 1)
 
 
-def run(tasks: list, serial: bool = False) -> list:
+def run(tasks: list) -> list:
     """Call each of one or two tasks and return their results in order.
 
-    With two tasks and two workers, and ``serial`` false, a helper thread runs
-    the second while the caller runs the first.  The helper is joined before
-    this returns or raises, and either task's exception propagates.
+    With two tasks and two workers, a helper thread runs the second while
+    the caller runs the first.  The helper is joined before this returns or
+    raises, and either task's exception propagates.
     """
-    if len(tasks) == 1 or serial or count() == 1:
+    if len(tasks) == 1 or count() == 1:
         return [task() for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 

@@ -968,6 +968,39 @@ def test_sigint_during_a_run_exits_130_with_one_error_line(tmp_path):
     _assert_interrupted(child.returncode, err, out)
 
 
+_INTERRUPT_SWALLOWED_BY_NUMPY_RANDOM = """
+import os, signal, sys, time
+
+class SwallowInterrupt:
+    # sends SIGINT during the first import of numpy.random and swallows the
+    # KeyboardInterrupt, as numpy's module set-up does
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random":
+            sys.meta_path.remove(self)
+            try:
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(0.1)  # the handler runs here
+            except KeyboardInterrupt:
+                pass
+
+sys.meta_path.insert(0, SwallowInterrupt())
+import carleman_lab.cli as cli
+sys.exit(cli.main(["--config", sys.argv[1], "--command", "verify", "--out", sys.argv[2], "--quiet"]))
+"""
+
+
+def test_sigint_in_the_first_import_of_numpy_random_exits_130(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out))
+    child = subprocess.run(
+        [sys.executable, "-c", _INTERRUPT_SWALLOWED_BY_NUMPY_RANDOM, str(path), str(out)],
+        env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 130, child.stderr
+    assert child.stderr == "error: interrupted\n"
+    assert list(out.iterdir()) == []
+
+
 def test_exit_3_on_missing_config(tmp_path, capsys):
     assert cli("--config", tmp_path / "absent.json", "--command", "plan") == 3
     capsys.readouterr()

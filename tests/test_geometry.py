@@ -111,6 +111,23 @@ def test_field_copies_and_leaves_the_callers_array_writable():
     assert not u.values.flags.writeable
 
 
+def test_field_subtraction_takes_a_field_of_the_same_kind_and_grid():
+    g = small_geometry()
+    u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp * xn + t)
+    v = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xn - t)
+    d = u - v
+    assert d.kind is FieldKind.SPACE_TIME and d.geometry == g
+    assert np.array_equal(d.values, u.values - v.values)
+    # a scalar or a bare array is no field
+    for other in (2.0, u.values):
+        with pytest.raises(TypeError):
+            u - other
+    for other in (ScalarField.zeros(g, FieldKind.SPACE_ONLY),
+                  ScalarField.zeros(small_geometry(nt=13), FieldKind.SPACE_TIME)):
+        with pytest.raises(ValidationError, match="matching geometry and kind"):
+            u - other
+
+
 def test_diff_and_trace_results_are_read_only_and_own_their_memory():
     g = small_geometry()
     u = ScalarField.from_function(g, FieldKind.SPACE_TIME, lambda xp, xn, t: xp * xn + t)
